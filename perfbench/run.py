@@ -27,7 +27,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("rpc_small", "mlp_fused", "durable_sync", "macro_sim")
+WORKLOADS = ("rpc_small", "mlp_fused", "durable_sync")
 RUN_TIMEOUT_S = 170
 SMOKE_SECONDS = 0.4
 

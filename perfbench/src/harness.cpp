@@ -3,7 +3,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -94,14 +93,10 @@ bool parse_args(int argc, char** argv, Args* out, std::string* err) {
   return true;
 }
 
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(v.size()));
-  const std::size_t idx =
-      rank < 1.0 ? 0
-                 : std::min(v.size() - 1, static_cast<std::size_t>(rank) - 1);
-  return v[idx];
+double LatencySample::percentile(double p) const {
+  ssma::SampleSet s;
+  for (const double v : kept_) s.add(v);
+  return s.count() == 0 ? 0.0 : s.percentile(p);
 }
 
 void LatencySample::add(double v) {
@@ -148,16 +143,20 @@ std::string Report::json() const {
   return s + "}}";
 }
 
-void print_detail(double p99_ms, std::size_t samples, const Report& report) {
+void print_detail(double p99_ms, std::size_t samples,
+                  const ssma::SampleSet& setup_s, const Report& report) {
   const double fail_frac =
       report.attempted == 0 ? 0.0
                             : static_cast<double>(report.failed) /
                                   static_cast<double>(report.attempted);
+  std::string setups;
+  for (const double s : setup_s.samples())
+    setups += (setups.empty() ? "" : ", ") + num(s);
   std::printf(
       "{\"detail\": {\"p99_ms\": %s, \"latency_samples\": %zu, "
-      "\"fail_frac\": %s, \"mismatches\": %llu}}\n",
+      "\"fail_frac\": %s, \"mismatches\": %llu, \"setup_s_samples\": [%s]}}\n",
       num(p99_ms).c_str(), samples, num(fail_frac).c_str(),
-      static_cast<unsigned long long>(report.mismatches));
+      static_cast<unsigned long long>(report.mismatches), setups.c_str());
 }
 
 void Tracer::record(const char* name, std::int64_t t0_ns, std::int64_t t1_ns,
@@ -192,19 +191,18 @@ std::vector<Tracer::Layer> Tracer::layers() const {
     if (!open.empty()) self[open.back()] -= dur;
     open.push_back(i);
   }
-  std::map<std::string, std::pair<Layer, std::vector<double>>> by_name;
+  std::map<std::string, std::pair<Layer, ssma::SampleSet>> by_name;
   for (std::size_t i = 0; i < s.size(); ++i) {
     auto& entry = by_name[s[i].name];
     entry.first.count++;
     entry.first.self_ms += self[i] / 1e6;
-    entry.second.push_back(static_cast<double>(s[i].t1_ns - s[i].t0_ns) /
-                           1e3);
+    entry.second.add(static_cast<double>(s[i].t1_ns - s[i].t0_ns) / 1e3);
   }
   std::vector<Layer> out;
   for (auto& [name, entry] : by_name) {
     Layer layer = entry.first;
     layer.name = name;
-    layer.p50_us = median(std::move(entry.second));
+    layer.p50_us = median(entry.second);
     out.push_back(std::move(layer));
   }
   return out;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace perfbench {
 
@@ -34,10 +35,9 @@ struct Args {
 /// [--trace-out FILE]`. Returns false with a message on bad input.
 bool parse_args(int argc, char** argv, Args* out, std::string* err);
 
-/// Nearest-rank percentile, p in [0, 100]; 0 for an empty sample.
-double percentile(std::vector<double> v, double p);
-inline double median(std::vector<double> v) {
-  return percentile(std::move(v), 50.0);
+/// Median of a sample set; 0 when it is empty.
+inline double median(const ssma::SampleSet& s) {
+  return s.count() == 0 ? 0.0 : s.percentile(50.0);
 }
 
 /// Fixed-size uniform sample of a long latency stream (reservoir
@@ -51,9 +51,8 @@ class LatencySample {
   void add(double v);
   /// Samples offered, kept or not.
   std::size_t count() const { return count_; }
-  double percentile(double p) const {
-    return perfbench::percentile(kept_, p);
-  }
+  /// Nearest-rank percentile of the kept samples; 0 when there are none.
+  double percentile(double p) const;
 
  private:
   std::vector<double> kept_;
@@ -89,8 +88,10 @@ struct Report {
 };
 
 /// Prints the detail line: the highest percentile reported (p99) with
-/// its sample count, and the failed share of attempted operations.
-void print_detail(double p99_ms, std::size_t samples, const Report& report);
+/// its sample count, the failed share of attempted operations, and every
+/// set-up time of the run (setup_s is the fastest).
+void print_detail(double p99_ms, std::size_t samples,
+                  const ssma::SampleSet& setup_s, const Report& report);
 
 /// In-memory span recorder for traced runs, used from one thread.
 /// Storage is capped per span name, so a flood of client spans cannot
@@ -139,18 +140,18 @@ class Tracer {
 template <class F>
 double median_call_ns(Tracer& tracer, const char* name, F&& fn,
                       int min_reps = 20, double min_s = 0.05) {
-  std::vector<double> ns;
+  ssma::SampleSet ns;
   const std::int64_t until =
       now_ns() + static_cast<std::int64_t>(min_s * 1e9);
-  while (ns.size() < static_cast<std::size_t>(min_reps) ||
-         (now_ns() < until && ns.size() < 100000)) {
+  while (ns.count() < static_cast<std::size_t>(min_reps) ||
+         (now_ns() < until && ns.count() < 100000)) {
     const std::int64_t t0 = now_ns();
     fn();
     const std::int64_t t1 = now_ns();
     tracer.record(name, t0, t1);
-    ns.push_back(static_cast<double>(t1 - t0));
+    ns.add(static_cast<double>(t1 - t0));
   }
-  return median(std::move(ns));
+  return median(ns);
 }
 
 }  // namespace perfbench

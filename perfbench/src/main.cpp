@@ -1,16 +1,16 @@
 // The repository benchmark binary. One invocation runs one workload in
 // its own process:
 //
-//   perfbench --workload rpc_small|mlp_fused|durable_sync|macro_sim
+//   perfbench --workload rpc_small|mlp_fused|durable_sync
 //             --seed N --seconds S --trace 0|1
 //             [--scratch DIR] [--trace-out FILE]
 //
 // stdout: a context line (seed, nproc, CPU model, kernel tiers), a detail
-// line (p99 with its sample count, fail_frac), then the result object as
-// the last line. A traced run prints the per-layer table to stderr and
-// writes its spans as Chrome-trace JSON to --trace-out. Exits non-zero on
-// any output mismatch or failed request. perfbench/run.py builds this
-// binary and is the command to use.
+// line (p99 with its sample count, fail_frac, every set-up time), then the
+// result object as the last line. A traced run prints the per-layer table
+// to stderr and writes its spans as Chrome-trace JSON to --trace-out.
+// Exits non-zero on any output mismatch or failed request.
+// perfbench/run.py builds this binary and is the command to use.
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -32,9 +32,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", context_json(args).c_str());
     Report report;
     Tracer tracer;
-    if (args.workload == "macro_sim") {
-      run_macro_sim(args, report, tracer);
-    } else if (!run_serving(args, report, tracer)) {
+    if (!run_serving(args, report, tracer)) {
       std::fprintf(stderr, "perfbench: unknown workload %s\n",
                    args.workload.c_str());
       return 2;

@@ -201,7 +201,7 @@ void probe_replication(const ProbeTarget& t, Tracer& tracer,
   const engine::ModelHandle& model = *t.model;
   const std::vector<std::uint8_t> codes = request_codes(t);
   const std::uint64_t sent0 = log.stats().bytes_sent;
-  std::vector<double> wait_ns;
+  SampleSet wait_ns;
   for (std::uint64_t i = 0; i < kRecords; ++i) {
     const std::uint64_t seq = journal.append_accepted(
         i, model.name(), model.version(), t.request_rows, codes);
@@ -209,7 +209,7 @@ void probe_replication(const ProbeTarget& t, Tracer& tracer,
     log.wait_acked(seq);
     const std::int64_t t1 = now_ns();
     tracer.record("repl.wait_acked", t0, t1, i);
-    wait_ns.push_back(static_cast<double>(t1 - t0));
+    wait_ns.add(static_cast<double>(t1 - t0));
     journal.append_completed(i, 0, 0);
   }
   log.wait_acked(journal.durable_seq());
@@ -282,7 +282,7 @@ void probe_sim(const ProbeTarget& t, Tracer& tracer, ProbeResults* r,
   const std::vector<std::int16_t> bias(static_cast<std::size_t>(mc.ndec), 0);
   const bool final_tile = res.plan.input_tiles() == 1;
 
-  std::vector<double> program_ns, run_ns;
+  SampleSet program_ns, run_ns;
   bool tile_ok = true;
   for (int rep = 0; rep < 3; ++rep) {
     sim::Macro macro(mc);
@@ -293,8 +293,8 @@ void probe_sim(const ProbeTarget& t, Tracer& tracer, ProbeResults* r,
     const std::int64_t t2 = now_ns();
     tracer.record("sim.program", t0, t1);
     tracer.record("sim.run", t1, t2);
-    program_ns.push_back(static_cast<double>(t1 - t0));
-    run_ns.push_back(static_cast<double>(t2 - t1));
+    program_ns.add(static_cast<double>(t1 - t0));
+    run_ns.add(static_cast<double>(t2 - t1));
     for (std::size_t k = 0; final_tile && k < rows; ++k)
       for (int d = 0; d < tile.lane_n; ++d)
         tile_ok = tile_ok &&
@@ -335,7 +335,7 @@ const char* moves(const std::string& metric) {
   const auto it = kMoves.find(metric);
   if (it != kMoves.end()) return it->second;
   if (metric.rfind("sim.", 0) == 0)
-    return "rows_per_s on macro_sim (not gated)";
+    return "rows_per_s on macro_sim (dropped; see README)";
   if (metric.rfind("setup.", 0) == 0) return "setup_s on all";
   return "";
 }
@@ -386,9 +386,9 @@ void add_layer_metrics(const LayerView& v, const SetupLog& setup,
   report.add("sim.run_ms", p.sim_run_ms, "ms");
   report.add("sim.ns_per_row", p.sim_ns_per_row, "sim_ns/row");
   report.add("sim.tops_per_w", p.sim_tops_per_w, "TOPS/W");
-  report.add("setup.train_s", median(setup.train_s), "s");
-  report.add("setup.register_s", median(setup.register_s), "s");
-  report.add("setup.start_s", median(setup.start_s), "s");
+  report.add("setup.train_s", setup.train_s.min(), "s");
+  report.add("setup.register_s", setup.register_s.min(), "s");
+  report.add("setup.start_s", setup.start_s.min(), "s");
   report.add("unattributed_p50_ms", v.unattributed_p50_ms, "ms");
   report.add("trace_overhead_frac", v.trace_overhead_frac, "share");
 }

@@ -4,8 +4,7 @@
 // layer's public call at a time on the workload's own model and inputs,
 // so they exist on every workload. The counter-derived metrics (queue
 // wait, batch size, service time, front-door overhead) come from the
-// serving stack's counters, or from the macro loop's own split of each
-// chunk on macro_sim.
+// serving stack's counters.
 #pragma once
 
 #include <cstdint>
@@ -58,14 +57,14 @@ struct ProbeResults {
 ProbeResults run_probes(const ProbeTarget& target, Tracer& tracer,
                         Report& report);
 
-/// Times of the repeated set-ups, by phase.
+/// Times of the repeated set-ups, by phase; each metric is the fastest.
 struct SetupLog {
-  std::vector<double> train_s, register_s, start_s, total_s;
+  ssma::SampleSet train_s, register_s, start_s, total_s;
   void add(double train, double reg, double start) {
-    train_s.push_back(train);
-    register_s.push_back(reg);
-    start_s.push_back(start);
-    total_s.push_back(train + reg + start);
+    train_s.add(train);
+    register_s.add(reg);
+    start_s.add(start);
+    total_s.add(train + reg + start);
   }
 };
 

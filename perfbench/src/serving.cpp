@@ -43,8 +43,18 @@ using namespace ssma;
 namespace rec = serve::recovery;
 namespace rep = serve::replication;
 
-/// Set-ups per run; setup_s is their median.
-constexpr int kSetups = 5;
+/// Set-ups per run; setup_s is the fastest. The first deploys the stack
+/// that serves. Each of the others runs before one segment of the timed
+/// window, so they sample the host over the whole run. Set-up is fixed
+/// work that interference only slows: on a shared 4-vCPU host single
+/// set-ups vary by +-20% within one run, while the fastest of nine
+/// repeats within a few percent across runs.
+constexpr int kSetups = 9;
+/// peak_rss_mb is ru_maxrss when the client sends this request (or at the
+/// end of the warm-up, if that comes first): a fixed point of the run, so
+/// the reading does not grow with throughput. The durable follower keeps
+/// state per replayed request until promotion.
+constexpr std::uint64_t kRssAtRequest = 2048;
 /// Requests the client keeps in flight.
 constexpr std::size_t kWindow = 8;
 constexpr int kWorkers = 2;
@@ -190,6 +200,22 @@ class Stack {
   bool stopped_ = false;
 };
 
+/// Trains the operators and deploys a stack in `dir`, timing each phase.
+std::unique_ptr<Stack> deploy(const Spec& spec, const WorkloadData& data,
+                              const std::string& dir, Tracer& tracer,
+                              SetupLog& setup,
+                              std::vector<maddness::Amm>* stages) {
+  const std::int64_t t0 = now_ns();
+  *stages = train_stages(data);
+  const std::int64_t t1 = now_ns();
+  tracer.record("setup.train", t0, t1);
+  SetupTimes times;
+  auto stack = std::make_unique<Stack>(spec, *stages, dir, tracer, &times);
+  setup.add(static_cast<double>(t1 - t0) / 1e9, times.register_s,
+            times.start_s);
+  return stack;
+}
+
 struct Traffic {
   const maddness::QuantizedActivations& pool;
   const std::vector<std::int16_t>& reference;
@@ -198,7 +224,7 @@ struct Traffic {
   std::string model_ref;
 };
 
-/// Completions that landed inside one timed window.
+/// Completions that landed inside the timed windows of one phase.
 struct Phase {
   LatencySample lat_ms;
   std::size_t rows_ok = 0;
@@ -208,13 +234,19 @@ struct Phase {
   }
 };
 
+/// The client's progress over the whole run.
+struct Load {
+  std::uint64_t sent = 0;  ///< requests sent so far, also the next id
+  double rss_mb = 0.0;     ///< ru_maxrss when request kRssAtRequest was sent
+};
+
 /// Closed loop for `seconds`: keeps kWindow requests in flight, sends a
 /// new one per completion until the window ends, then drains. Latency is
-/// send start to response decoded.
-Phase drive(net::NetClient& cli, const Traffic& t, double seconds,
-            Tracer& tracer, Report& report, std::uint64_t* next_id) {
-  Phase phase;
-  phase.seconds = seconds;
+/// send start to response decoded. Completions inside the window are
+/// added to `phase`.
+void drive(net::NetClient& cli, const Traffic& t, double seconds,
+           Tracer& tracer, Report& report, Load& load, Phase& phase) {
+  phase.seconds += seconds;
   const std::size_t rows = t.rows_per_request;
   const std::size_t slices = t.pool.rows / rows;
   struct Inflight {
@@ -226,7 +258,8 @@ Phase drive(net::NetClient& cli, const Traffic& t, double seconds,
   req.model_ref = t.model_ref;
   req.rows = rows;
   const auto send_one = [&] {
-    const std::uint64_t id = (*next_id)++;
+    const std::uint64_t id = load.sent++;
+    if (load.sent == kRssAtRequest) load.rss_mb = peak_rss_mb();
     const std::size_t slice = id % slices;
     req.correlation_id = id;
     req.codes.assign(t.pool.row(slice * rows),
@@ -266,7 +299,6 @@ Phase drive(net::NetClient& cli, const Traffic& t, double seconds,
     }
     if (r1 < end) send_one();
   }
-  return phase;
 }
 
 }  // namespace
@@ -277,25 +309,10 @@ bool run_serving(const Args& args, Report& report, Tracer& tracer) {
   tracer.set_enabled(args.trace);
   const WorkloadData data = make_data(spec.shape, args.seed);
 
-  // Set up kSetups times, tearing each deployment down before the next;
-  // the last one serves the load.
   SetupLog setup;
   std::vector<maddness::Amm> stages;
-  std::unique_ptr<Stack> stack;
-  for (int k = 0; k < kSetups; ++k) {
-    stack.reset();
-    const std::int64_t t0 = now_ns();
-    stages = train_stages(data);
-    const std::int64_t t1 = now_ns();
-    tracer.record("setup.train", t0, t1);
-    SetupTimes times;
-    stack = std::make_unique<Stack>(
-        spec, stages, args.scratch + "/deploy-" + std::to_string(k), tracer,
-        &times);
-    setup.add(static_cast<double>(t1 - t0) / 1e9, times.register_s,
-              times.start_s);
-  }
-
+  const std::unique_ptr<Stack> stack =
+      deploy(spec, data, args.scratch + "/deploy-0", tracer, setup, &stages);
   const engine::ModelRef model =
       stages.size() == 1
           ? engine::ModelHandle::from_amm(spec.model, 1, stages.front())
@@ -311,18 +328,25 @@ bool run_serving(const Args& args, Report& report, Tracer& tracer) {
                         model->nout(), spec.model};
 
   // Warm up, then the untraced window; a traced run splits its time
-  // between an untraced and a traced window to measure the overhead.
-  std::uint64_t next_id = 0;
+  // between an untraced and a traced window to measure the overhead. The
+  // windows are cut into segments, each after one more set-up, which is
+  // torn down again before the segment runs.
+  Load load;
+  Phase warm, plain, traced;
   tracer.set_enabled(false);
-  drive(stack->client(), traffic, std::min(1.0, 0.25 * args.seconds),
-        tracer, report, &next_id);
-  const double window = args.trace ? args.seconds / 2 : args.seconds;
-  const Phase plain =
-      drive(stack->client(), traffic, window, tracer, report, &next_id);
-  Phase traced;
-  if (args.trace) {
-    tracer.set_enabled(true);
-    traced = drive(stack->client(), traffic, window, tracer, report, &next_id);
+  drive(stack->client(), traffic, std::min(1.0, 0.25 * args.seconds), tracer,
+        report, load, warm);
+  if (load.rss_mb == 0.0) load.rss_mb = peak_rss_mb();
+  const int segments = kSetups - 1;
+  for (int k = 1; k <= segments; ++k) {
+    const bool traced_segment = args.trace && 2 * k > segments;
+    tracer.set_enabled(traced_segment);
+    std::vector<maddness::Amm> unused;
+    deploy(spec, data, args.scratch + "/deploy-" + std::to_string(k), tracer,
+           setup, &unused)
+        .reset();
+    drive(stack->client(), traffic, args.seconds / segments, tracer, report,
+          load, traced_segment ? traced : plain);
   }
 
   const serve::MetricsSnapshot snap = stack->server().metrics();
@@ -331,15 +355,23 @@ bool run_serving(const Args& args, Report& report, Tracer& tracer) {
   const rep::ReplicationStats repl_stats =
       spec.durable ? stack->replication()->stats() : rep::ReplicationStats{};
   stack->stop();
-  print_detail(plain.lat_ms.percentile(99), plain.lat_ms.count(), report);
+  if (repl_stats.sync_degraded > 0) {
+    // A sync ack that timed out and degraded to async acknowledged a
+    // write the follower may not hold: the run fails.
+    std::fprintf(stderr, "perfbench: %llu sync acks degraded to async\n",
+                 static_cast<unsigned long long>(repl_stats.sync_degraded));
+    report.failed += repl_stats.sync_degraded;
+  }
+  print_detail(plain.lat_ms.percentile(99), plain.lat_ms.count(),
+               setup.total_s, report);
 
   const double client_p50 = plain.lat_ms.percentile(50);
   if (!args.trace) {
     report.add("rows_per_s", plain.rows_per_s(), "rows/s");
     report.add("p50_ms", client_p50, "ms");
     report.add("p90_ms", plain.lat_ms.percentile(90), "ms");
-    report.add("setup_s", median(setup.total_s), "s");
-    report.add("peak_rss_mb", peak_rss_mb(), "MB");
+    report.add("setup_s", setup.total_s.min(), "s");
+    report.add("peak_rss_mb", load.rss_mb, "MB");
     return true;
   }
 

@@ -12,7 +12,4 @@ namespace perfbench {
 /// when `args.workload` is not one of them.
 bool run_serving(const Args& args, Report& report, Tracer& tracer);
 
-/// macro_sim (macro_sim.cpp).
-void run_macro_sim(const Args& args, Report& report, Tracer& tracer);
-
 }  // namespace perfbench
