@@ -546,5 +546,96 @@ TEST(NetServerTest, StopWithConnectedClientDoesNotHang) {
   server.shutdown();
 }
 
+// ---------------------------------------- NetClient on a broken stream
+
+/// A one-connection server that writes `bytes` and hangs up: what a
+/// crashed or corrupted server looks like from the client side.
+class ScriptedPeer {
+ public:
+  explicit ScriptedPeer(std::string bytes) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (listen_fd_ < 0 ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 1) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                      &len) != 0)
+      throw CheckError("scripted peer: listen failed");
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, bytes = std::move(bytes)] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      std::size_t off = 0;
+      while (off < bytes.size()) {
+        const ssize_t n = ::send(fd, bytes.data() + off,
+                                 bytes.size() - off, MSG_NOSIGNAL);
+        if (n <= 0) break;
+        off += static_cast<std::size_t>(n);
+      }
+      ::close(fd);
+    });
+  }
+  ~ScriptedPeer() {
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+std::string ok_response_frame(std::uint64_t corr) {
+  RpcResponse resp;
+  resp.correlation_id = corr;
+  resp.model = "m";
+  resp.model_version = 1;
+  resp.rows = 1;
+  resp.outputs = {1, -2, 3};
+  return resp.encode();
+}
+
+TEST(NetClientBrokenStream, BadCrcResponseThrows) {
+  std::string frame = ok_response_frame(1);
+  frame[frame.size() - 1] ^= 0x40;  // break the payload CRC
+  ScriptedPeer peer(frame);
+  NetClient cli;
+  cli.connect("127.0.0.1", peer.port());
+  RpcResponse resp;
+  EXPECT_THROW(cli.recv_response(&resp), CheckError);
+  cli.close();
+}
+
+TEST(NetClientBrokenStream, CloseMidFrameThrows) {
+  const std::string frame = ok_response_frame(2);
+  ScriptedPeer peer(frame.substr(0, frame.size() / 2));
+  NetClient cli;
+  cli.connect("127.0.0.1", peer.port());
+  RpcResponse resp;
+  EXPECT_THROW(cli.recv_response(&resp), CheckError);
+  cli.close();
+}
+
+TEST(NetClientBrokenStream, CloseAtFrameBoundaryIsCleanEof) {
+  ScriptedPeer peer(ok_response_frame(3));
+  NetClient cli;
+  cli.connect("127.0.0.1", peer.port());
+  RpcResponse resp;
+  ASSERT_TRUE(cli.recv_response(&resp));
+  EXPECT_EQ(resp.correlation_id, 3u);
+  EXPECT_EQ(resp.outputs, (std::vector<std::int16_t>{1, -2, 3}));
+  EXPECT_FALSE(cli.recv_response(&resp));
+  cli.close();
+}
+
 }  // namespace
 }  // namespace ssma::net
