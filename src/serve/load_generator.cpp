@@ -63,6 +63,7 @@ LoadGenerator::LoadGenerator(const maddness::QuantizedActivations& pool,
   SSMA_CHECK(pool.rows >= 1);
   SSMA_CHECK(spec.total_requests >= 1);
   SSMA_CHECK(spec.rows_per_request >= 1);
+  SSMA_CHECK_MSG(!spec.model_refs.empty(), "LoadSpec needs a model ref");
 }
 
 std::size_t LoadGenerator::first_row(std::uint64_t id) const {
@@ -71,8 +72,6 @@ std::size_t LoadGenerator::first_row(std::uint64_t id) const {
 }
 
 const std::string& LoadGenerator::model_ref(std::uint64_t id) const {
-  static const std::string kNone;
-  if (spec_.model_refs.empty()) return kNone;
   return spec_.model_refs[static_cast<std::size_t>(
       id % spec_.model_refs.size())];
 }
@@ -117,12 +116,9 @@ LoadReport LoadGenerator::run_open_loop(InferenceServer& server,
     std::this_thread::sleep_until(at);
     // submit() may block on a full queue: that delay is part of the
     // latency the open-loop client observes.
-    const std::string& ref = model_ref(i);
     pending.push_back(
-        {ref.empty()
-             ? server.submit(request_codes(i), spec_.rows_per_request)
-             : server.submit(ref, request_codes(i),
-                             spec_.rows_per_request),
+        {server.submit(model_ref(i), request_codes(i),
+                       spec_.rows_per_request),
          at});
   }
 
@@ -169,12 +165,8 @@ LoadReport LoadGenerator::run_closed_loop(InferenceServer& server,
         if (id >= spec_.total_requests) break;
         const Clock::time_point t0 = Clock::now();
         try {
-          const std::string& ref = model_ref(id);
-          std::future<InferenceResult> fut =
-              ref.empty() ? server.submit(request_codes(id),
-                                          spec_.rows_per_request)
-                          : server.submit(ref, request_codes(id),
-                                          spec_.rows_per_request);
+          std::future<InferenceResult> fut = server.submit(
+              model_ref(id), request_codes(id), spec_.rows_per_request);
           const InferenceResult res = fut.get();
           per_client[static_cast<std::size_t>(c)].add(
               std::chrono::duration<double, std::nano>(res.completed_at -

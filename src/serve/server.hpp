@@ -27,11 +27,6 @@
 //   auto rs = recovery::recover_state(ckpts, journal_path);
 //   auto server = InferenceServer::restore(rs, opts);
 //   auto futs = server->replay(rs.journal.unacknowledged);
-//
-// v1 compatibility: the one-model constructor still compiles (it
-// registers its operator as "default" version 1 and the model-less
-// submit() resolves "default@latest"); ServerOptions keeps deprecated
-// mode/accel/device_ns_per_token shims that fold into `engine`.
 #pragma once
 
 #include <atomic>
@@ -119,10 +114,6 @@ struct RecoveryOptions {
   int max_respawns_per_shard = 3;
 };
 
-// The implicitly-defined ctors/assignments touch the deprecated shim
-// members; only direct field access at call sites should warn.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct ServerOptions {
   int num_workers = 4;
   std::size_t queue_capacity = 1024;  ///< requests; push blocks when full
@@ -130,17 +121,7 @@ struct ServerOptions {
   /// Backend + macro shape + pacing for every shard's private engine.
   engine::EngineOptions engine;
   RecoveryOptions recovery;
-
-  // --- v1 compatibility shims. These fold into `engine` at server
-  // construction (a non-default shim value wins over the corresponding
-  // `engine` field); new code sets `engine` directly. ---
-  [[deprecated("use engine.backend")]] engine::Backend mode =
-      engine::Backend::kKernel;
-  [[deprecated("use engine.accel")]] core::AcceleratorOptions accel;
-  [[deprecated(
-      "use engine.device_ns_per_token")]] double device_ns_per_token = 0.0;
 };
-#pragma GCC diagnostic pop
 
 class InferenceServer {
  public:
@@ -155,11 +136,6 @@ class InferenceServer {
   InferenceServer(std::shared_ptr<engine::ModelRegistry> registry,
                   const ServerOptions& opts,
                   std::uint64_t first_request_id = 0);
-  /// v1 shim: registers `amm` as "default" version 1 and starts.
-  [[deprecated(
-      "register models explicitly: InferenceServer(opts) + "
-      "register_model()")]]
-  InferenceServer(const maddness::Amm& amm, const ServerOptions& opts);
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;
@@ -225,18 +201,11 @@ class InferenceServer {
                                       std::vector<std::uint8_t> codes,
                                       std::size_t rows,
                                       SubmitExtras extras);
-  /// v1 shim: submits against "default@latest".
-  std::future<InferenceResult> submit(std::vector<std::uint8_t> codes,
-                                      std::size_t rows = 1);
 
   /// Splits a pre-quantized matrix into per-request row slices and
   /// submits them all; the last request takes the remainder.
   std::vector<std::future<InferenceResult>> submit_batch(
       const std::string& model_ref,
-      const maddness::QuantizedActivations& q,
-      std::size_t rows_per_request);
-  /// v1 shim: submit_batch against "default@latest".
-  std::vector<std::future<InferenceResult>> submit_batch(
       const maddness::QuantizedActivations& q,
       std::size_t rows_per_request);
 

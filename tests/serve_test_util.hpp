@@ -12,10 +12,12 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "engine/model_registry.hpp"
 #include "maddness/amm.hpp"
 #include "util/rng.hpp"
 
@@ -98,6 +100,15 @@ struct ServeFixture {
     return amm.apply_int16(q);
   }
 };
+
+/// A registry holding `amm` as the "default" model, version 1: the
+/// single-model layout of v1 checkpoints and model-less journal records.
+inline std::shared_ptr<engine::ModelRegistry> default_registry(
+    const maddness::Amm& amm) {
+  auto registry = std::make_shared<engine::ModelRegistry>();
+  registry->register_model(engine::ModelRegistry::kDefaultModel, amm);
+  return registry;
+}
 
 /// Unique per-test scratch directory, removed on scope exit.
 class TmpDir {

@@ -24,10 +24,6 @@
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
 
-// These suites deliberately keep exercising the deprecated v1
-// one-model constructor — it is the compatibility shim under test.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 #include "util/rng.hpp"
 
 using namespace ssma;
@@ -444,10 +440,10 @@ TEST(EncoderKernel, ServeJournalReplayStaysBitExactWithNewEncoder) {
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.checkpoint_every = 6;
     opts.recovery.supervise = false;
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(default_registry(f.amm), opts);
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(f.codes_for(id), 1));
+      futs.push_back(server.submit("default", f.codes_for(id), 1));
     server.shutdown();
     for (auto& fut : futs) {
       try {

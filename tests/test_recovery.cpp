@@ -34,11 +34,6 @@
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
 
-// These suites deliberately keep exercising the deprecated v1
-// one-model constructor — it is the compatibility shim under test.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-
 namespace ssma::serve {
 namespace {
 
@@ -349,12 +344,12 @@ TEST(Recovery, CrashAtEveryStageSupervisedIsBitExact) {
     opts.recovery.journal = &journal;
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.supervise = true;
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(default_registry(f.amm), opts);
 
     constexpr std::size_t kRequests = 48;
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(f.codes_for(id), 1));
+      futs.push_back(server.submit("default", f.codes_for(id), 1));
     for (std::size_t id = 0; id < futs.size(); ++id)
       EXPECT_EQ(futs[id].get().outputs, f.expected(id % f.pool.rows, 1))
           << "request " << id
@@ -420,11 +415,11 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.checkpoint_every = 8;
     opts.recovery.supervise = false;  // a crash is a crash
-    InferenceServer server(f.amm, opts);
+    InferenceServer server(default_registry(f.amm), opts);
 
     std::vector<std::future<InferenceResult>> futs;
     for (std::size_t id = 0; id < kRequests; ++id)
-      futs.push_back(server.submit(payloads[id], 1));
+      futs.push_back(server.submit("default", payloads[id], 1));
     server.shutdown();  // the "process" dies: unserved futures fail
 
     for (std::size_t id = 0; id < futs.size(); ++id) {
@@ -469,7 +464,7 @@ TEST(Recovery, HardCrashRestartReplaysJournalBitExact) {
         << "replayed request " << rec.id << " diverged";
   }
   // New admissions continue past the recovered watermark.
-  auto fresh = server->submit(f.codes_for(0), 1);
+  auto fresh = server->submit("default", f.codes_for(0), 1);
   EXPECT_EQ(fresh.get().request_id, kRequests);
   server->shutdown();
 
@@ -505,11 +500,11 @@ TEST(Recovery, UnsupervisedCrashFailsFuturesLoudly) {
   opts.batcher.max_batch_tokens = 1;
   opts.batcher.max_wait = std::chrono::microseconds(0);
   opts.recovery.fault = &fault;
-  InferenceServer server(f.amm, opts);
+  InferenceServer server(default_registry(f.amm), opts);
 
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < 4; ++id)
-    futs.push_back(server.submit(f.codes_for(id), 1));
+    futs.push_back(server.submit("default", f.codes_for(id), 1));
   server.shutdown();
 
   std::size_t failed = 0;
@@ -532,11 +527,11 @@ TEST(Recovery, CheckpointCadenceWritesVersions) {
   opts.num_workers = 2;
   opts.recovery.checkpoints = &ckpts;
   opts.recovery.checkpoint_every = 4;
-  InferenceServer server(f.amm, opts);
+  InferenceServer server(default_registry(f.amm), opts);
 
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < 12; ++id)
-    futs.push_back(server.submit(f.codes_for(id), 1));
+    futs.push_back(server.submit("default", f.codes_for(id), 1));
   for (auto& fut : futs) fut.get();
   server.shutdown();
 

@@ -5,8 +5,8 @@
 // and randomized multi-client arrival order), the engine-backend matrix
 // (kernel / simulate+PPA / device-paced), multi-model serving with
 // per-model metrics, operator save/load round trips, backpressure,
-// typed shutdown rejection, the deprecated v1 single-model shims, and
-// the load generator's two arrival models.
+// typed shutdown rejection, and the load generator's two arrival
+// models.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -658,57 +658,6 @@ TEST(InferenceServer, UnknownModelRefThrowsAtSubmit) {
   EXPECT_THROW(server.submit("m", short_codes, 1), CheckError);
 }
 
-// ---------------------------------------------- v1 compatibility shims
-
-// PR-4-era call sites must keep compiling (with deprecation warnings,
-// silenced here) and serving bit-exactly through the shims.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(InferenceServerV1Shim, OneModelConstructorAndModelessSubmit) {
-  const Fixture f = Fixture::make();
-  ServerOptions opts;
-  opts.num_workers = 2;
-  opts.mode = ExecutionMode::kKernel;  // deprecated field + alias
-  InferenceServer server(f.amm, opts);  // deprecated one-model ctor
-
-  // The operator landed as "default" version 1; the model-less submit
-  // resolves it.
-  EXPECT_EQ(server.registry().latest_version("default"), 1u);
-  auto fut = server.submit(
-      std::vector<std::uint8_t>(f.pool.row(5), f.pool.row(5) + f.pool.cols),
-      1);
-  const InferenceResult res = fut.get();
-  EXPECT_EQ(res.model, "default");
-  EXPECT_EQ(res.outputs, f.expected(5, 1));
-}
-
-TEST(InferenceServerV1Shim, DeprecatedEngineFieldsFoldIntoEngineOptions) {
-  // The deprecated mode/accel/device_ns_per_token fields must still
-  // steer the engine: a paced server built through them enforces the
-  // modeled service time.
-  const Fixture f = Fixture::make();
-  ServerOptions opts;
-  opts.num_workers = 1;
-  opts.mode = ExecutionMode::kDevicePaced;
-  opts.device_ns_per_token = 100'000.0;
-  InferenceServer server(f.amm, opts);
-
-  const Clock::time_point t0 = Clock::now();
-  std::vector<std::future<InferenceResult>> futs;
-  for (std::size_t id = 0; id < 16; ++id)
-    futs.push_back(server.submit(
-        std::vector<std::uint8_t>(f.pool.row(id % f.pool.rows),
-                                  f.pool.row(id % f.pool.rows) +
-                                      f.pool.cols),
-        1));
-  for (std::size_t id = 0; id < futs.size(); ++id)
-    EXPECT_EQ(futs[id].get().outputs, f.expected(id % f.pool.rows, 1));
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  EXPECT_GE(wall, 16 * 100e-6);
-}
-#pragma GCC diagnostic pop
-
 // ------------------------------------------------------- report merging
 
 TEST(PpaReport, ParallelMergePoolsShards) {
@@ -774,6 +723,8 @@ TEST(LoadGenerator, ClosedLoopServesExactlyTheSpec) {
   LoadSpec spec;
   spec.total_requests = 120;
   spec.rows_per_request = 2;
+  EXPECT_THROW(LoadGenerator(f.pool, spec), CheckError)
+      << "a spec without a model ref must be refused";
   spec.model_refs = {"m@latest"};
   LoadGenerator gen(f.pool, spec);
   // Payloads are a deterministic function of the request id.
