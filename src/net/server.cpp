@@ -1,8 +1,5 @@
 #include "net/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -14,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "net/socket.hpp"
 #include "serve/rollout/rollout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
@@ -31,45 +29,13 @@ constexpr std::uint64_t kEventId = 1;
 // kMalformed, not crashes.
 constexpr std::uint64_t kMaxRequestRows = 1u << 20;
 
-void set_nodelay(int fd) {
-  int one = 1;
-  // Best effort: latency tuning, not correctness.
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
 }  // namespace
 
 NetServer::NetServer(serve::InferenceServer& server,
                      const NetServerOptions& opts)
     : server_(server), opts_(opts), admission_(opts.admission) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  SSMA_CHECK_MSG(listen_fd_ >= 0,
-                 "socket() failed: " << std::strerror(errno));
-  int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts.port);
-  SSMA_CHECK_MSG(
-      ::inet_pton(AF_INET, opts.host.c_str(), &addr.sin_addr) == 1,
-      "bad listen address: " << opts.host);
-  SSMA_CHECK_MSG(::bind(listen_fd_,
-                        reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)) == 0,
-                 "bind(" << opts.host << ":" << opts.port
-                         << ") failed: " << std::strerror(errno));
-  SSMA_CHECK_MSG(::listen(listen_fd_, opts.backlog) == 0,
-                 "listen() failed: " << std::strerror(errno));
-
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  SSMA_CHECK(::getsockname(listen_fd_,
-                           reinterpret_cast<sockaddr*>(&bound),
-                           &blen) == 0);
-  port_ = ntohs(bound.sin_port);
+  listen_fd_ = listen_tcp(opts.host, opts.port, opts.backlog,
+                          /*nonblocking=*/true, &port_);
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   SSMA_CHECK_MSG(epoll_fd_ >= 0,
@@ -522,26 +488,8 @@ NetClient::~NetClient() { close(); }
 void NetClient::connect(const std::string& host, std::uint16_t port,
                         std::size_t max_frame_bytes) {
   SSMA_CHECK_MSG(fd_ < 0, "NetClient already connected");
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  SSMA_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    SSMA_CHECK_MSG(false, "bad address: " << host);
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    SSMA_CHECK_MSG(false, "connect(" << host << ":" << port
-                                     << ") failed: "
-                                     << std::strerror(err));
-  }
-  set_nodelay(fd);
+  fd_ = connect_tcp(host, port);
   decoder_ = std::make_unique<FrameDecoder>(max_frame_bytes);
-  fd_ = fd;
 }
 
 void NetClient::connect_with_retry(const std::string& host,
@@ -560,16 +508,8 @@ void NetClient::connect_with_retry(const std::string& host,
     } catch (const CheckError&) {
       if (attempt + 1 >= max_attempts) throw;
     }
-    // Capped exponential backoff; the seeded jitter (up to half the
-    // step) decorrelates reconnect storms deterministically.
-    const std::uint64_t base =
-        static_cast<std::uint64_t>(backoff_base.count());
-    const std::uint64_t cap =
-        static_cast<std::uint64_t>(backoff_cap.count());
-    std::uint64_t delay =
-        std::min(cap, base << std::min<std::size_t>(attempt, 20));
-    delay += rng.next_below(delay / 2 + 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+    std::this_thread::sleep_for(
+        backoff_delay(backoff_base, backoff_cap, attempt, rng));
   }
 }
 
@@ -586,30 +526,23 @@ void NetClient::send_bytes(const std::string& bytes) {
                  "NetClient stream poisoned by an earlier partial "
                  "write; close() and reconnect");
   std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      const int err = errno;
-      if (off > 0) {
-        // Partial frame already on the wire: the server's decoder is
-        // mid-frame, so any retried send would interleave a fresh
-        // frame into the torn one and desync the whole stream. Poison
-        // the connection (shutdown, not close — a concurrent
-        // recv_response may still hold the fd) so every later op
-        // fails loudly until the caller reconnects.
-        broken_.store(true, std::memory_order_release);
-        ::shutdown(fd_, SHUT_RDWR);
-      }
-      SSMA_CHECK_MSG(false, "send failed"
-                                << (off > 0 ? " mid-frame (connection "
-                                              "poisoned; reconnect)"
-                                            : "")
-                                << ": " << std::strerror(err));
-    }
-    off += static_cast<std::size_t>(n);
+  if (write_all(fd_, bytes, &off)) return;
+  const int err = errno;
+  if (off > 0) {
+    // Partial frame already on the wire: the server's decoder is
+    // mid-frame, so any retried send would interleave a fresh frame
+    // into the torn one and desync the whole stream. Poison the
+    // connection (shutdown, not close — a concurrent recv_response may
+    // still hold the fd) so every later op fails loudly until the
+    // caller reconnects.
+    broken_.store(true, std::memory_order_release);
+    ::shutdown(fd_, SHUT_RDWR);
   }
+  SSMA_CHECK_MSG(false, "send failed"
+                            << (off > 0 ? " mid-frame (connection "
+                                          "poisoned; reconnect)"
+                                        : "")
+                            << ": " << std::strerror(err));
 }
 
 bool NetClient::recv_payload(std::string* payload) {
@@ -618,22 +551,15 @@ bool NetClient::recv_payload(std::string* payload) {
   SSMA_CHECK_MSG(!broken_.load(std::memory_order_acquire),
                  "NetClient stream poisoned by an earlier partial "
                  "write; close() and reconnect");
-  char buf[64 * 1024];
-  for (;;) {
-    const FrameDecoder::Result r = decoder_->next(payload);
-    if (r == FrameDecoder::Result::kFrame) return true;
-    SSMA_CHECK_MSG(r != FrameDecoder::Result::kBad,
-                   "corrupt response frame (CRC/length)");
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    SSMA_CHECK_MSG(n >= 0, "recv failed: " << std::strerror(errno));
-    if (n == 0) {
-      SSMA_CHECK_MSG(decoder_->buffered_bytes() == 0,
-                     "server closed mid-frame");
-      return false;  // clean close at a frame boundary
-    }
-    decoder_->feed(buf, static_cast<std::size_t>(n));
-  }
+  const FrameRead r = read_frame(fd_, *decoder_, payload);
+  SSMA_CHECK_MSG(r != FrameRead::kBad,
+                 "corrupt response frame (CRC/length)");
+  SSMA_CHECK_MSG(r != FrameRead::kError,
+                 "recv failed: " << std::strerror(errno));
+  if (r == FrameRead::kFrame) return true;
+  SSMA_CHECK_MSG(decoder_->buffered_bytes() == 0,
+                 "server closed mid-frame");
+  return false;  // clean close at a frame boundary
 }
 
 bool NetClient::recv_response(RpcResponse* out) {

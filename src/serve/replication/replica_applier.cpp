@@ -10,9 +10,9 @@
 #include <sstream>
 
 #include "maddness/framing.hpp"
+#include "net/socket.hpp"
 #include "net/wire_protocol.hpp"
 #include "serve/recovery/recovery.hpp"
-#include "serve/replication/socket_util.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -21,32 +21,10 @@
 namespace ssma::serve::replication {
 
 using net::FrameDecoder;
+using net::FrameRead;
 using net::MsgType;
 using net::ReplMessage;
-
-namespace {
-
-bool recv_frame(int fd, FrameDecoder& dec, std::string* payload) {
-  for (;;) {
-    switch (dec.next(payload)) {
-      case FrameDecoder::Result::kFrame:
-        return true;
-      case FrameDecoder::Result::kBad:
-        return false;
-      case FrameDecoder::Result::kNeedMore:
-        break;
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    dec.feed(buf, static_cast<std::size_t>(n));
-  }
-}
-
-}  // namespace
+using net::write_all;
 
 ReplicaApplier::ReplicaApplier(const ApplierOptions& opts) : opts_(opts) {
   SSMA_CHECK_MSG(!opts_.dir.empty(), "replication: applier dir required");
@@ -189,8 +167,7 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
     ReplMessage ack;
     ack.type = MsgType::kReplAck;
     ack.arg = durable;
-    const std::string frame = ack.encode();
-    return send_all(fd, frame.data(), frame.size());
+    return write_all(fd, ack.encode());
   }
   if (m.arg != durable + 1) {
     // Sequence gap (a drop upstream): resync from our true mark.
@@ -232,7 +209,7 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
   ack.arg = seq;
   const std::string frame = ack.encode();
   for (int i = 0; i < acks; ++i)
-    if (!send_all(fd, frame.data(), frame.size())) return false;
+    if (!write_all(fd, frame)) return false;
   return true;
 }
 
@@ -254,12 +231,11 @@ void ReplicaApplier::session(int fd) {
     wire::put_u64(hb, journal_->durable_bytes());
     hello.bytes = hb.str();
   }
-  const std::string frame = hello.encode();
-  if (send_all(fd, frame.data(), frame.size())) {
+  if (write_all(fd, hello.encode())) {
     FrameDecoder dec(opts_.max_frame_bytes);
     std::string payload;
     ReplMessage m;
-    while (recv_frame(fd, dec, &payload)) {
+    while (net::read_frame(fd, dec, &payload) == FrameRead::kFrame) {
       if (!net::parse_repl(payload, &m)) break;
       if (m.type == MsgType::kReplReject) {
         std::lock_guard<std::mutex> lk(mu_);
@@ -284,8 +260,7 @@ void ReplicaApplier::session(int fd) {
         ReplMessage ack;
         ack.type = MsgType::kReplAck;
         ack.arg = m.arg;
-        const std::string af = ack.encode();
-        if (!send_all(fd, af.data(), af.size())) break;
+        if (!write_all(fd, ack.encode())) break;
       } else {
         break;
       }
@@ -315,7 +290,12 @@ void ReplicaApplier::run() {
       if (stopping_) return;
       ++connect_attempts_;
     }
-    const int fd = tcp_connect(opts_.leader_host, opts_.leader_port);
+    int fd = -1;
+    try {
+      fd = net::connect_tcp(opts_.leader_host, opts_.leader_port);
+    } catch (const CheckError&) {
+      // Leader down or restarting: back off and redial.
+    }
     if (fd >= 0) {
       attempt = 0;
       {
@@ -330,18 +310,11 @@ void ReplicaApplier::run() {
       session(fd);
       continue;
     }
-    // Capped exponential backoff with deterministic seeded jitter.
-    const std::uint64_t base =
-        static_cast<std::uint64_t>(opts_.backoff_base.count());
-    const std::uint64_t cap =
-        static_cast<std::uint64_t>(opts_.backoff_cap.count());
-    const std::uint64_t shift = std::min<std::uint64_t>(attempt, 20);
-    std::uint64_t delay = std::min(cap, base << shift);
-    delay += rng.next_below(delay / 2 + 1);
-    ++attempt;
+    const std::chrono::milliseconds delay =
+        net::backoff_delay(opts_.backoff_base, opts_.backoff_cap,
+                           attempt++, rng);
     std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait_for(lk, std::chrono::milliseconds(delay),
-                 [&] { return stopping_; });
+    cv_.wait_for(lk, delay, [&] { return stopping_; });
   }
 }
 

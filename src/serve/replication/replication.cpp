@@ -4,15 +4,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
+#include <cerrno>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "maddness/framing.hpp"
+#include "net/socket.hpp"
 #include "net/wire_protocol.hpp"
-#include "serve/replication/socket_util.hpp"
 #include "serve/request_queue.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
@@ -21,8 +22,10 @@
 namespace ssma::serve::replication {
 
 using net::FrameDecoder;
+using net::FrameRead;
 using net::MsgType;
 using net::ReplMessage;
+using net::write_all;
 
 const char* to_string(AckMode mode) {
   switch (mode) {
@@ -37,28 +40,6 @@ const char* to_string(AckMode mode) {
 }
 
 namespace {
-
-/// Blocking frame receive: drains the decoder, refilling from the
-/// socket as needed. False on peer close, socket error, or a bad frame.
-bool recv_frame(int fd, FrameDecoder& dec, std::string* payload) {
-  for (;;) {
-    switch (dec.next(payload)) {
-      case FrameDecoder::Result::kFrame:
-        return true;
-      case FrameDecoder::Result::kBad:
-        return false;
-      case FrameDecoder::Result::kNeedMore:
-        break;
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    dec.feed(buf, static_cast<std::size_t>(n));
-  }
-}
 
 /// Tails a journal file by VIRTUAL byte offset (the stable addressing
 /// that survives compaction): translates to a physical seek through the
@@ -114,22 +95,8 @@ ReplicationLog::ReplicationLog(recovery::RequestJournal& journal,
   // timestamps exist for them); the record-count lag still covers them.
   replicated_bytes_ = leader_bytes_;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  SSMA_CHECK_MSG(listen_fd_ >= 0, "replication: socket() failed");
-  int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts_.port);
-  SSMA_CHECK_MSG(::inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) == 1, "replication: bad listen host: " + opts_.host);
-  SSMA_CHECK_MSG(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    sizeof(addr)) == 0, "replication: bind failed on " + opts_.host);
-  SSMA_CHECK_MSG(::listen(listen_fd_, 8) == 0, "replication: listen failed");
-  socklen_t len = sizeof(addr);
-  SSMA_CHECK_MSG(::getsockname(listen_fd_,
-                           reinterpret_cast<sockaddr*>(&addr), &len) == 0, "replication: getsockname failed");
-  port_ = ntohs(addr.sin_port);
+  listen_fd_ = net::listen_tcp(opts_.host, opts_.port, /*backlog=*/8,
+                              /*nonblocking=*/false, &port_);
 
   journal_.set_commit_hook([this](std::uint64_t seq, std::uint64_t bytes) {
     on_commit(seq, bytes);
@@ -175,8 +142,7 @@ void ReplicationLog::accept_main() {
       if (errno == EINTR) continue;
       return;  // listener shut down
     }
-    int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    net::set_nodelay(fd);
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) {
       ::close(fd);
@@ -241,7 +207,8 @@ bool ReplicationLog::faulted_send(Follower* f, const std::string& frame,
       case recovery::FaultKind::kTornMessage: {
         // Half a frame, then cut: the follower's decoder sees a torn
         // stream and reconnects.
-        (void)send_all(f->fd, frame.data(), frame.size() / 2);
+        (void)write_all(f->fd,
+                        std::string_view(frame).substr(0, frame.size() / 2));
         ::shutdown(f->fd, SHUT_RDWR);
         std::lock_guard<std::mutex> lk(mu_);
         ++torn_sends_;
@@ -258,7 +225,7 @@ bool ReplicationLog::faulted_send(Follower* f, const std::string& frame,
     }
   }
   for (int i = 0; i < dup; ++i) {
-    if (!send_all(f->fd, frame.data(), frame.size())) return false;
+    if (!write_all(f->fd, frame)) return false;
     std::lock_guard<std::mutex> lk(mu_);
     bytes_sent_ += frame.size();
   }
@@ -295,7 +262,7 @@ void ReplicationLog::session_main(Follower* f) {
   FrameDecoder dec(opts_.max_frame_bytes);
   std::string payload;
   ReplMessage hello;
-  bool ok = recv_frame(f->fd, dec, &payload) &&
+  bool ok = net::read_frame(f->fd, dec, &payload) == FrameRead::kFrame &&
             net::parse_repl(payload, &hello) &&
             hello.type == MsgType::kReplHello;
   if (ok && hello.arg > journal_.durable_seq()) {
@@ -308,8 +275,7 @@ void ReplicationLog::session_main(Follower* f) {
     rej.bytes = "follower seq " + std::to_string(hello.arg) +
                 " ahead of leader seq " +
                 std::to_string(journal_.durable_seq());
-    const std::string frame = rej.encode();
-    (void)send_all(f->fd, frame.data(), frame.size());
+    (void)write_all(f->fd, rej.encode());
     std::lock_guard<std::mutex> lk(mu_);
     ++rejected_followers_;
     ok = false;
@@ -326,8 +292,7 @@ void ReplicationLog::session_main(Follower* f) {
     rej.bytes = "follower seq " + std::to_string(hello.arg) +
                 " behind compaction horizon " +
                 std::to_string(tail.info().base_seq);
-    const std::string frame = rej.encode();
-    (void)send_all(f->fd, frame.data(), frame.size());
+    (void)write_all(f->fd, rej.encode());
     std::lock_guard<std::mutex> lk(mu_);
     ++rejected_followers_;
     ok = false;
@@ -484,7 +449,7 @@ void ReplicationLog::reader_main(Follower* f) {
   FrameDecoder dec(opts_.max_frame_bytes);
   std::string payload;
   ReplMessage m;
-  while (recv_frame(f->fd, dec, &payload)) {
+  while (net::read_frame(f->fd, dec, &payload) == FrameRead::kFrame) {
     if (!net::parse_repl(payload, &m) || m.type != MsgType::kReplAck)
       break;
     std::lock_guard<std::mutex> lk(mu_);

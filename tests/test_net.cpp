@@ -8,8 +8,6 @@
 // lost acks).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -22,6 +20,7 @@
 
 #include "maddness/framing.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "net/wire_protocol.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
@@ -192,28 +191,10 @@ TEST(WireProtocolTest, MalformedPayloadsAreRejectedNotRead) {
 /// garbage on purpose).
 class RawConn {
  public:
-  void connect(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    ASSERT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-  }
-  void send_bytes(const std::string& b) {
-    std::size_t off = 0;
-    while (off < b.size()) {
-      const ssize_t n =
-          ::send(fd_, b.data() + off, b.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-  ssize_t recv_some(char* buf, std::size_t cap) {
-    return ::recv(fd_, buf, cap, 0);
+  void connect(std::uint16_t port) { fd_ = connect_tcp("127.0.0.1", port); }
+  void send_bytes(const std::string& b) { ASSERT_TRUE(write_all(fd_, b)); }
+  FrameRead read(FrameDecoder& dec, std::string* payload) {
+    return read_frame(fd_, dec, payload);
   }
   /// Blocks until the peer closes; true on EOF.
   bool drain_to_eof() {
@@ -433,22 +414,12 @@ TEST(NetServerTest, WellFramedGarbageAnsweredMalformedAndConnSurvives) {
   // Read both responses through a bare decoder on the raw socket.
   FrameDecoder dec(1 << 20);
   std::map<std::uint64_t, std::uint8_t> status;
-  char buf[4096];
   std::string payload;
-  int got = 0;
-  while (got < 2) {
-    FrameDecoder::Result r = dec.next(&payload);
-    if (r == FrameDecoder::Result::kFrame) {
-      RpcResponse resp;
-      ASSERT_TRUE(parse_response(payload, &resp));
-      status[resp.correlation_id] = resp.status;
-      got++;
-      continue;
-    }
-    ASSERT_NE(r, FrameDecoder::Result::kBad);
-    const ssize_t n = raw.recv_some(buf, sizeof(buf));
-    ASSERT_GT(n, 0);
-    dec.feed(buf, static_cast<std::size_t>(n));
+  for (int got = 0; got < 2; ++got) {
+    ASSERT_EQ(raw.read(dec, &payload), FrameRead::kFrame);
+    RpcResponse resp;
+    ASSERT_TRUE(parse_response(payload, &resp));
+    status[resp.correlation_id] = resp.status;
   }
   EXPECT_EQ(status.at(0), status_of(RejectReason::kMalformed));
   EXPECT_EQ(status.at(5), kStatusOk);
@@ -552,30 +523,13 @@ TEST(NetServerTest, StopWithConnectedClientDoesNotHang) {
 /// crashed or corrupted server looks like from the client side.
 class ScriptedPeer {
  public:
-  explicit ScriptedPeer(std::string bytes) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    socklen_t len = sizeof(addr);
-    if (listen_fd_ < 0 ||
-        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd_, 1) != 0 ||
-        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                      &len) != 0)
-      throw CheckError("scripted peer: listen failed");
-    port_ = ntohs(addr.sin_port);
+  explicit ScriptedPeer(std::string bytes)
+      : listen_fd_(listen_tcp("127.0.0.1", 0, 1, /*nonblocking=*/false,
+                              &port_)) {
     thread_ = std::thread([this, bytes = std::move(bytes)] {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) return;
-      std::size_t off = 0;
-      while (off < bytes.size()) {
-        const ssize_t n = ::send(fd, bytes.data() + off,
-                                 bytes.size() - off, MSG_NOSIGNAL);
-        if (n <= 0) break;
-        off += static_cast<std::size_t>(n);
-      }
+      (void)write_all(fd, bytes);
       ::close(fd);
     });
   }
@@ -589,8 +543,8 @@ class ScriptedPeer {
   std::uint16_t port() const { return port_; }
 
  private:
-  int listen_fd_ = -1;
   std::uint16_t port_ = 0;
+  int listen_fd_ = -1;
   std::thread thread_;
 };
 

@@ -26,6 +26,7 @@
 #include "engine/model_registry.hpp"
 #include "maddness/framing.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "net/wire_protocol.hpp"
 #include "serve/recovery/checkpoint.hpp"
 #include "serve/recovery/fault_injector.hpp"
@@ -61,6 +62,14 @@ std::string slurp(const std::string& path) {
 
 std::uint32_t crc_of(const std::vector<std::int16_t>& out) {
   return maddness::crc32(out.data(), out.size() * sizeof(std::int16_t));
+}
+
+/// A loopback port nothing listens on: an ephemeral listener's port,
+/// taken after the listener is closed.
+std::uint16_t dead_port() {
+  std::uint16_t port = 0;
+  ::close(net::listen_tcp("127.0.0.1", 0, 1, /*nonblocking=*/false, &port));
+  return port;
 }
 
 // ------------------------------------------------- wire round-trips
@@ -677,23 +686,9 @@ TEST(Replication, StaleFollowerGetsTypedRejection) {
 }
 
 TEST(Replication, PromoteBeforeFirstCheckpointIsTypedNotReady) {
-  // A dead port: bind an ephemeral listener, note the port, close it.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t dead_port = ntohs(addr.sin_port);
-  ::close(fd);
-
   TmpDir dir("notready");
   ApplierOptions aopts;
-  aopts.leader_port = dead_port;
+  aopts.leader_port = dead_port();
   aopts.dir = dir.file("follower");
   aopts.server.num_workers = 1;
   aopts.backoff_base = std::chrono::milliseconds(5);
@@ -888,23 +883,9 @@ TEST(NetClientRetry, BacksOffUntilTheListenerAppears) {
 }
 
 TEST(NetClientRetry, ExhaustedAttemptsThrowTheConnectError) {
-  // A dead port (bound once, then closed).
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t dead_port = ntohs(addr.sin_port);
-  ::close(fd);
-
   net::NetClient client;
   EXPECT_THROW(client.connect_with_retry(
-                   "127.0.0.1", dead_port, /*max_attempts=*/3,
+                   "127.0.0.1", dead_port(), /*max_attempts=*/3,
                    std::chrono::milliseconds(1),
                    std::chrono::milliseconds(4), test_seed()),
                CheckError);
