@@ -48,20 +48,6 @@ maddness::Amm train_chained_stage(const maddness::Config& cfg,
   return amm;
 }
 
-std::vector<std::string> register_network_layers(
-    ModelRegistry& registry, const std::string& prefix,
-    const nn::MaddnessNetwork& net) {
-  const std::vector<const maddness::Amm*> amms = net.substituted_amms();
-  std::vector<std::string> names;
-  names.reserve(amms.size());
-  for (std::size_t i = 0; i < amms.size(); ++i) {
-    std::string name = prefix + ".conv" + std::to_string(i);
-    registry.register_model(name, *amms[i]);
-    names.push_back(std::move(name));
-  }
-  return names;
-}
-
 std::vector<std::string> register_segments(
     ModelRegistry& registry, const std::string& prefix,
     const std::vector<const maddness::Amm*>& amms) {

@@ -45,8 +45,8 @@ class MaddnessNetwork {
   Tensor forward(const Tensor& x, bool use_amm) const;
 
   /// Forward pass with every substituted conv's patch matmul delegated
-  /// to `exec(conv_idx, q)` — conv_idx matches substituted_amms() /
-  /// register_network_layers order, q is the layer's quantized im2col
+  /// to `exec(conv_idx, q)` — conv_idx matches substituted_amms()
+  /// order, q is the layer's quantized im2col
   /// batch, and the return is the int16 accumulators. Serving each
   /// layer through a model registry this way reproduces
   /// forward(x, /*use_amm=*/true) bit-for-bit: the network runs
@@ -61,8 +61,8 @@ class MaddnessNetwork {
   const MaddnessConv2d& substituted_conv(std::size_t i) const;
 
   /// The substituted convs' trained operators in network order — the
-  /// stage list engine::register_network_layers exports into a model
-  /// registry for served CNN-feature (patch-matmul) workloads.
+  /// stage list engine::register_network exports into a model registry
+  /// for served CNN-feature (patch-matmul) workloads.
   std::vector<const maddness::Amm*> substituted_amms() const;
 
   /// Codebook-aware recovery step: re-trains the network's final Linear
