@@ -766,7 +766,9 @@ TEST(ServeTelemetryTest, LifecycleSpansUnderDelayChaos) {
           ack_covered[id] = true;
       // The fused walk tags its kernel-stage spans with the pipeline
       // stage index; a 2-stage pipe only has boundary 0.
-      if (ev.stage == Stage::kEpilogue) EXPECT_EQ(ev.tag, 0u);
+      if (ev.stage == Stage::kEpilogue) {
+        EXPECT_EQ(ev.tag, 0u);
+      }
     }
     if (track.track.rfind("shard-", 0) == 0) {
       shard_tracks.insert(track.track);
