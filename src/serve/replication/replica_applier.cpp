@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "maddness/framing.hpp"
 #include "net/socket.hpp"
@@ -66,13 +68,10 @@ void ReplicaApplier::build_standby() {
   auto standby = InferenceServer::restore(rs, sopts);
   auto futs = standby->replay(rs.journal.unacknowledged);
   std::lock_guard<std::mutex> lk(mu_);
+  // Completions already in the journal belong to requests that are not
+  // replayed here, so only the replays need tracking.
   for (std::size_t i = 0; i < futs.size(); ++i)
-    replay_futures_.emplace_back(rs.journal.unacknowledged[i].id,
-                                 std::move(futs[i]));
-  for (const auto& [id, crc] : rs.journal.completed_crc) {
-    leader_crc_[id] = crc;
-    completed_ids_.insert(id);
-  }
+    track_replay(rs.journal.unacknowledged[i].id, std::move(futs[i]));
   applied_records_ += rs.journal.unacknowledged.size();
   completed_records_ += rs.journal.completed_crc.size();
   max_applied_id_ = std::max(max_applied_id_, rs.journal.max_id);
@@ -187,7 +186,7 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
         SSMA_TRACE_SPAN_IDS(kReplApply, pr.accepted.id, pr.accepted.id);
         auto futs = standby_->replay({pr.accepted});
         std::lock_guard<std::mutex> lk(mu_);
-        replay_futures_.emplace_back(pr.accepted.id, std::move(futs[0]));
+        track_replay(pr.accepted.id, std::move(futs[0]));
         ++applied_records_;
         max_applied_id_ = std::max(max_applied_id_, pr.accepted.id);
         const auto now = std::chrono::steady_clock::now();
@@ -197,8 +196,7 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
       }
     } else {
       std::lock_guard<std::mutex> lk(mu_);
-      leader_crc_[pr.completed_id] = pr.completed_crc;
-      completed_ids_.insert(pr.completed_id);
+      note_completion(pr.completed_id, pr.completed_crc);
       ++completed_records_;
     }
   }
@@ -211,6 +209,50 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
   for (int i = 0; i < acks; ++i)
     if (!write_all(fd, frame)) return false;
   return true;
+}
+
+void ReplicaApplier::track_replay(std::uint64_t id,
+                                  std::future<InferenceResult> result) {
+  Unaudited& u = unaudited_[id];
+  u.order = next_order_++;
+  u.result = std::move(result);
+}
+
+void ReplicaApplier::note_completion(std::uint64_t id, std::uint32_t crc) {
+  const auto it = unaudited_.find(id);
+  if (it != unaudited_.end() && !it->second.has_leader_crc) {
+    it->second.has_leader_crc = true;
+    it->second.leader_crc = crc;
+    awaiting_result_.push_back(id);
+  }
+  // Replays finish roughly in order; stop at the first one still
+  // running rather than poll them all on every record.
+  while (!awaiting_result_.empty()) {
+    const auto front = unaudited_.find(awaiting_result_.front());
+    if (front->second.result.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready)
+      break;
+    audit(front->first, front->second);
+    unaudited_.erase(front);
+    awaiting_result_.pop_front();
+  }
+}
+
+void ReplicaApplier::audit(std::uint64_t id, Unaudited& u) {
+  try {
+    const InferenceResult r = u.result.get();
+    const std::uint32_t crc = maddness::crc32(
+        r.outputs.data(), r.outputs.size() * sizeof(std::int16_t));
+    if (!u.has_leader_crc) {
+      journal_->append_completed(id, /*worker_id=*/-1, crc);
+      ++audit_.completed_backfilled;
+    } else if (u.leader_crc != crc) {
+      ++audit_.crc_mismatches;
+    }
+    ++audit_.applied;
+  } catch (const std::exception&) {
+    ++audit_.replay_failures;
+  }
 }
 
 void ReplicaApplier::session(int fd) {
@@ -348,6 +390,7 @@ ApplierStats ReplicaApplier::stats() const {
   s.dup_records = dup_records_;
   s.gap_reconnects = gap_reconnects_;
   s.recv_faults = recv_faults_;
+  s.audit_backlog = unaudited_.size();
   s.rejected = rejected_;
   s.reject_reason = reject_reason_;
   if (applied_records_ > 0 &&
@@ -387,31 +430,26 @@ std::unique_ptr<InferenceServer> ReplicaApplier::promote(
                         "promote an empty standby");
   promoted_ = true;
 
-  PromotionReport rep;
-  rep.durable_seq = journal_->durable_seq();
-  // Finish the replay and audit: every applied request's output CRC
-  // must match the leader's replicated completion record where one
-  // exists; requests the leader never acknowledged get their
-  // completion records written here — the zero-RPO backfill.
-  for (auto& [id, fut] : replay_futures_) {
-    try {
-      const InferenceResult r = fut.get();
-      const std::uint32_t crc = maddness::crc32(
-          r.outputs.data(), r.outputs.size() * sizeof(std::int16_t));
-      const auto it = leader_crc_.find(id);
-      if (it != leader_crc_.end() && it->second != crc)
-        ++rep.crc_mismatches;
-      if (!completed_ids_.count(id)) {
-        journal_->append_completed(id, /*worker_id=*/-1, crc);
-        completed_ids_.insert(id);
-        ++rep.completed_backfilled;
-      }
-      ++rep.applied;
-    } catch (const std::exception&) {
-      ++rep.replay_failures;
-    }
+  const std::uint64_t durable_seq = journal_->durable_seq();
+  // Finish the replay and audit what the stream left open: requests
+  // whose replay outran their completion record are checked here, and
+  // requests the leader never acknowledged get their completion
+  // records written here — the zero-RPO backfill — in apply order.
+  std::unordered_map<std::uint64_t, Unaudited> left;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    left.swap(unaudited_);
+    awaiting_result_.clear();
   }
-  replay_futures_.clear();
+  std::vector<std::uint64_t> ids;
+  ids.reserve(left.size());
+  for (const auto& kv : left) ids.push_back(kv.first);
+  std::sort(ids.begin(), ids.end(), [&](std::uint64_t a, std::uint64_t b) {
+    return left.at(a).order < left.at(b).order;
+  });
+  for (std::uint64_t id : ids) audit(id, left.at(id));
+  PromotionReport rep = audit_;
+  rep.durable_seq = durable_seq;
 
   // The promoted leader must never reuse a request id the old leader
   // handed out.

@@ -25,27 +25,29 @@
 // stream self-heals under drops, tears and duplication, which the
 // chaos tests drive via the kReplSend/kReplRecv fault sites.
 //
-// promote() seals the stream, finishes the replay, audits replayed
-// output CRCs against the leader's replicated completion records,
-// backfills completion records for everything the leader never got to
-// acknowledge, and attaches the follower's journal + checkpoint store
-// to the standby — which is returned as a fully serving, fully
-// protected leader. The applier (which owns that journal and store)
-// must outlive the promoted server.
+// Each replayed request is audited as soon as both its replay result
+// and the leader's completion record are in: its output CRC must match
+// the leader's. Only unmatched requests stay tracked, so the audit
+// state is bounded by the requests in flight, not by the stream length.
+//
+// promote() seals the stream, finishes the replay, audits what is
+// still open, backfills completion records for everything the leader
+// never got to acknowledge, and attaches the follower's journal +
+// checkpoint store to the standby — which is returned as a fully
+// serving, fully protected leader. The applier (which owns that journal
+// and store) must outlive the promoted server.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "serve/recovery/checkpoint.hpp"
 #include "serve/recovery/fault_injector.hpp"
@@ -91,6 +93,10 @@ struct ApplierStats {
   std::uint64_t dup_records = 0;
   std::uint64_t gap_reconnects = 0;
   std::uint64_t recv_faults = 0;  ///< injected kReplRecv fires
+  /// Replayed requests not yet audited: their replay is still running
+  /// or the leader's completion record has not arrived. Stays near the
+  /// number in flight; promote() audits what is left.
+  std::uint64_t audit_backlog = 0;
   bool rejected = false;          ///< leader sent kReplReject
   RejectReason reject_reason = RejectReason::kShutdown;
   /// Accepted records applied per second since the first apply.
@@ -154,6 +160,25 @@ class ReplicaApplier {
   /// Newest on-disk checkpoint version that validates (0 = none).
   std::uint64_t newest_local_checkpoint() const;
 
+  /// A replayed request awaiting its audit.
+  struct Unaudited {
+    std::uint64_t order = 0;  ///< apply order: promote() backfills in it
+    std::future<InferenceResult> result;
+    bool has_leader_crc = false;  ///< the leader's completion arrived
+    std::uint32_t leader_crc = 0;
+  };
+  /// Tracks a replay just submitted to the standby. Caller holds mu_.
+  void track_replay(std::uint64_t id, std::future<InferenceResult> result);
+  /// Records the leader's completion CRC for `id` and audits every
+  /// request whose completion and replay result are both in. A
+  /// completion of a request this follower never replays is dropped.
+  /// Caller holds mu_.
+  void note_completion(std::uint64_t id, std::uint32_t crc);
+  /// Folds one replay into audit_: its output CRC is checked against
+  /// the leader's, or, when the leader never acknowledged it, written
+  /// as a backfilled completion record. Blocks until the replay ends.
+  void audit(std::uint64_t id, Unaudited& u);
+
   ApplierOptions opts_;
   std::string journal_path_;
   std::string ckpt_dir_;
@@ -171,13 +196,14 @@ class ReplicaApplier {
   int fd_ = -1;
 
   std::unique_ptr<InferenceServer> standby_;
-  /// Replay futures not yet drained, in apply order.
-  std::vector<std::pair<std::uint64_t, std::future<InferenceResult>>>
-      replay_futures_;
-  /// id -> CRC from the leader's replicated completion records.
-  std::unordered_map<std::uint64_t, std::uint32_t> leader_crc_;
-  /// ids with a completion record in the follower journal.
-  std::unordered_set<std::uint64_t> completed_ids_;
+  /// Replays not yet audited, by request id.
+  std::unordered_map<std::uint64_t, Unaudited> unaudited_;
+  /// Ids whose leader completion arrived before their replay finished,
+  /// in arrival order.
+  std::deque<std::uint64_t> awaiting_result_;
+  std::uint64_t next_order_ = 0;
+  /// Running audit totals; promote() adds the leftovers and reports it.
+  PromotionReport audit_;
   std::uint64_t max_applied_id_ = 0;
   std::uint64_t ckpt_next_request_id_ = 0;
   std::uint64_t ckpt_version_ = 0;  ///< newest applied checkpoint

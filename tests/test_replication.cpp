@@ -13,8 +13,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -847,6 +849,70 @@ TEST(Replication, PromotionServesByteIdenticalResultsAcrossHotSwap) {
   const std::string prom = promoted->render_prometheus();
   EXPECT_NE(prom.find("ssma_repl_role 2"), std::string::npos);
   EXPECT_NE(prom.find("ssma_repl_applied_records 20"), std::string::npos);
+}
+
+TEST(Replication, FollowerAuditStateStaysBoundedUnderSyncAcks) {
+  // The follower audits a replayed request as soon as its replay result
+  // and the leader's completion record are both in, so what it keeps
+  // for promote() tracks the requests in flight, not the stream length.
+  const ServeFixture f = ServeFixture::make();
+  TmpDir dir("bounded");
+  CheckpointManager ckpts(dir.file("leader-ckpts"));
+  RequestJournal journal(dir.file("leader.jnl"));
+  ReplicationOptions ropts;
+  ropts.ack_mode = AckMode::kSync;
+  ropts.ack_timeout = std::chrono::milliseconds(10000);
+  ReplicationLog repl(journal, &ckpts, ropts);
+
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.recovery.journal = &journal;
+  opts.recovery.checkpoints = &ckpts;
+  opts.recovery.replication = &repl;
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
+
+  ApplierOptions aopts;
+  aopts.leader_port = repl.port();
+  aopts.dir = dir.file("follower");
+  aopts.server.num_workers = 2;
+  ReplicaApplier applier(aopts);
+  ASSERT_TRUE(repl.wait_follower(1, std::chrono::milliseconds(10000)));
+  ASSERT_TRUE(applier.wait_standby(std::chrono::milliseconds(10000)));
+
+  constexpr std::size_t kRequests = 2000;
+  constexpr std::size_t kWindow = 8;
+  std::deque<std::pair<std::size_t, std::future<InferenceResult>>> inflight;
+  std::uint64_t max_backlog = 0;
+  const auto retire_oldest = [&] {
+    auto& [id, fut] = inflight.front();
+    EXPECT_EQ(fut.get().outputs, f.expected(id % f.pool.rows, 1));
+    inflight.pop_front();
+    max_backlog = std::max(max_backlog, applier.stats().audit_backlog);
+  };
+  for (std::size_t id = 0; id < kRequests; ++id) {
+    if (inflight.size() == kWindow) retire_oldest();
+    inflight.emplace_back(id, server.submit("m", f.codes_for(id), 1));
+  }
+  while (!inflight.empty()) retire_oldest();
+  server.shutdown();
+  ASSERT_TRUE(applier.wait_caught_up(journal.durable_seq(),
+                                     std::chrono::milliseconds(10000)));
+  EXPECT_EQ(applier.stats().applied_records, kRequests);
+  EXPECT_LT(max_backlog, kRequests / 8)
+      << "follower audit state grows with the stream";
+  repl.stop();
+
+  // Counting is unchanged by auditing early: every request is applied
+  // once, matches the leader's CRC and needs no backfill.
+  replication::PromotionReport rep;
+  auto promoted = applier.promote(&rep);
+  EXPECT_EQ(rep.applied, kRequests);
+  EXPECT_EQ(rep.crc_mismatches, 0u);
+  EXPECT_EQ(rep.replay_failures, 0u);
+  EXPECT_EQ(rep.completed_backfilled, 0u);
+  EXPECT_EQ(applier.stats().audit_backlog, 0u);
+  promoted->shutdown();
 }
 
 // ------------------------------------------- NetClient hardening
