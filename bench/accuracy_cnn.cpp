@@ -5,7 +5,7 @@
 // computes the same INT8/int16 arithmetic bit-for-bit.
 //
 // CIFAR-10 is not available offline, so the experiment runs on the
-// synthetic 10-class dataset (DESIGN.md §3): train a ResNet9-style CNN
+// synthetic 10-class dataset of nn/dataset.hpp: train a ResNet9-style CNN
 // from scratch, substitute every 3x3 conv with MADDNESS LUTs, and report
 //   float accuracy  vs  MADDNESS-software  vs  MADDNESS-on-simulated-HW
 // (the last via the event-driven macro on a sample, asserting

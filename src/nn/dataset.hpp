@@ -1,9 +1,10 @@
-// Synthetic 10-class image dataset (substitute for CIFAR-10, which is not
-// available offline — see DESIGN.md §3). Classes are procedurally
-// generated texture/shape families with per-sample jitter and noise:
-// learnable by a small CNN but far from trivial, which is what the
-// accuracy-preservation experiment needs (the claim under test is
-// *relative*: MADDNESS-substituted accuracy vs float accuracy).
+// Synthetic 10-class image dataset (substitute for CIFAR-10, the dataset
+// of the paper's Table II accuracy row, which is not available offline).
+// Classes are procedurally generated texture/shape families with
+// per-sample jitter and noise: learnable by a small CNN but far from
+// trivial, which is what the accuracy-preservation experiment needs
+// (the claim under test is *relative*: MADDNESS-substituted accuracy vs
+// float accuracy).
 #pragma once
 
 #include <vector>

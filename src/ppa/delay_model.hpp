@@ -53,7 +53,8 @@ class DelayModel {
 
   /// Fixed (non-encoder) portion of the block latency: RWL + RBL + CSA +
   /// latch + column/LUT/block RCD + handshake. Matches the calibrated
-  /// B(Ndec) of DESIGN.md §5.
+  /// B(Ndec) of tech_constants.hpp: B(4) = 8.70 ns, B(16) = 10.40 ns at
+  /// 0.5 V, fitted to the paper's Fig. 7B.
   double decoder_path_ns(int ndec) const;
 
   /// Full block latency bounds (encoder best/worst + decoder path).

@@ -1,7 +1,8 @@
 // Calibrated 22nm technology constants for the proposed macro.
 //
 // Every number here is derived from the paper's published post-layout
-// results (see DESIGN.md §5 for the full derivation). They play the role
+// results (the anchors below name the figure or table behind each group,
+// and each section shows its fit). They play the role
 // of the HSPICE-characterized standard-cell/SRAM models that the authors
 // used; our event-driven simulator composes them at event granularity.
 //

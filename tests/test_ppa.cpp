@@ -1,6 +1,7 @@
 // Tests for the calibrated technology/PPA models, including golden-number
 // checks against the paper's published results (Table I, Table II, Fig. 6,
-// Fig. 7). Tolerances are stated per anchor; see DESIGN.md §5.
+// Fig. 7). Tolerances are stated per anchor; ppa/tech_constants.hpp
+// lists which figure or table calibrates each constant.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -112,7 +113,9 @@ TEST(DelayModel, DlcDepthMonotone) {
 }
 
 TEST(DelayModel, EncoderBoundsMatchPaper) {
-  // DESIGN.md §5: encoder best 7.4 ns / worst 21.7 ns at 0.5 V TTG.
+  // Encoder best 7.4 ns / worst 21.7 ns at 0.5 V TTG: the paper's
+  // Fig. 7B block latencies (16.1 / 30.4 ns at Ndec=4) less the 8.70 ns
+  // decoder path.
   DelayModel m(nominal_05v());
   EXPECT_NEAR(m.encoder_best_ns(), 7.4, 0.01);
   EXPECT_NEAR(m.encoder_worst_ns(), 21.7, 0.01);
@@ -221,7 +224,7 @@ TEST_P(Table1Test, EnergyAndAreaEfficiencyMatchPaper) {
   const PerfEnvelope env = perf.envelope();
   // Energy efficiency reproduces to <= 1.5%; area efficiency to <= 8%
   // (the paper's Table I/Fig. 7 latency data are not perfectly mutually
-  // consistent at Ndec=4/32 — see EXPERIMENTS.md).
+  // consistent at Ndec=4/32).
   EXPECT_LT(rel_err(env.avg_tops_per_w, g.tops_per_w), 0.015)
       << "TOPS/W: got " << env.avg_tops_per_w << " want " << g.tops_per_w;
   EXPECT_LT(rel_err(env.avg_tops_per_mm2, g.tops_per_mm2), 0.08)
@@ -258,7 +261,7 @@ TEST_P(Fig6Test, VoltageSweepEfficiency) {
   // Area efficiency (throughput-driven) holds within 20% across the
   // sweep; the paper's own best/worst frequency pairs constrain the model
   // tightly only at 0.5/0.8 V, and its 0.9/1.0 V points deviate from any
-  // single alpha-power law through those anchors (see EXPERIMENTS.md).
+  // single alpha-power law through those anchors.
   EXPECT_LT(rel_err(env.avg_tops_per_mm2, g.tops_per_mm2), 0.20)
       << "TOPS/mm2: got " << env.avg_tops_per_mm2 << " want "
       << g.tops_per_mm2;
