@@ -534,6 +534,7 @@ class ScriptedPeer {
     });
   }
   ~ScriptedPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // unblocks accept if never dialed
     thread_.join();
     ::close(listen_fd_);
   }
