@@ -4,8 +4,9 @@
 // connection backpressure, typed wire rejections for every refusal
 // class (unknown model, malformed payload, rate limiting, expired
 // deadlines, shutdown), protocol-error hangups, concurrent
-// connections, and graceful stop with clients attached (no hangs, no
-// lost acks).
+// connections, graceful stop with clients attached (no hangs, no lost
+// acks), and NetClient's typed errors on a corrupt or cut response
+// stream.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>

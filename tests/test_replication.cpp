@@ -3,10 +3,11 @@
 // journal prefix, resume-from-high-water-mark handshake, lag
 // watermarks per ack mode), seeded network chaos (drop / torn / dup /
 // delay self-heal), typed StaleFollower / ReplicaNotReady rejections,
-// in-process promotion across a hot-swap boundary, and NetClient's
-// capped-backoff reconnect. The invariant under test everywhere: the
-// follower journal is a byte-prefix of the leader's, so a promoted
-// follower answers every replicated request bit-identically.
+// in-process promotion across a hot-swap boundary, the follower's
+// bounded audit state, and NetClient's capped-backoff reconnect. The
+// invariant under test everywhere: the follower journal is a
+// byte-prefix of the leader's, so a promoted follower answers every
+// replicated request bit-identically.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
