@@ -46,11 +46,11 @@ class MaddnessNetwork {
 
   /// Forward pass with every substituted conv's patch matmul delegated
   /// to `exec(conv_idx, q)` — conv_idx matches substituted_amms()
-  /// order, q is the layer's quantized im2col
-  /// batch, and the return is the int16 accumulators. Serving each
-  /// layer through a model registry this way reproduces
-  /// forward(x, /*use_amm=*/true) bit-for-bit: the network runs
-  /// end-to-end with all LUT compute behind the executor.
+  /// order, q is the layer's quantized im2col batch, and the return is
+  /// the int16 accumulators. Serving each layer through a model
+  /// registry this way reproduces forward(x, /*use_amm=*/true)
+  /// bit-for-bit: the network runs end-to-end with all LUT compute
+  /// behind the executor.
   using ConvExecutor = std::function<std::vector<std::int16_t>(
       std::size_t, const maddness::QuantizedActivations&)>;
   Tensor forward_served(const Tensor& x, const ConvExecutor& exec) const;

@@ -2,9 +2,9 @@
 //
 // Every number here is derived from the paper's published post-layout
 // results (the anchors below name the figure or table behind each group,
-// and each section shows its fit). They play the role
-// of the HSPICE-characterized standard-cell/SRAM models that the authors
-// used; our event-driven simulator composes them at event granularity.
+// and each section shows its fit). They play the role of the
+// HSPICE-characterized standard-cell/SRAM models that the authors used;
+// our event-driven simulator composes them at event granularity.
 //
 // Calibration anchors reproduced by these constants:
 //   * Fig. 7B block latencies: 16.1/30.4 ns (Ndec=4), 17.8/32.1 ns (Ndec=16)
