@@ -3,9 +3,6 @@
 //   * ref     — the pre-rewrite path: per-row tree-walk encode + naive
 //               row->codebook->output accumulation over the proto-major
 //               layout (apply_lut_reference),
-//   * scalar_encode — the PR 3 shape: scalar codebook-major tree walk
-//               (encode_all_codebook_major) feeding the packed kernel —
-//               the "old" end-to-end the vectorized encoder replaces,
 //   * packed  — the current serving path: vectorized batch encode into
 //               reusable scratch + the packed output-major kernel, both
 //               at their runtime-selected tiers,
@@ -16,14 +13,16 @@
 //               time spent encoding (how much of the encode/kernel gap
 //               remains).
 // Every cell also asserts bit-exactness (encoder tiers vs the per-row
-// HashTree walk, packed kernel vs the reference accumulation) before
-// timing — a perf artifact from a wrong kernel is worse than none.
+// HashTree walk of encode_all, packed kernel vs the reference
+// accumulation) before timing — a perf artifact from a wrong kernel is
+// worse than none.
 //
 // A final fusion cell times a 3-stage chained pipeline through
-// engine::run_plan with the fused epilogue on and off (both checked
-// bit-exact vs pipeline_reference_apply on every tier first) and lands
-// in BENCH_roofline.json as the "fusion" object, including the
-// intermediate bytes per row the fused walk never writes.
+// engine::run_plan (checked bit-exact vs pipeline_reference_apply on
+// every tier first) against the materializing pipeline_reference_apply
+// and lands in BENCH_roofline.json as the "fusion" object, including
+// the intermediate bytes per row the fused walk never writes. A full
+// run exits 3 when run_plan is under 1.3x the reference.
 //
 //   build/bench/amm_kernel_sweep [--smoke] [--out=BENCH_amm_kernel.json]
 //                                [--min-ms=N]
@@ -32,9 +31,8 @@
 // checks exactness on every tier and writes no artifact. The full run
 // writes one JSON object (see README "Encoder kernel architecture" for
 // how to read it); the headline cell is (rows=256, ncodebooks=32,
-// nout=128) with two speedups: headline_speedup_256x32x128 (vs the
-// naive reference) and e2e_speedup_256x32x128 (vs the PR 3
-// scalar-encode + packed-kernel end-to-end).
+// nout=128) and headline_speedup_256x32x128 is its speedup over the
+// naive reference.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -108,12 +106,12 @@ Measure make_measure(std::size_t rows, int ncb, int nout, double sec) {
   return m;
 }
 
-/// Fused-vs-unfused pipeline cell: a 3-stage chained dense stack
-/// (d -> d -> d -> nout, widths chained so every interior boundary is
-/// ncb*9 wide) through engine::run_plan. Both walks are first checked
-/// bit-exact vs pipeline_reference_apply on every available LUT tier;
-/// the full run then times the runtime-selected tier and fills
-/// `fusion`. Returns false on a mismatch.
+/// Fused pipeline cell: a 3-stage chained dense stack (d -> d -> d ->
+/// nout, widths chained so every interior boundary is ncb*9 wide)
+/// through engine::run_plan, first checked bit-exact vs
+/// pipeline_reference_apply on every available LUT tier. The full run
+/// then times run_plan on the runtime-selected tier against the
+/// reference and fills `fusion`. Returns false on a mismatch.
 bool run_fusion_cell(bool smoke, double min_ms,
                      const std::vector<maddness::KernelTier>& tiers,
                      telemetry::FusionRoofline& fusion) {
@@ -135,7 +133,6 @@ bool run_fusion_cell(bool smoke, double min_ms,
   maddness::Config cfg;
   cfg.ncodebooks = ncb;
   std::vector<maddness::Amm> stages;
-  stages.reserve(3);  // the plan points into this vector: no realloc
   Matrix mid0, mid1;
   stages.push_back(
       engine::train_chained_stage(cfg, calib, gauss(d, d), &mid0));
@@ -143,32 +140,28 @@ bool run_fusion_cell(bool smoke, double min_ms,
       engine::train_chained_stage(cfg, mid0, gauss(d, d), &mid1));
   stages.push_back(
       engine::train_chained_stage(cfg, mid1, gauss(d, last_nout), nullptr));
-  const engine::ExecutionPlan plan = engine::ExecutionPlan::compile(stages);
+  const engine::ModelRef model = engine::ModelHandle::from_stages(
+      "fusion", 1, {&stages[0], &stages[1], &stages[2]});
+  const engine::ExecutionPlan& plan = model->plan();
 
   Matrix fresh(rows, d);
   for (std::size_t i = 0; i < fresh.size(); ++i)
     fresh.data()[i] = static_cast<float>(rng.next_double(0, 200));
   const maddness::QuantizedActivations q =
       maddness::quantize_activations(fresh, stages[0].activation_scale());
-
-  const engine::ModelRef model = engine::ModelHandle::from_stages(
-      "fusion", 1, {&stages[0], &stages[1], &stages[2]});
   const std::vector<std::int16_t> want =
       engine::pipeline_reference_apply(*model, q);
 
   engine::PlanScratch scratch;
   std::vector<std::int16_t> out;
   for (const maddness::KernelTier tier : tiers) {
-    for (const bool fused : {true, false}) {
-      engine::run_plan(plan, q, scratch, out, fused, tier);
-      if (out != want) {
-        std::fprintf(stderr,
-                     "FUSION MISMATCH: %s walk on tier %s differs from "
-                     "pipeline_reference_apply\n",
-                     fused ? "fused" : "unfused",
-                     maddness::kernel_tier_name(tier));
-        return false;
-      }
+    engine::run_plan(plan, q, scratch, out, tier);
+    if (out != want) {
+      std::fprintf(stderr,
+                   "FUSION MISMATCH: run_plan on tier %s differs from "
+                   "pipeline_reference_apply\n",
+                   maddness::kernel_tier_name(tier));
+      return false;
     }
   }
   if (smoke) return true;
@@ -176,14 +169,14 @@ bool run_fusion_cell(bool smoke, double min_ms,
   const maddness::KernelTier sel = maddness::select_kernel_tier();
   const double fused_s = seconds_per_call(
       [&] {
-        engine::run_plan(plan, q, scratch, out, /*fused=*/true, sel);
+        engine::run_plan(plan, q, scratch, out, sel);
         g_sink = static_cast<std::int16_t>(g_sink + out[0]);
       },
       min_ms);
-  const double unfused_s = seconds_per_call(
+  const double reference_s = seconds_per_call(
       [&] {
-        engine::run_plan(plan, q, scratch, out, /*fused=*/false, sel);
-        g_sink = static_cast<std::int16_t>(g_sink + out[0]);
+        const auto r = engine::pipeline_reference_apply(*model, q);
+        g_sink = static_cast<std::int16_t>(g_sink + r[0]);
       },
       min_ms);
   fusion.stages = 3;
@@ -193,14 +186,14 @@ bool run_fusion_cell(bool smoke, double min_ms,
   fusion.inter_cols = d;
   fusion.bytes_avoided_per_row = plan.fused_bytes_avoided_per_row();
   fusion.fused_rows_per_s = static_cast<double>(rows) / fused_s;
-  fusion.unfused_rows_per_s = static_cast<double>(rows) / unfused_s;
-  fusion.speedup = unfused_s / fused_s;
+  fusion.reference_rows_per_s = static_cast<double>(rows) / reference_s;
+  fusion.speedup = reference_s / fused_s;
   std::fprintf(stderr,
-               "fusion 3-stage ncb=%d inter=%zu rows=%zu  fused %.0f "
-               "rows/s  unfused %.0f rows/s  speedup %.2fx  "
+               "fusion 3-stage ncb=%d inter=%zu rows=%zu  run_plan %.0f "
+               "rows/s  reference %.0f rows/s  speedup %.2fx  "
                "bytes-avoided/row %zu\n",
                ncb, d, rows, fusion.fused_rows_per_s,
-               fusion.unfused_rows_per_s, fusion.speedup,
+               fusion.reference_rows_per_s, fusion.speedup,
                plan.fused_bytes_avoided_per_row());
   return true;
 }
@@ -246,7 +239,10 @@ int main(int argc, char** argv) {
   };
   std::vector<CellSpec> specs;
   if (smoke) {
-    specs = {{33, 4, 8}, {64, 4, 17}};
+    // push_back, not assignment from a braced list: GCC 12 raises a
+    // false -Wnonnull on the inlined assign under -fsanitize=thread.
+    specs.push_back({33, 4, 8});
+    specs.push_back({64, 4, 17});
   } else {
     for (const int ncb : {8, 32})
       for (const int nout : {16, 128})
@@ -258,7 +254,6 @@ int main(int argc, char** argv) {
   Rng rng(2026);
   std::string cells_json;
   double headline_speedup = 0.0;
-  double e2e_speedup = 0.0;
   // Headline-cell per-tier timings, fed into the roofline self-model.
   std::vector<std::pair<maddness::KernelTier, double>> roof_lut_s;
   std::vector<std::pair<maddness::KernelTier, double>> roof_enc_s;
@@ -280,14 +275,15 @@ int main(int argc, char** argv) {
     // Correctness gates before any number is recorded: every encoder
     // tier must reproduce the per-row HashTree walk to the bit, and
     // every accumulation tier must match the reference decode.
-    const auto ref_codes =
-        maddness::encode_all_codebook_major(amm.cfg(), amm.trees(), q);
+    const maddness::EncodedBatch ref_enc = maddness::make_encoded_batch(
+        maddness::encode_all(amm.cfg(), amm.trees(), q), q.rows,
+        amm.cfg().ncodebooks);
     maddness::EncodeScratch scratch;
     maddness::EncodedBatch enc;
     for (const maddness::KernelTier tier : enc_tiers) {
       maddness::encode_batch_packed(amm.encoder_bank(), q, tier, scratch,
                                     enc);
-      if (enc.codes != ref_codes) {
+      if (enc.codes != ref_enc.codes) {
         std::fprintf(stderr,
                      "ENCODER MISMATCH: tier %s differs from "
                      "HashTree::encode at rows=%zu ncb=%d\n",
@@ -310,25 +306,13 @@ int main(int argc, char** argv) {
       }
     }
 
-    // End-to-end: naive reference, the PR 3 scalar-encode + packed
-    // kernel shape, and the current serving path (vectorized encode
-    // into reusable scratch + packed kernel).
+    // End-to-end: naive reference vs the current serving path
+    // (vectorized encode into reusable scratch + packed kernel).
     std::vector<std::int16_t> out;
     const double ref_s = seconds_per_call(
         [&] {
           const auto r = amm.apply_int16_reference(q);
           g_sink = static_cast<std::int16_t>(g_sink + r[0]);
-        },
-        min_ms);
-    const double scalar_enc_s = seconds_per_call(
-        [&] {
-          maddness::EncodedBatch old_enc;
-          old_enc.rows = q.rows;
-          old_enc.ncodebooks = amm.cfg().ncodebooks;
-          old_enc.codes =
-              maddness::encode_all_codebook_major(amm.cfg(), amm.trees(), q);
-          amm.apply_int16(old_enc, out);
-          g_sink = static_cast<std::int16_t>(g_sink + out[0]);
         },
         min_ms);
     const double packed_s = seconds_per_call(
@@ -340,16 +324,11 @@ int main(int argc, char** argv) {
         min_ms);
     const Measure ref_m =
         make_measure(spec.rows, spec.ncodebooks, spec.nout, ref_s);
-    const Measure scalar_enc_m =
-        make_measure(spec.rows, spec.ncodebooks, spec.nout, scalar_enc_s);
     const Measure packed_m =
         make_measure(spec.rows, spec.ncodebooks, spec.nout, packed_s);
     const double speedup = ref_s / packed_s;
-    const double cell_e2e_speedup = scalar_enc_s / packed_s;
-    if (spec.rows == 256 && spec.ncodebooks == 32 && spec.nout == 128) {
+    if (spec.rows == 256 && spec.ncodebooks == 32 && spec.nout == 128)
       headline_speedup = speedup;
-      e2e_speedup = cell_e2e_speedup;
-    }
 
     // Per-tier kernel-only numbers on the prebuilt encode cache.
     std::string tier_json;
@@ -401,23 +380,19 @@ int main(int argc, char** argv) {
                   ",\"ncodebooks\":" + std::to_string(spec.ncodebooks) +
                   ",\"nout\":" + std::to_string(spec.nout) +
                   ",\"ref\":" + measure_json(ref_m) +
-                  ",\"scalar_encode\":" + measure_json(scalar_enc_m) +
                   ",\"packed\":" + measure_json(packed_m) + ",";
-    char sp[96];
+    char sp[64];
     std::snprintf(sp, sizeof(sp),
-                  "\"speedup\":%.2f,\"e2e_speedup\":%.2f,"
-                  "\"encode_fraction\":%.3f,",
-                  speedup, cell_e2e_speedup, encode_fraction);
+                  "\"speedup\":%.2f,\"encode_fraction\":%.3f,", speedup,
+                  encode_fraction);
     cells_json += sp;
     cells_json += "\"kernel_only\":{" + tier_json + "},\"encoder\":{" +
                   enc_json + "}}";
     std::fprintf(stderr,
                  "rows=%4zu ncb=%2d nout=%3d  ref %.0f rows/s  "
-                 "scalar-enc %.0f rows/s  packed %.0f rows/s  "
-                 "speedup %.2fx  e2e %.2fx  enc-frac %.2f\n",
+                 "packed %.0f rows/s  speedup %.2fx  enc-frac %.2f\n",
                  spec.rows, spec.ncodebooks, spec.nout, ref_m.rows_per_s,
-                 scalar_enc_m.rows_per_s, packed_m.rows_per_s, speedup,
-                 cell_e2e_speedup, encode_fraction);
+                 packed_m.rows_per_s, speedup, encode_fraction);
   }
 
   telemetry::FusionRoofline fusion;
@@ -498,11 +473,9 @@ int main(int argc, char** argv) {
                 "\"encode_frac_of_peak\":%.4f}",
                 roof.cpu_ghz, lut_gbps, lut_frac, enc_gbps, enc_frac);
 
-  char headline[128];
+  char headline[64];
   std::snprintf(headline, sizeof(headline),
-                "\"headline_speedup_256x32x128\":%.2f,"
-                "\"e2e_speedup_256x32x128\":%.2f",
-                headline_speedup, e2e_speedup);
+                "\"headline_speedup_256x32x128\":%.2f", headline_speedup);
   const std::string json =
       std::string("{\"bench\":\"amm_kernel_sweep\",") +
       benchenv::machine_json() + ",\"tier_selected\":\"" +
@@ -512,5 +485,17 @@ int main(int argc, char** argv) {
       maddness::kernel_tier_name(maddness::select_encoder_tier()) +
       "\",\"encoder_tiers_available\":[" + enc_tiers_json + "]," +
       headline + "," + roofsum + ",\"cells\":[" + cells_json + "]}";
-  return benchenv::write_artifact(out_path, json) ? 0 : 1;
+  if (!benchenv::write_artifact(out_path, json)) return 1;
+
+  // Fusion floor: the in-register handoff must keep its advantage over
+  // the materializing reference walk.
+  if (fusion.speedup < 1.3) {
+    std::fprintf(stderr,
+                 "fusion gate: FAIL — run_plan/reference %.2fx, floor "
+                 "1.3x\n",
+                 fusion.speedup);
+    return 3;
+  }
+  std::fprintf(stderr, "fusion gate: PASS (%.2fx)\n", fusion.speedup);
+  return 0;
 }

@@ -47,14 +47,14 @@
 //
 // A fifth cell (kernel backend regardless of --mode) is the fused
 // execution plan cell: a 3-stage chained dense stack registered as one
-// pipeline model and served end-to-end, with the engine's fused
-// in-register stage handoff (EngineOptions::fused_pipeline) on vs off.
-// Alongside throughput it records the pipeline's accuracy — relative
-// Frobenius error of the served (dequantized) outputs against the exact
-// float chain relu(relu(x W0) W1) W2 — because a fusion that changed
-// numerics would be a bug: both walks are asserted bit-exact against
-// pipeline_reference_apply before timing. --fused-gate turns the
-// committed fused-vs-unfused speedup into a hard >= 1.3x exit code.
+// pipeline model and served end-to-end through the engine's fused
+// in-register stage handoff. Alongside throughput it records the
+// pipeline's accuracy — relative Frobenius error of the served
+// (dequantized) outputs against the exact float chain
+// relu(relu(x W0) W1) W2 — because a fusion that changed numerics would
+// be a bug: a served request is asserted bit-exact against
+// pipeline_reference_apply before timing. The kernel-level fusion floor
+// is gated by bench/amm_kernel_sweep.
 //
 // A sixth cell serves a whole trained CNN end-to-end: a MaddnessNetwork
 // is registered via engine::register_network and every substituted
@@ -83,8 +83,8 @@
 //                                [--requests=N] [--rows=N]
 //                                [--out=BENCH_serve.json]
 //                                [--trace-out=serve.trace.json]
-//                                [--overload-gate] [--fused-gate]
-//                                [--shadow-gate] [--failover-gate]
+//                                [--overload-gate] [--shadow-gate]
+//                                [--failover-gate]
 #include <unistd.h>
 
 #include <algorithm>
@@ -279,7 +279,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_serve.json";
   std::string trace_out;
   bool overload_gate = false;
-  bool fused_gate = false;
   bool shadow_gate = false;
   bool failover_gate = false;
   for (int i = 1; i < argc; ++i) {
@@ -303,8 +302,6 @@ int main(int argc, char** argv) {
       trace_out = argv[i] + 12;
     else if (std::strcmp(argv[i], "--overload-gate") == 0)
       overload_gate = true;
-    else if (std::strcmp(argv[i], "--fused-gate") == 0)
-      fused_gate = true;
     else if (std::strcmp(argv[i], "--shadow-gate") == 0)
       shadow_gate = true;
     else if (std::strcmp(argv[i], "--failover-gate") == 0)
@@ -697,15 +694,13 @@ int main(int argc, char** argv) {
 
   // ---- fused execution plan cell: a 3-stage chained stack (ncb=32,
   // 288-wide interior boundaries, 128 final outputs) registered as one
-  // pipeline model and served through the kernel backend with
-  // EngineOptions::fused_pipeline on vs off. Best-of-3 alternating, like
-  // the dispatch sweep. Before timing, one request per variant is
-  // checked bit-exact against pipeline_reference_apply — the fusion
-  // claim is "same bits, fewer memory trips", so a numeric drift here
-  // must fail loudly, not show up as a benchmark delta.
-  double fused_speedup = 0.0;
+  // pipeline model and served through the kernel backend. Best-of-3,
+  // like the dispatch sweep. Before timing, one request is checked
+  // bit-exact against pipeline_reference_apply — the fusion claim is
+  // "same bits, fewer memory trips", so a numeric drift here must fail
+  // loudly, not show up as a benchmark delta.
   double fused_rel_err = 0.0;
-  serve::LoadReport fused_rep, unfused_rep;
+  serve::LoadReport fused_rep;
   constexpr std::size_t kFusedRows = 64;
   constexpr std::size_t kFusedRequests = 256;
   {
@@ -760,33 +755,28 @@ int main(int argc, char** argv) {
     fopts.batcher.max_batch_tokens = 256;
     fopts.batcher.max_wait = std::chrono::microseconds(200);
 
-    // One-request bit-exactness probe per variant.
+    // One-request bit-exactness probe.
     const std::size_t probe_rows = kFusedRows;
     maddness::QuantizedActivations probe;
     probe.rows = probe_rows;
     probe.cols = fpool.cols;
     probe.scale = fpool.scale;
     probe.codes.assign(fpool.row(0), fpool.row(0) + probe_rows * fpool.cols);
-    const std::vector<std::int16_t> probe_want =
-        engine::pipeline_reference_apply(*fref, probe);
-    for (const bool fused_on : {true, false}) {
-      fopts.engine.fused_pipeline = fused_on;
+    {
       serve::InferenceServer server(fopts);
       server.register_pipeline("mlp", {&fs0, &fs1, &fs2});
       auto fut = server.submit("mlp@latest", probe.codes, probe_rows);
       const serve::InferenceResult got = fut.get();
       server.shutdown();
-      if (got.outputs != probe_want) {
+      if (got.outputs != engine::pipeline_reference_apply(*fref, probe)) {
         std::fprintf(stderr,
-                     "fused cell: %s walk diverged from "
-                     "pipeline_reference_apply\n",
-                     fused_on ? "fused" : "unfused");
+                     "fused cell: served plan diverged from "
+                     "pipeline_reference_apply\n");
         return 1;
       }
     }
 
-    const auto fused_cell = [&](bool fused_on) {
-      fopts.engine.fused_pipeline = fused_on;
+    const auto fused_cell = [&] {
       serve::InferenceServer server(fopts);
       server.register_pipeline("mlp", {&fs0, &fs1, &fs2});
       serve::LoadSpec fspec;
@@ -799,20 +789,13 @@ int main(int argc, char** argv) {
       return r;
     };
     for (int rep = 0; rep < 3; ++rep) {
-      const serve::LoadReport f = fused_cell(true);
+      const serve::LoadReport f = fused_cell();
       if (f.tokens_per_sec > fused_rep.tokens_per_sec) fused_rep = f;
-      const serve::LoadReport u = fused_cell(false);
-      if (u.tokens_per_sec > unfused_rep.tokens_per_sec) unfused_rep = u;
     }
-    fused_speedup = unfused_rep.tokens_per_sec > 0.0
-                        ? fused_rep.tokens_per_sec /
-                              unfused_rep.tokens_per_sec
-                        : 0.0;
     std::fprintf(stderr,
-                 "fused plan: 3-stage ncb=32  fused %.0f tok/s  unfused "
-                 "%.0f tok/s  speedup %.2fx  rel-err vs float %.4f\n",
-                 fused_rep.tokens_per_sec, unfused_rep.tokens_per_sec,
-                 fused_speedup, fused_rel_err);
+                 "fused plan: 3-stage ncb=32  %.0f tok/s  rel-err vs "
+                 "float %.4f\n",
+                 fused_rep.tokens_per_sec, fused_rel_err);
   }
 
   // ---- CNN end-to-end cell: a trained MaddnessNetwork registered via
@@ -984,17 +967,16 @@ int main(int argc, char** argv) {
   }
   char fcell[160];
   std::snprintf(fcell, sizeof(fcell),
-                ",\"fused_pipeline\":{\"stages\":3,\"ncodebooks\":32,"
+                ",\"fused_plan\":{\"stages\":3,\"ncodebooks\":32,"
                 "\"inter_cols\":288,\"nout\":128,\"workers\":2,"
                 "\"requests\":%zu,\"rows_per_request\":%zu",
                 kFusedRequests, kFusedRows);
   out += fcell;
   out += ",\"fused\":" + fused_rep.json();
-  out += ",\"unfused\":" + unfused_rep.json();
   std::snprintf(fcell, sizeof(fcell),
-                ",\"speedup\":%.3f,\"relative_error_vs_float\":%.5f,"
+                ",\"relative_error_vs_float\":%.5f,"
                 "\"served_bit_exact_vs_reference\":true}",
-                fused_speedup, fused_rel_err);
+                fused_rel_err);
   out += fcell;
   std::snprintf(fcell, sizeof(fcell),
                 ",\"cnn_serve\":{\"images\":%zu,\"segments\":%zu,"
@@ -1037,20 +1019,6 @@ int main(int argc, char** argv) {
       fail("free tier was never shed at the watermark");
     std::fprintf(stderr, "overload gate: %s\n", ok ? "PASS" : "FAIL");
     if (!ok) return 1;
-  }
-
-  // ---- fused gate: the fused execution plan must hold its committed
-  // advantage over the materializing walk on the served multi-stage
-  // cell (the bit-exactness probes above already hard-failed earlier).
-  if (fused_gate) {
-    if (fused_speedup < 1.3) {
-      std::fprintf(stderr,
-                   "fused gate: FAIL — served fused/unfused %.2fx, "
-                   "floor 1.3x\n",
-                   fused_speedup);
-      return 1;
-    }
-    std::fprintf(stderr, "fused gate: PASS (%.2fx)\n", fused_speedup);
   }
 
   // ---- shadow gate: mirroring a canary must not tax the serving path,

@@ -29,19 +29,15 @@ using SteadyClock = std::chrono::steady_clock;
 
 /// Software-kernel backend: walks the model's compiled ExecutionPlan —
 /// vectorized batch encode into reusable scratch, packed
-/// tier-dispatched LUT accumulate, and (fused mode, the default)
-/// in-register stage handoffs for pipeline models. Zero steady-state
-/// allocations for single-stage AND fused pipeline batches once the
-/// PlanScratch capacities are established; the unfused walk keeps the
-/// legacy per-boundary materialization as a comparison baseline.
+/// tier-dispatched LUT accumulate, and in-register stage handoffs for
+/// pipeline models. Zero steady-state allocations once the PlanScratch
+/// capacities are established.
 class KernelEngine : public ExecutionEngine {
  public:
-  explicit KernelEngine(bool fused = true) : fused_(fused) {}
-
   void run_batch(const ModelHandle& model,
                  const maddness::QuantizedActivations& batch,
                  std::vector<std::int16_t>& out) override {
-    run_plan(model.plan(), batch, scratch_, out, fused_);
+    run_plan(model.plan(), batch, scratch_, out);
   }
 
   EngineInfo info() const override {
@@ -50,7 +46,6 @@ class KernelEngine : public ExecutionEngine {
 
  private:
   PlanScratch scratch_;
-  bool fused_;
 };
 
 /// Event-driven macro backend: same bits as the kernel, plus per-batch
@@ -117,8 +112,7 @@ class SimEngine : public ExecutionEngine {
 class PacedEngine : public ExecutionEngine {
  public:
   explicit PacedEngine(const EngineOptions& opts)
-      : kernel_(opts.fused_pipeline),
-        pace_ns_(opts.device_ns_per_token > 0.0
+      : pace_ns_(opts.device_ns_per_token > 0.0
                      ? opts.device_ns_per_token
                      : core::Accelerator(opts.accel)
                            .analytic_report(0)
@@ -159,7 +153,7 @@ class PacedEngine : public ExecutionEngine {
 std::unique_ptr<ExecutionEngine> make_engine(const EngineOptions& opts) {
   switch (opts.backend) {
     case Backend::kKernel:
-      return std::make_unique<KernelEngine>(opts.fused_pipeline);
+      return std::make_unique<KernelEngine>();
     case Backend::kSimulate:
       return std::make_unique<SimEngine>(opts);
     case Backend::kDevicePaced:

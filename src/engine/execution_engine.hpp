@@ -52,11 +52,6 @@ struct EngineOptions {
   /// kDevicePaced only: modeled device service time per token (0 = the
   /// analytic model's average token interval for `accel`).
   double device_ns_per_token = 0.0;
-  /// Kernel/paced backends: chain pipeline stages through the fused
-  /// in-register epilogue (the default). false keeps the legacy
-  /// materializing stage_handoff walk — same bits, slower — as the
-  /// baseline for fused-vs-unfused comparisons.
-  bool fused_pipeline = true;
 };
 
 /// Capability/shape metadata a scheduler can dispatch on.

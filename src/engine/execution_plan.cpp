@@ -1,6 +1,5 @@
 #include "engine/execution_plan.hpp"
 
-#include "engine/pipeline.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
@@ -27,12 +26,10 @@ ExecutionPlan ExecutionPlan::compile(
   return plan;
 }
 
-namespace {
-
-void run_plan_fused(const ExecutionPlan& plan,
-                    const maddness::QuantizedActivations& batch,
-                    PlanScratch& scratch, std::vector<std::int16_t>& out,
-                    maddness::KernelTier lut_tier) {
+void run_plan(const ExecutionPlan& plan,
+              const maddness::QuantizedActivations& batch,
+              PlanScratch& scratch, std::vector<std::int16_t>& out,
+              maddness::KernelTier lut_tier) {
   const std::size_t rows = batch.rows;
   {
     SSMA_TRACE_SPAN_TAG(kEncode, 0);
@@ -64,67 +61,6 @@ void run_plan_fused(const ExecutionPlan& plan,
                                           scratch.enc);
     }
   }
-}
-
-void run_plan_unfused(const ExecutionPlan& plan,
-                      const maddness::QuantizedActivations& batch,
-                      PlanScratch& scratch,
-                      std::vector<std::int16_t>& out,
-                      maddness::KernelTier lut_tier) {
-  {
-    SSMA_TRACE_SPAN_TAG(kEncode, 0);
-    plan.stage(0).amm->encode_batch(batch, scratch.encode, scratch.enc);
-  }
-  if (!plan.is_pipeline()) {
-    SSMA_TRACE_SPAN_TAG(kLutAccumulate, 0);
-    maddness::apply_lut_packed(plan.stage(0).amm->packed_lut(),
-                               scratch.enc, lut_tier, out);
-    return;
-  }
-  {
-    SSMA_TRACE_SPAN_TAG(kLutAccumulate, 0);
-    maddness::apply_lut_packed(plan.stage(0).amm->packed_lut(),
-                               scratch.enc, lut_tier, scratch.acc);
-  }
-  for (std::size_t s = 1; s < plan.num_stages(); ++s) {
-    const maddness::Amm& prev = *plan.stage(s - 1).amm;
-    const maddness::Amm& cur = *plan.stage(s).amm;
-    const maddness::QuantizedActivations qs = [&] {
-      SSMA_TRACE_SPAN_TAG(kEpilogue, s - 1);
-      return stage_handoff(prev, cur, scratch.acc, batch.rows);
-    }();
-    {
-      SSMA_TRACE_SPAN_TAG(kEncode, s);
-      cur.encode_batch(qs, scratch.encode, scratch.enc);
-    }
-    SSMA_TRACE_SPAN_TAG(kLutAccumulate, s);
-    if (s + 1 == plan.num_stages())
-      maddness::apply_lut_packed(cur.packed_lut(), scratch.enc, lut_tier,
-                                 out);
-    else
-      maddness::apply_lut_packed(cur.packed_lut(), scratch.enc, lut_tier,
-                                 scratch.acc);
-  }
-}
-
-}  // namespace
-
-void run_plan(const ExecutionPlan& plan,
-              const maddness::QuantizedActivations& batch,
-              PlanScratch& scratch, std::vector<std::int16_t>& out,
-              bool fused, maddness::KernelTier lut_tier) {
-  if (fused)
-    run_plan_fused(plan, batch, scratch, out, lut_tier);
-  else
-    run_plan_unfused(plan, batch, scratch, out, lut_tier);
-}
-
-void run_plan(const ExecutionPlan& plan,
-              const maddness::QuantizedActivations& batch,
-              PlanScratch& scratch, std::vector<std::int16_t>& out,
-              bool fused) {
-  run_plan(plan, batch, scratch, out, fused,
-           maddness::select_kernel_tier());
 }
 
 }  // namespace ssma::engine

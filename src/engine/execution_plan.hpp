@@ -1,12 +1,9 @@
 // Compiled per-model execution descriptor — the software mirror of the
 // paper's self-synchronous pipeline wiring.
 //
-// A pipeline ModelHandle used to execute stage-at-a-time: materialize
-// every stage's int16 accumulators, run engine::stage_handoff (dequant
-// -> ReLU -> requant, two fresh matrices per boundary), re-encode. An
-// ExecutionPlan is compiled once at model construction and caches, per
-// stage boundary, the fused-epilogue constants (producing stage's LUT
-// scales live in its packed bank; the consuming stage's activation
+// An ExecutionPlan is compiled once at model construction and caches,
+// per stage boundary, the fused-epilogue constants (producing stage's
+// LUT scales live in its packed bank; the consuming stage's activation
 // scale rides in FusedEpilogue) so run_plan() can chain stages through
 // maddness::apply_lut_fused: each finished accumulator tile dequantizes,
 // rectifies and requantizes in-register and lands directly in the next
@@ -14,12 +11,10 @@
 // dequantized float matrix of every interior boundary never touch
 // memory.
 //
-// run_plan(fused=true) is bit-exact vs pipeline_reference_apply — the
-// epilogue element math is the exact scalar reference sequence — and
-// allocation-free at steady state given a caller-owned PlanScratch.
-// run_plan(fused=false) preserves the legacy materializing walk (same
-// bits, stage_handoff allocations and all) as the comparison baseline
-// for the fused-vs-unfused bench cells.
+// run_plan() is bit-exact vs pipeline_reference_apply — the
+// materializing oracle, whose element math the epilogue reproduces
+// exactly — and allocation-free at steady state given a caller-owned
+// PlanScratch.
 #pragma once
 
 #include <cstddef>
@@ -50,15 +45,14 @@ class ExecutionPlan {
   static ExecutionPlan compile(const std::vector<maddness::Amm>& stages);
 
   std::size_t num_stages() const { return stages_.size(); }
-  bool is_pipeline() const { return stages_.size() > 1; }
   const PlanStage& stage(std::size_t i) const { return stages_[i]; }
 
-  /// Intermediate memory traffic per batch row the fused walk never
-  /// pays, summed over interior boundaries: the int16 accumulator write
-  /// + read (4 bytes/element) and the dequantized float write + read
-  /// (8 bytes/element) of the materializing walk. The uint8 activation
-  /// buffer (2 bytes/element) is still paid by both walks and is not
-  /// counted. Feeds the roofline fusion report.
+  /// Intermediate memory traffic per batch row run_plan never pays,
+  /// summed over interior boundaries: the int16 accumulator write + read
+  /// (4 bytes/element) and the dequantized float write + read (8
+  /// bytes/element) of the materializing pipeline_reference_apply walk.
+  /// The uint8 activation buffer (2 bytes/element) is paid by both walks
+  /// and is not counted. Feeds the roofline fusion report.
   std::size_t fused_bytes_avoided_per_row() const { return bytes_avoided_; }
 
  private:
@@ -67,32 +61,24 @@ class ExecutionPlan {
 };
 
 /// Caller-owned working set of run_plan: encode staging, the encoded
-/// batch, the interior uint8 activation buffer and the unfused walk's
-/// accumulator. Everything is capacity-reusing — a worker shard that
-/// keeps one PlanScratch alive pays zero steady-state allocations for
-/// fused pipeline batches.
+/// batch and the interior uint8 activation buffer. Everything is
+/// capacity-reusing — a worker shard that keeps one PlanScratch alive
+/// pays zero steady-state allocations.
 struct PlanScratch {
   maddness::EncodeScratch encode;
   maddness::EncodedBatch enc;
   maddness::QuantizedActivations inter;
-  std::vector<std::int16_t> acc;  ///< unfused walk only
 };
 
 /// Executes `batch` through every plan stage into `out` (resized
-/// capacity-reusing to rows x final nout). Bit-exact vs
-/// pipeline_reference_apply for both walks; `fused` only chooses whether
-/// interior boundaries run in-register or materialize. Spans tag
-/// kEncode/kLutAccumulate/kEpilogue with the stage index.
+/// capacity-reusing to rows x final nout), chaining interior boundaries
+/// through the fused epilogue. Bit-exact vs pipeline_reference_apply.
+/// `lut_tier` lets tests drive every available LUT tier through one
+/// process. Spans tag kEncode/kLutAccumulate/kEpilogue with the stage
+/// index.
 void run_plan(const ExecutionPlan& plan,
               const maddness::QuantizedActivations& batch,
               PlanScratch& scratch, std::vector<std::int16_t>& out,
-              bool fused = true);
-
-/// Tier-explicit form (tests drive every available LUT tier through one
-/// process; the default form uses the runtime-selected tier).
-void run_plan(const ExecutionPlan& plan,
-              const maddness::QuantizedActivations& batch,
-              PlanScratch& scratch, std::vector<std::int16_t>& out,
-              bool fused, maddness::KernelTier lut_tier);
+              maddness::KernelTier lut_tier = maddness::select_kernel_tier());
 
 }  // namespace ssma::engine

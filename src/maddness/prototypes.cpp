@@ -23,50 +23,6 @@ std::vector<std::uint8_t> encode_all(const Config& cfg,
   return codes;
 }
 
-std::vector<std::uint8_t> encode_all_codebook_major(
-    const Config& cfg, const std::vector<HashTree>& trees,
-    const QuantizedActivations& q) {
-  cfg.validate();
-  SSMA_CHECK(static_cast<int>(trees.size()) == cfg.ncodebooks);
-  SSMA_CHECK(q.cols == static_cast<std::size_t>(cfg.total_dims()));
-  SSMA_CHECK_MSG(cfg.nprototypes() == HashTree::kLeaves,
-                 "tree-based encoding produces " << HashTree::kLeaves
-                                                 << " leaves; config wants "
-                                                 << cfg.nprototypes());
-  const int ncb = cfg.ncodebooks;
-  const std::size_t rows = q.rows;
-  // Flatten each tree's walk: absolute split dims (so the inner loop
-  // indexes the full activation row directly) plus its threshold array.
-  struct Walk {
-    int dim[HashTree::kLevels];
-    const std::uint8_t* thr;
-  };
-  std::vector<Walk> walks(static_cast<std::size_t>(ncb));
-  for (int c = 0; c < ncb; ++c) {
-    for (int l = 0; l < HashTree::kLevels; ++l)
-      walks[c].dim[l] = c * cfg.subvec_dim + trees[c].split_dims()[l];
-    walks[c].thr = trees[c].thresholds_flat().data();
-  }
-  std::vector<std::uint8_t> codes(rows * static_cast<std::size_t>(ncb));
-  // Row-outer order streams the activation matrix once; the M output
-  // cache lines being appended to stay resident across rows.
-  for (std::size_t n = 0; n < rows; ++n) {
-    const std::uint8_t* row = q.row(n);
-    for (int c = 0; c < ncb; ++c) {
-      const Walk& w = walks[c];
-      int node = 0;
-      for (int l = 0; l < HashTree::kLevels; ++l) {
-        const std::uint8_t x = row[w.dim[l]];
-        const std::uint8_t t = w.thr[(1 << l) - 1 + node];
-        node = 2 * node + (x >= t ? 1 : 0);
-      }
-      codes[static_cast<std::size_t>(c) * rows + n] =
-          static_cast<std::uint8_t>(node);
-    }
-  }
-  return codes;
-}
-
 Prototypes learn_prototypes(const Config& cfg,
                             const std::vector<HashTree>& trees,
                             const QuantizedActivations& train) {

@@ -173,7 +173,8 @@ std::string FusionRoofline::json() const {
       << ", \"inter_cols\": " << inter_cols
       << ", \"bytes_avoided_per_row\": " << bytes_avoided_per_row
       << ", \"fused_rows_per_s\": " << format_double(fused_rows_per_s)
-      << ", \"unfused_rows_per_s\": " << format_double(unfused_rows_per_s)
+      << ", \"reference_rows_per_s\": "
+      << format_double(reference_rows_per_s)
       << ", \"speedup\": " << format_double(speedup) << "}";
   return oss.str();
 }

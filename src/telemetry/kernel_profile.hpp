@@ -82,10 +82,11 @@ struct RooflineEntry {
 };
 
 /// Measured effect of the fused pipeline epilogue (engine/execution_plan):
-/// one chained-stage shape run with in-register handoffs vs the
-/// materializing walk, plus the intermediate traffic the fusion removes
-/// (ExecutionPlan::fused_bytes_avoided_per_row — int16 accumulator +
-/// dequantized float write/read per interior boundary).
+/// one chained-stage shape run through run_plan's in-register handoffs
+/// vs the materializing pipeline_reference_apply, plus the intermediate
+/// traffic the fusion removes (ExecutionPlan::fused_bytes_avoided_per_row
+/// — int16 accumulator + dequantized float write/read per interior
+/// boundary).
 struct FusionRoofline {
   std::uint64_t stages = 0;  ///< 0 = not measured
   std::string tier;
@@ -94,8 +95,8 @@ struct FusionRoofline {
   std::uint64_t inter_cols = 0;  ///< width of each interior boundary
   std::uint64_t bytes_avoided_per_row = 0;
   double fused_rows_per_s = 0.0;
-  double unfused_rows_per_s = 0.0;
-  double speedup = 0.0;
+  double reference_rows_per_s = 0.0;
+  double speedup = 0.0;  ///< fused over reference
 
   std::string json() const;
 };

@@ -333,26 +333,6 @@ TEST(Pipeline, StageHandoffRejectsShapeMismatch) {
                CheckError);
 }
 
-TEST(Pipeline, FusedEngineOptionMatchesUnfusedBitExact) {
-  // EngineOptions::fused_pipeline only chooses whether interior stage
-  // boundaries run in-register or materialize — never the bits.
-  const PipelineFixture f = PipelineFixture::make();
-  const ModelRef model =
-      ModelHandle::from_stages("mlp", 1, {&f.stage0, &f.stage1});
-  const std::vector<std::int16_t> want =
-      pipeline_reference_apply(*model, f.pool);
-  for (const bool fused : {true, false}) {
-    EngineOptions opts;
-    opts.backend = Backend::kKernel;
-    opts.fused_pipeline = fused;
-    const auto eng = make_engine(opts);
-    std::vector<std::int16_t> out;
-    eng->run_batch(*model, f.pool, out);
-    EXPECT_EQ(out, want) << (fused ? "fused" : "unfused")
-                         << " kernel walk diverged";
-  }
-}
-
 TEST(Pipeline, RegisterSegmentsCollapsesChainsAndSplitsAtBreaks) {
   const PipelineFixture f = PipelineFixture::make();
   // stage0 (36 -> 36) chains into stage1 (36 -> 12); a second stage0

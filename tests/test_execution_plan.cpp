@@ -1,11 +1,11 @@
 // Tests for the compiled ExecutionPlan: compile-time metadata (stage
-// chain, fused-epilogue constants, bytes-avoided accounting), fused
-// run_plan bit-exactness vs pipeline_reference_apply on every available
-// LUT tier across ragged row counts and a >=3-stage chain, fused ==
-// unfused equivalence, the zero-allocation steady state of PlanScratch,
-// and the fused epilogue's rounding boundary under adversarial scales
-// (exact half-integer ties, denormal next_scale fallback, saturating
-// extremes) driven through apply_lut_fused directly.
+// chain, fused-epilogue constants, bytes-avoided accounting), run_plan
+// bit-exactness vs pipeline_reference_apply on every available LUT tier
+// across ragged row counts and a >=3-stage chain, the zero-allocation
+// steady state of PlanScratch, and the fused epilogue's rounding
+// boundary under adversarial scales (exact half-integer ties, denormal
+// next_scale fallback, saturating extremes) driven through
+// apply_lut_fused directly.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -92,7 +92,6 @@ TEST(ExecutionPlan, CompileCachesChainAndEpilogueConstants) {
   const ChainFixture f = ChainFixture::make();
   const ExecutionPlan& plan = f.model->plan();
   ASSERT_EQ(plan.num_stages(), 3u);
-  EXPECT_TRUE(plan.is_pipeline());
   for (std::size_t s = 0; s < 3; ++s)
     EXPECT_EQ(plan.stage(s).amm, &f.model->stage(s));
   // Each interior epilogue carries the CONSUMING stage's activation
@@ -117,7 +116,6 @@ TEST(ExecutionPlan, BytesAvoidedCountsInteriorBoundariesOnly) {
   const ModelRef single =
       ModelHandle::from_amm("one", 1, f.model->stage(0));
   EXPECT_EQ(single->plan().num_stages(), 1u);
-  EXPECT_FALSE(single->plan().is_pipeline());
   EXPECT_EQ(single->plan().fused_bytes_avoided_per_row(), 0u);
 }
 
@@ -133,22 +131,15 @@ TEST(ExecutionPlan, FusedMatchesReferenceEveryTierEveryRaggedRowCount) {
        {KernelTier::kScalar, KernelTier::kSsse3, KernelTier::kAvx2}) {
     if (!maddness::kernel_tier_available(tier)) continue;
     PlanScratch scratch;
-    std::vector<std::int16_t> fused_out;
-    std::vector<std::int16_t> unfused_out;
+    std::vector<std::int16_t> out;
     for (const std::size_t rows : kRows) {
       const maddness::QuantizedActivations sub = prefix(f.pool, rows);
       const std::vector<std::int16_t> want =
           pipeline_reference_apply(*f.model, sub);
       ASSERT_EQ(want.size(), rows * 12);
-      run_plan(f.model->plan(), sub, scratch, fused_out,
-               /*fused=*/true, tier);
-      EXPECT_EQ(fused_out, want)
+      run_plan(f.model->plan(), sub, scratch, out, tier);
+      EXPECT_EQ(out, want)
           << "fused plan diverged on "
-          << maddness::kernel_tier_name(tier) << " rows=" << rows;
-      run_plan(f.model->plan(), sub, scratch, unfused_out,
-               /*fused=*/false, tier);
-      EXPECT_EQ(unfused_out, want)
-          << "unfused plan diverged on "
           << maddness::kernel_tier_name(tier) << " rows=" << rows;
     }
   }
@@ -162,10 +153,8 @@ TEST(ExecutionPlan, SingleStagePlanMatchesAmmApply) {
       single->amm().apply_int16(f.pool);
   PlanScratch scratch;
   std::vector<std::int16_t> out;
-  for (const bool fused : {true, false}) {
-    run_plan(single->plan(), f.pool, scratch, out, fused);
-    EXPECT_EQ(out, want);
-  }
+  run_plan(single->plan(), f.pool, scratch, out);
+  EXPECT_EQ(out, want);
 }
 
 // ----------------------------------------------- zero-alloc steady state
@@ -175,7 +164,7 @@ TEST(ExecutionPlan, SteadyStateReusesEveryScratchBuffer) {
   PlanScratch scratch;
   std::vector<std::int16_t> out;
   // Warm-up run at the largest batch establishes every capacity.
-  run_plan(f.model->plan(), f.pool, scratch, out, /*fused=*/true);
+  run_plan(f.model->plan(), f.pool, scratch, out);
 
   const std::uint8_t* enc_ptr = scratch.enc.codes.data();
   const std::size_t enc_cap = scratch.enc.codes.capacity();
@@ -187,8 +176,7 @@ TEST(ExecutionPlan, SteadyStateReusesEveryScratchBuffer) {
   // Same-shape and smaller batches must not move or grow any buffer:
   // the worker-shard contract is zero allocations at steady state.
   for (const std::size_t rows : {48u, 17u, 1u, 48u}) {
-    run_plan(f.model->plan(), prefix(f.pool, rows), scratch, out,
-             /*fused=*/true);
+    run_plan(f.model->plan(), prefix(f.pool, rows), scratch, out);
     EXPECT_EQ(scratch.enc.codes.data(), enc_ptr) << "rows=" << rows;
     EXPECT_EQ(scratch.enc.codes.capacity(), enc_cap) << "rows=" << rows;
     EXPECT_EQ(scratch.inter.codes.data(), inter_ptr) << "rows=" << rows;
