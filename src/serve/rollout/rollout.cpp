@@ -391,6 +391,7 @@ void RolloutManager::decide(Managed& m, std::unique_lock<std::mutex>& lock,
   doomed.reset();
   lock.lock();
   if (promote) m.live_version = version;
+  m.decision_applied = true;
   cv_.notify_all();
 }
 
@@ -442,11 +443,7 @@ RolloutState RolloutManager::wait_for_decision(
   const auto it = managed_.find(name);
   SSMA_CHECK_MSG(it != managed_.end(),
                  "model " << name << " is not under rollout management");
-  const auto decided = [&] {
-    const RolloutState s = it->second.state;
-    return s == RolloutState::kPromoted || s == RolloutState::kRolledBack;
-  };
-  cv_.wait_for(lock, timeout, decided);
+  cv_.wait_for(lock, timeout, [&] { return it->second.decision_applied; });
   return it->second.state;
 }
 

@@ -150,9 +150,11 @@ class RolloutManager : public BatchObserver {
   RolloutReport report(const std::string& name) const;
   std::vector<RolloutReport> reports() const;
 
-  /// Blocks until `name` reaches kPromoted or kRolledBack (or timeout).
-  /// Returns the terminal state reached, or the current state on
-  /// timeout.
+  /// Blocks until `name` reaches kPromoted or kRolledBack and the
+  /// verdict is applied to the registry (or timeout): on return after a
+  /// promotion "@latest" names the candidate, after a rollback the
+  /// candidate no longer resolves. Returns the terminal state reached,
+  /// or the current state on timeout.
   RolloutState wait_for_decision(const std::string& name,
                                  std::chrono::milliseconds timeout);
 
@@ -179,6 +181,10 @@ class RolloutManager : public BatchObserver {
     maddness::Config cfg;
     std::uint64_t live_version = 0;
     RolloutState state = RolloutState::kIdle;
+    /// Set once decide() has applied the terminal state's registry call
+    /// and live_version; `state` turns terminal earlier, before the
+    /// unlock around the registry call.
+    bool decision_applied = false;
 
     // --- traffic reservoir (Algorithm R), preallocated ---
     std::size_t cols = 0;
