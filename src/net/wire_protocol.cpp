@@ -63,7 +63,9 @@ class Cursor {
     return true;
   }
   bool i16s(std::vector<std::int16_t>* v, std::uint64_t n) {
-    if (static_cast<std::uint64_t>(end_ - p_) < n * 2) return false;
+    // Halve the bytes left rather than double n: n * 2 wraps for a
+    // hostile count.
+    if (static_cast<std::uint64_t>(end_ - p_) / 2 < n) return false;
     v->resize(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       const auto lo = static_cast<std::uint16_t>(

@@ -571,6 +571,29 @@ TEST(NetClientBrokenStream, BadCrcResponseThrows) {
   cli.close();
 }
 
+TEST(NetClientBrokenStream, WrappingOutputCountThrowsCheckError) {
+  // nout = 2^63 + 3 doubles to a byte count that wraps to 6, which the
+  // three encoded outputs cover. The count must fail as a malformed
+  // payload, not size an allocation.
+  std::string payload = ok_response_frame(4).substr(12);
+  // Prelude 10 bytes, status 1, model "m" 5, version 8, rows 8.
+  constexpr std::size_t kNoutAt = 32;
+  ASSERT_EQ(payload[kNoutAt], 3);
+  const std::uint64_t nout = (std::uint64_t{1} << 63) + 3;
+  for (std::size_t i = 0; i < 8; ++i)
+    payload[kNoutAt + i] = static_cast<char>(nout >> (8 * i));
+  RpcResponse resp;
+  EXPECT_FALSE(parse_response(payload, &resp));
+
+  std::ostringstream frame;
+  maddness::write_framed_blob(frame, payload);
+  ScriptedPeer peer(frame.str());
+  NetClient cli;
+  cli.connect("127.0.0.1", peer.port());
+  EXPECT_THROW(cli.recv_response(&resp), CheckError);
+  cli.close();
+}
+
 TEST(NetClientBrokenStream, CloseMidFrameThrows) {
   const std::string frame = ok_response_frame(2);
   ScriptedPeer peer(frame.substr(0, frame.size() / 2));
