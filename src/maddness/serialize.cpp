@@ -50,11 +50,36 @@ void put_matrix(std::ostream& os, const Matrix& m) {
   for (std::size_t i = 0; i < m.size(); ++i) put_f32(os, m.data()[i]);
 }
 
+/// Bytes between the read position of `is` and its end, or false when
+/// the stream cannot report positions. Length fields are bounded by it
+/// before they size an allocation.
+bool bytes_left(std::istream& is, std::uint64_t* n) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  if (here < 0 || end < here) return false;
+  is.seekg(here);
+  *n = static_cast<std::uint64_t>(end - here);
+  return true;
+}
+
+/// `count` elements of `elem_bytes` each, checked to fit in what is left
+/// of `is`: a corrupt length field fails as a CheckError.
+std::size_t checked_count(std::istream& is, std::uint64_t count,
+                          std::uint64_t elem_bytes) {
+  std::uint64_t left = 0;
+  SSMA_CHECK_MSG(bytes_left(is, &left) && count <= left / elem_bytes,
+                 "AMM stream length field " << count
+                                            << " exceeds the bytes left");
+  return static_cast<std::size_t>(count);
+}
+
 Matrix get_matrix(std::istream& is) {
   const auto rows = static_cast<std::size_t>(get_u64(is));
   const auto cols = static_cast<std::size_t>(get_u64(is));
   SSMA_CHECK_MSG(rows < (1u << 24) && cols < (1u << 24),
                  "implausible matrix dims in AMM stream");
+  checked_count(is, std::uint64_t{rows} * cols, 4);
   Matrix m(rows, cols);
   for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = get_f32(is);
   return m;
@@ -110,13 +135,8 @@ bool try_read_framed_blob(std::istream& is, std::string* out) {
         << (8 * i);
   // Bound the length by the bytes actually left in the stream before
   // allocating: a corrupt header must fall through as torn, not OOM.
-  const std::streampos body_start = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::streampos stream_end = is.tellg();
-  if (body_start < 0 || stream_end < 0) return false;
-  is.seekg(body_start);
-  if (len > static_cast<std::uint64_t>(stream_end - body_start))
-    return false;
+  std::uint64_t left = 0;
+  if (!bytes_left(is, &left) || len > left) return false;
   std::string payload(static_cast<std::size_t>(len), '\0');
   is.read(payload.data(), static_cast<std::streamsize>(len));
   if (is.gcount() != static_cast<std::streamsize>(len)) return false;
@@ -207,11 +227,11 @@ Amm Amm::load(std::istream& is) {
 
   amm.lut_.cfg = amm.cfg_;
   amm.lut_.nout = static_cast<int>(get_u32(body));
-  amm.lut_.scales.resize(get_u64(body));
+  amm.lut_.scales.resize(checked_count(body, get_u64(body), 4));
   for (auto& s : amm.lut_.scales) s = get_f32(body);
-  amm.lut_.q.resize(get_u64(body));
+  amm.lut_.q.resize(checked_count(body, get_u64(body), 1));
   for (auto& v : amm.lut_.q) v = static_cast<std::int8_t>(get_u8(body));
-  amm.lut_.f.resize(get_u64(body));
+  amm.lut_.f.resize(checked_count(body, get_u64(body), 4));
   for (auto& v : amm.lut_.f) v = get_f32(body);
 
   SSMA_CHECK(amm.lut_.q.size() ==

@@ -2,11 +2,14 @@
 // kernel tier must be bit-exact vs the reference int32-accumulate /
 // saturate-once decode on randomized configurations (including ragged
 // row counts and non-16-multiple output tails), the packed layout must
-// round-trip, and the saturation semantics must hold under adversarial
-// all-±127 banks that overflow int16.
+// round-trip, the saturation semantics must hold under adversarial
+// all-±127 banks that overflow int16, and a CRC-valid SSMAAMM2 blob with
+// hostile length fields must fail as a CheckError, not allocate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "maddness/amm.hpp"
@@ -356,4 +359,70 @@ TEST(LutSerialize, PackedUnpackedRoundTripUnderCrcFraming) {
   bad.read(magic, 8);
   std::string dropped;
   EXPECT_FALSE(try_read_framed_blob(bad, &dropped));
+}
+
+namespace {
+
+constexpr std::size_t kAmmBodyAt = 8 + 12;  // magic, then length + CRC
+
+std::uint64_t u64_at(const std::string& s, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(s[at + i]))
+         << (8 * i);
+  return v;
+}
+
+/// Overwrites the u64 at body offset `at` of an SSMAAMM2 blob and
+/// re-seals the frame: the CRC passes, so only that field is hostile.
+std::string with_u64(const std::string& blob, std::size_t at,
+                     std::uint64_t v) {
+  std::string body = blob.substr(kAmmBodyAt);
+  for (std::size_t i = 0; i < 8; ++i)
+    body[at + i] = static_cast<char>(v >> (8 * i));
+  std::ostringstream os;
+  os.write(blob.data(), 8);
+  write_framed_blob(os, body);
+  return os.str();
+}
+
+}  // namespace
+
+TEST(LutSerialize, HostileLengthFieldsFailAsCheckErrorsNotAllocations) {
+  Rng rng(2047);
+  Config cfg;
+  cfg.ncodebooks = 2;
+  const std::size_t d = 2 * 9;
+  const Matrix x = random_activations(rng, 120, d);
+  const Amm amm = Amm::train(cfg, x, random_weights(rng, d, 5));
+  const std::string blob = amm.save_string();
+  const std::string body = blob.substr(kAmmBodyAt);
+  // Body offsets per Amm::save: 34 config bytes and the f32 activation
+  // scale, 31 bytes per tree, the prototype matrix (u64 rows, u64 cols,
+  // f32 entries), u32 nout, then a u64 count ahead of each of the
+  // scales, the int8 entries and the float entries.
+  const std::size_t rows_at = 38 + 31 * 2;
+  const std::size_t scales_at = static_cast<std::size_t>(
+      rows_at + 16 + 4 * u64_at(body, rows_at) * u64_at(body, rows_at + 8) +
+      4);
+  ASSERT_EQ(u64_at(body, scales_at), amm.lut().scales.size());
+  const std::size_t q_at = scales_at + 8 + 4 * amm.lut().scales.size();
+  ASSERT_EQ(u64_at(body, q_at), amm.lut().q.size());
+  const std::size_t f_at = q_at + 8 + amm.lut().q.size();
+  ASSERT_EQ(u64_at(body, f_at), amm.lut().f.size());
+  EXPECT_EQ(Amm::load_string(blob).lut().q, amm.lut().q);
+
+  // 2^40 would throw std::bad_alloc and 2^62 std::length_error if either
+  // reached an allocation.
+  for (const std::size_t at : {scales_at, q_at, f_at})
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 40, std::uint64_t{1} << 62})
+      EXPECT_THROW(Amm::load_string(with_u64(blob, at, count)), CheckError)
+          << "count " << count << " at body offset " << at;
+  // Prototype dims each under the 2^24 cap whose product (2^46 floats)
+  // still dwarfs the body.
+  const std::string dims = with_u64(
+      with_u64(blob, rows_at, std::uint64_t{1} << 23), rows_at + 8,
+      std::uint64_t{1} << 23);
+  EXPECT_THROW(Amm::load_string(dims), CheckError);
 }
