@@ -1,5 +1,6 @@
 // TCP front-door tests: frame decoding (round trips, incremental
-// feeds, CRC/length corruption), RPC message round trips, and loopback
+// feeds, CRC/length corruption), RPC message round trips and a golden
+// pin of their encoded bytes, and loopback
 // end-to-end serving — bit-exact responses under pipelining and
 // connection backpressure, typed wire rejections for every refusal
 // class (unknown model, malformed payload, rate limiting, expired
@@ -13,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -184,6 +186,118 @@ TEST(WireProtocolTest, MalformedPayloadsAreRejectedNotRead) {
   EXPECT_FALSE(parse_request(wrong, &out));
   // A response payload is not a request.
   EXPECT_FALSE(parse_request(RpcResponse{}.encode().substr(12), &out));
+}
+
+// Pins the encoded bytes of every front-door message: a committed byte
+// stream of one request, an ok response, a reject and an admin round
+// trip must equal what the encoders produce today, and every frame in
+// it must parse. Regenerate (deliberate format bumps only) with
+// --gtest_also_run_disabled_tests --gtest_filter='*RegenerateRpcWireGolden*'
+namespace rpc_golden {
+
+std::string path() {
+  return std::string(SSMA_TEST_DATA_DIR) + "/rpc_wire_golden.bin";
+}
+
+RpcRequest request() {
+  RpcRequest r;
+  r.correlation_id = 0x0102030405060708u;
+  r.tenant = "gold";
+  r.model_ref = "mlp@2";
+  r.deadline_ms = 250;
+  r.priority = 2;
+  r.rows = 2;
+  r.codes = {0, 1, 2, 127, 128, 200, 254, 255};
+  return r;
+}
+
+RpcResponse ok_response() {
+  RpcResponse r;
+  r.correlation_id = 0xFEDCBA9876543210u;
+  r.model = "mlp";
+  r.model_version = 2;
+  r.rows = 2;
+  r.outputs = {-32768, -257, -1, 0, 1, 255, 256, 32767};
+  return r;
+}
+
+RpcResponse reject_response() {
+  RpcResponse r;
+  r.correlation_id = 9;
+  r.status = status_of(RejectReason::kRateLimited);
+  r.message = "admission: rate_limited";
+  return r;
+}
+
+AdminRequest admin_request() {
+  AdminRequest r;
+  r.correlation_id = 11;
+  r.op = 1;
+  r.target = "mlp";
+  return r;
+}
+
+AdminResponse admin_response() {
+  AdminResponse r;
+  r.correlation_id = 11;
+  r.status = 0;
+  r.arg = 0x8000000000000001u;
+  r.body = "mlp: promoted v2";
+  return r;
+}
+
+std::string encode_all() {
+  return request().encode() + ok_response().encode() +
+         reject_response().encode() + admin_request().encode() +
+         admin_response().encode();
+}
+
+std::string slurp(const std::string& p) {
+  std::ifstream is(p, std::ios::binary);
+  EXPECT_TRUE(is.is_open()) << p;
+  std::ostringstream oss;
+  oss << is.rdbuf();
+  return oss.str();
+}
+
+}  // namespace rpc_golden
+
+TEST(WireProtocolTest, GoldenFramesAreByteStable) {
+  const std::string bytes = rpc_golden::slurp(rpc_golden::path());
+  EXPECT_EQ(rpc_golden::encode_all(), bytes)
+      << "RPC encoders changed bytes: format drift";
+
+  FrameDecoder dec(1 << 20);
+  dec.feed(bytes.data(), bytes.size());
+  std::string payload;
+  RpcRequest req;
+  ASSERT_EQ(dec.next(&payload), FrameDecoder::Result::kFrame);
+  ASSERT_TRUE(parse_request(payload, &req));
+  EXPECT_EQ(req.codes, rpc_golden::request().codes);
+  RpcResponse resp;
+  ASSERT_EQ(dec.next(&payload), FrameDecoder::Result::kFrame);
+  ASSERT_TRUE(parse_response(payload, &resp));
+  EXPECT_EQ(resp.outputs, rpc_golden::ok_response().outputs);
+  ASSERT_EQ(dec.next(&payload), FrameDecoder::Result::kFrame);
+  ASSERT_TRUE(parse_response(payload, &resp));
+  EXPECT_EQ(resp.message, rpc_golden::reject_response().message);
+  AdminRequest areq;
+  ASSERT_EQ(dec.next(&payload), FrameDecoder::Result::kFrame);
+  ASSERT_TRUE(parse_admin_request(payload, &areq));
+  EXPECT_EQ(areq.target, "mlp");
+  AdminResponse aresp;
+  ASSERT_EQ(dec.next(&payload), FrameDecoder::Result::kFrame);
+  ASSERT_TRUE(parse_admin_response(payload, &aresp));
+  EXPECT_EQ(aresp.arg, rpc_golden::admin_response().arg);
+  EXPECT_EQ(dec.buffered_bytes(), 0u);
+}
+
+// Not a test: regenerates the golden frames after a deliberate wire
+// format bump.
+TEST(WireProtocolTest, DISABLED_RegenerateRpcWireGolden) {
+  std::ofstream os(rpc_golden::path(), std::ios::binary);
+  const std::string bytes = rpc_golden::encode_all();
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // -------------------------------------------------------- end to end

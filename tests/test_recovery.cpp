@@ -62,6 +62,54 @@ TEST(Framing, Crc32MatchesKnownVector) {
   EXPECT_EQ(maddness::crc32(std::string()), 0u);
 }
 
+/// The byte-at-a-time table loop: the oracle for any faster crc32.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t crc = 0) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i)
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  return ~crc;
+}
+
+TEST(Framing, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::vector<std::uint8_t> buf((64u << 10) + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  // Unaligned starts and every tail length of the 8-byte stride.
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t n = 0; n <= 200; ++n)
+      ASSERT_EQ(maddness::crc32(buf.data() + off, n),
+                crc32_bytewise(buf.data() + off, n))
+          << "offset " << off << " length " << n;
+  for (std::size_t n : {1000u, 4095u, 4096u, 18433u, 65535u, 65536u})
+    for (std::size_t off : {0u, 3u, 7u})
+      ASSERT_EQ(maddness::crc32(buf.data() + off, n),
+                crc32_bytewise(buf.data() + off, n))
+          << "offset " << off << " length " << n;
+  // Chained updates split at every point equal one pass.
+  constexpr std::size_t kShort = 37;
+  const std::uint32_t whole = crc32_bytewise(buf.data() + 1, kShort);
+  for (std::size_t split = 0; split <= kShort; ++split) {
+    const std::uint32_t head = maddness::crc32(buf.data() + 1, split);
+    EXPECT_EQ(maddness::crc32(buf.data() + 1 + split, kShort - split, head),
+              whole)
+        << "split at " << split;
+  }
+}
+
 TEST(Framing, FramedBlobRoundTripAndCorruptionDetected) {
   std::ostringstream os;
   maddness::write_framed_blob(os, "hello, shard");
