@@ -16,10 +16,24 @@
 
 namespace ssma::maddness {
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320). `crc` chains
-/// incremental updates; pass 0 to start a fresh checksum.
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), computed eight
+/// bytes per step by slicing-by-8. `crc` chains incremental updates;
+/// pass 0 to start a fresh checksum.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 std::uint32_t crc32(const std::string& s);
+
+/// Bytes of the frame header that precedes every payload.
+inline constexpr std::size_t kFrameHeaderBytes = 12;
+
+/// Fills the kFrameHeaderBytes slot at the front of `frame` with the
+/// length and CRC of the payload that follows it, so an encoder can
+/// build a whole frame in one buffer: reserve, append the slot and the
+/// payload, then seal.
+void seal_frame(std::string* frame);
+
+/// Reads the length and CRC from the kFrameHeaderBytes at `hdr`.
+void read_frame_header(const char* hdr, std::uint64_t* len,
+                       std::uint32_t* crc);
 
 /// Writes one length+CRC frame around `payload`.
 void write_framed_blob(std::ostream& os, const std::string& payload);

@@ -33,15 +33,53 @@ using wire::put_u8;
 
 constexpr char kMagic[8] = {'S', 'S', 'M', 'A', 'A', 'M', 'M', '2'};
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: t[0] is the byte-at-a-time table, and t[k][b]
+/// is the CRC of byte b followed by k zero bytes, so eight table reads
+/// fold eight input bytes at once.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian u32 from bytes, read one at a time: no alignment or
+/// host byte order assumed.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+void store_le(char* dst, std::uint64_t v, int nbytes) {
+  for (int i = 0; i < nbytes; ++i)
+    dst[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+}
+
+std::uint64_t load_le(const char* src, int nbytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < nbytes; ++i)
+    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(src[i]))
+         << (8 * i);
+  return v;
+}
+
+/// The frame header for `n` payload bytes at `payload`.
+void put_frame_header(char* hdr, const char* payload, std::size_t n) {
+  store_le(hdr, n, 8);
+  store_le(hdr + 8, crc32(payload, n), 4);
 }
 
 void put_matrix(std::ostream& os, const Matrix& m) {
@@ -88,11 +126,18 @@ Matrix get_matrix(std::istream& is) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
   const auto* p = static_cast<const std::uint8_t*>(data);
   crc = ~crc;
-  for (std::size_t i = 0; i < n; ++i)
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+          t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return ~crc;
 }
 
@@ -100,9 +145,22 @@ std::uint32_t crc32(const std::string& s) {
   return crc32(s.data(), s.size());
 }
 
+void seal_frame(std::string* frame) {
+  SSMA_CHECK(frame->size() >= kFrameHeaderBytes);
+  put_frame_header(frame->data(), frame->data() + kFrameHeaderBytes,
+                   frame->size() - kFrameHeaderBytes);
+}
+
+void read_frame_header(const char* hdr, std::uint64_t* len,
+                       std::uint32_t* crc) {
+  *len = load_le(hdr, 8);
+  *crc = static_cast<std::uint32_t>(load_le(hdr + 8, 4));
+}
+
 void write_framed_blob(std::ostream& os, const std::string& payload) {
-  put_u64(os, payload.size());
-  put_u32(os, crc32(payload));
+  char hdr[kFrameHeaderBytes];
+  put_frame_header(hdr, payload.data(), payload.size());
+  os.write(hdr, sizeof(hdr));
   os.write(payload.data(),
            static_cast<std::streamsize>(payload.size()));
   SSMA_CHECK_MSG(os.good(), "framed blob write failure");
@@ -122,17 +180,11 @@ bool try_read_framed_blob(std::istream& is, std::string* out) {
   if (is.peek() == EOF) return false;
   std::uint64_t len = 0;
   std::uint32_t want_crc = 0;
-  char hdr[12];
+  char hdr[kFrameHeaderBytes];
   is.read(hdr, sizeof(hdr));
   if (is.gcount() != static_cast<std::streamsize>(sizeof(hdr)))
     return false;
-  for (int i = 0; i < 8; ++i)
-    len |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(hdr[i]))
-           << (8 * i);
-  for (int i = 0; i < 4; ++i)
-    want_crc |=
-        static_cast<std::uint32_t>(static_cast<std::uint8_t>(hdr[8 + i]))
-        << (8 * i);
+  read_frame_header(hdr, &len, &want_crc);
   // Bound the length by the bytes actually left in the stream before
   // allocating: a corrupt header must fall through as torn, not OOM.
   std::uint64_t left = 0;

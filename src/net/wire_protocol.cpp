@@ -1,19 +1,68 @@
 #include "net/wire_protocol.hpp"
 
-#include <cstring>
-#include <sstream>
+#include <utility>
 
 #include "maddness/framing.hpp"
-#include "util/wire.hpp"
 
 namespace ssma::net {
 
 namespace {
 
-void put_string(std::ostream& os, const std::string& s) {
-  wire::put_u32(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
+constexpr std::size_t kPreludeBytes = 10;  // version, type, correlation id
+
+/// Builds one frame in a single pre-sized buffer: the header slot, then
+/// little-endian fields appended in order, then seal() fills the slot.
+/// `payload_bytes` only sizes the reservation.
+class FrameWriter {
+ public:
+  FrameWriter(MsgType type, std::uint64_t corr, std::size_t payload_bytes) {
+    buf_.reserve(maddness::kFrameHeaderBytes + payload_bytes);
+    buf_.resize(maddness::kFrameHeaderBytes);
+    u8(kWireVersion);
+    u8(static_cast<std::uint8_t>(type));
+    u64(corr);
+  }
+
+  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
+  void bytes(const void* p, std::size_t n) {
+    buf_.append(static_cast<const char*>(p), n);
+  }
+  void str(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes(s.data(), s.size());
+  }
+  void i16s(const std::vector<std::int16_t>& v) {
+    // Locals only in the loop, so the char stores cannot alias its
+    // bound and the compiler can vectorize it.
+    const std::size_t n = v.size();
+    const std::size_t at = buf_.size();
+    buf_.resize(at + 2 * n);
+    const std::int16_t* src = v.data();
+    char* dst = buf_.data() + at;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto u = static_cast<std::uint16_t>(src[i]);
+      dst[2 * i] = static_cast<char>(u & 0xFFu);
+      dst[2 * i + 1] = static_cast<char>(u >> 8);
+    }
+  }
+
+  std::string seal() {
+    maddness::seal_frame(&buf_);
+    return std::move(buf_);
+  }
+
+ private:
+  void le(std::uint64_t v, int nbytes) {
+    char b[8];
+    for (int i = 0; i < nbytes; ++i)
+      b[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+    buf_.append(b, static_cast<std::size_t>(nbytes));
+  }
+
+  std::string buf_;
+};
 
 /// Bounds-checked little-endian reader over a parsed payload. Every
 /// getter returns false instead of reading past the end, so a malformed
@@ -49,16 +98,15 @@ class Cursor {
   }
   bool str(std::string* v) {
     std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (static_cast<std::size_t>(end_ - p_) < n) return false;
-    v->assign(p_, n);
-    p_ += n;
-    return true;
+    return u32(&n) && bytes(v, n);
   }
-  bool bytes(std::vector<std::uint8_t>* v, std::uint64_t n) {
+  /// `n` raw bytes into a std::string or a std::vector<std::uint8_t>.
+  template <typename Bytes>
+  bool bytes(Bytes* v, std::uint64_t n) {
     if (static_cast<std::uint64_t>(end_ - p_) < n) return false;
-    v->assign(reinterpret_cast<const std::uint8_t*>(p_),
-              reinterpret_cast<const std::uint8_t*>(p_) + n);
+    using T = typename Bytes::value_type;
+    const auto* b = reinterpret_cast<const T*>(p_);
+    v->assign(b, b + n);
     p_ += n;
     return true;
   }
@@ -93,58 +141,43 @@ bool parse_prelude(Cursor& c, MsgType want, std::uint64_t* corr) {
   return c.u64(corr);
 }
 
-std::string framed(const std::string& payload) {
-  std::ostringstream os;
-  maddness::write_framed_blob(os, payload);
-  return os.str();
-}
-
 }  // namespace
 
 std::string RpcRequest::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(MsgType::kInferRequest));
-  wire::put_u64(os, correlation_id);
-  put_string(os, tenant);
-  put_string(os, model_ref);
-  wire::put_u32(os, deadline_ms);
-  wire::put_u8(os, priority);
-  wire::put_u64(os, rows);
-  wire::put_u64(os, codes.size());
-  os.write(reinterpret_cast<const char*>(codes.data()),
-           static_cast<std::streamsize>(codes.size()));
-  return framed(os.str());
+  FrameWriter w(MsgType::kInferRequest, correlation_id,
+                kPreludeBytes + 4 + tenant.size() + 4 + model_ref.size() +
+                    4 + 1 + 8 + 8 + codes.size());
+  w.str(tenant);
+  w.str(model_ref);
+  w.u32(deadline_ms);
+  w.u8(priority);
+  w.u64(rows);
+  w.u64(codes.size());
+  w.bytes(codes.data(), codes.size());
+  return w.seal();
 }
 
 std::string RpcResponse::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(MsgType::kInferResponse));
-  wire::put_u64(os, correlation_id);
-  wire::put_u8(os, status);
-  put_string(os, model);
-  wire::put_u64(os, model_version);
-  wire::put_u64(os, rows);
-  wire::put_u64(os, outputs.size());
-  for (std::int16_t o : outputs) {
-    const auto u = static_cast<std::uint16_t>(o);
-    wire::put_u8(os, static_cast<std::uint8_t>(u & 0xFF));
-    wire::put_u8(os, static_cast<std::uint8_t>(u >> 8));
-  }
-  put_string(os, message);
-  return framed(os.str());
+  FrameWriter w(MsgType::kInferResponse, correlation_id,
+                kPreludeBytes + 1 + 4 + model.size() + 8 + 8 + 8 +
+                    2 * outputs.size() + 4 + message.size());
+  w.u8(status);
+  w.str(model);
+  w.u64(model_version);
+  w.u64(rows);
+  w.u64(outputs.size());
+  w.i16s(outputs);
+  w.str(message);
+  return w.seal();
 }
 
 std::string ReplMessage::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(type));
-  wire::put_u64(os, arg);
-  wire::put_u64(os, arg2);
-  wire::put_u64(os, bytes.size());
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return framed(os.str());
+  // The prelude's correlation-id slot carries `arg`.
+  FrameWriter w(type, arg, kPreludeBytes + 8 + 8 + bytes.size());
+  w.u64(arg2);
+  w.u64(bytes.size());
+  w.bytes(bytes.data(), bytes.size());
+  return w.seal();
 }
 
 bool parse_repl(const std::string& payload, ReplMessage* out) {
@@ -160,31 +193,25 @@ bool parse_repl(const std::string& payload, ReplMessage* out) {
   if (!c.u64(&out->arg2)) return false;
   std::uint64_t n = 0;
   if (!c.u64(&n)) return false;
-  std::vector<std::uint8_t> body;
-  if (!c.bytes(&body, n)) return false;
-  out->bytes.assign(body.begin(), body.end());
+  if (!c.bytes(&out->bytes, n)) return false;
   return c.done();
 }
 
 std::string AdminRequest::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(MsgType::kAdminRequest));
-  wire::put_u64(os, correlation_id);
-  wire::put_u8(os, op);
-  put_string(os, target);
-  return framed(os.str());
+  FrameWriter w(MsgType::kAdminRequest, correlation_id,
+                kPreludeBytes + 1 + 4 + target.size());
+  w.u8(op);
+  w.str(target);
+  return w.seal();
 }
 
 std::string AdminResponse::encode() const {
-  std::ostringstream os;
-  wire::put_u8(os, kWireVersion);
-  wire::put_u8(os, static_cast<std::uint8_t>(MsgType::kAdminResponse));
-  wire::put_u64(os, correlation_id);
-  wire::put_u8(os, status);
-  wire::put_u64(os, arg);
-  put_string(os, body);
-  return framed(os.str());
+  FrameWriter w(MsgType::kAdminResponse, correlation_id,
+                kPreludeBytes + 1 + 8 + 4 + body.size());
+  w.u8(status);
+  w.u64(arg);
+  w.str(body);
+  return w.seal();
 }
 
 bool parse_admin_request(const std::string& payload, AdminRequest* out) {
@@ -251,25 +278,21 @@ FrameDecoder::Result FrameDecoder::next(std::string* payload) {
     buf_.erase(0, pos_);
     pos_ = 0;
   }
+  constexpr std::size_t kHdr = maddness::kFrameHeaderBytes;
   const std::size_t avail = buf_.size() - pos_;
-  if (avail < 12) return Result::kNeedMore;  // len(8) + crc(4)
+  if (avail < kHdr) return Result::kNeedMore;
   const char* p = buf_.data() + pos_;
   std::uint64_t len = 0;
-  for (int i = 0; i < 8; ++i)
-    len |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
-           << (8 * i);
+  std::uint32_t crc = 0;
+  maddness::read_frame_header(p, &len, &crc);
   // An oversized length word means a desynchronized or hostile stream;
   // there is no way to resynchronize framing, so the caller must close.
   if (len > max_frame_bytes_) return Result::kBad;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i)
-    crc |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[8 + i]))
-           << (8 * i);
-  if (avail < 12 + len) return Result::kNeedMore;
-  if (maddness::crc32(p + 12, static_cast<std::size_t>(len)) != crc)
+  if (avail < kHdr + len) return Result::kNeedMore;
+  if (maddness::crc32(p + kHdr, static_cast<std::size_t>(len)) != crc)
     return Result::kBad;
-  payload->assign(p + 12, static_cast<std::size_t>(len));
-  pos_ += 12 + static_cast<std::size_t>(len);
+  payload->assign(p + kHdr, static_cast<std::size_t>(len));
+  pos_ += kHdr + static_cast<std::size_t>(len);
   return Result::kFrame;
 }
 

@@ -4,8 +4,8 @@
 //
 //   [u64 payload length][u32 CRC-32 of payload][payload bytes]
 //
-// written little-endian (util/wire.hpp helpers). The payload starts
-// with a fixed prelude:
+// written little-endian. Each encode() builds its whole frame in one
+// buffer. The payload starts with a fixed prelude:
 //
 //   [u8 version][u8 msg type][u64 correlation id]
 //

@@ -317,11 +317,15 @@ void WorkerPool::worker_main(int worker_id) {
       total_ns.push_back(std::chrono::duration<double, std::nano>(
                              t_done - req.enqueued_at)
                              .count());
-      const std::uint32_t out_crc = maddness::crc32(
-          res.outputs.data(), res.outputs.size() * sizeof(std::int16_t));
+      // Only a journal stores the output CRC.
+      auto* journal = journal_.load(std::memory_order_acquire);
+      const std::uint32_t out_crc =
+          journal ? maddness::crc32(res.outputs.data(),
+                                    res.outputs.size() * sizeof(std::int16_t))
+                  : 0;
       const std::uint64_t req_id = req.id;
       req.fulfill(std::move(res));
-      if (auto* journal = journal_.load(std::memory_order_acquire)) {
+      if (journal) {
         const Clock::time_point t_j = Clock::now();
         {
           SSMA_TRACE_SPAN_IDS(kJournalAppend, req_id, req_id);
