@@ -121,8 +121,7 @@ void NetServer::loop_main() {
       if ((events[i].events & EPOLLIN) && !stopping)
         conn_readable(id, c);
       if (conns_.count(id) && (events[i].events & EPOLLOUT))
-        if (flush_writes(id, *conns_.at(id)))
-          update_interest(id, *conns_.at(id));
+        flush_and_rearm(id, *conns_.at(id));
     }
 
     drain_outbox();
@@ -177,7 +176,10 @@ void NetServer::conn_readable(std::uint64_t id, Conn& c) {
   for (;;) {
     const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
     if (n == 0) {
-      close_conn(id, /*protocol_error=*/false);
+      // A half-close ends the requests, not the responses: stop
+      // reading, and close once every request in flight is answered.
+      c.read_eof = true;
+      flush_and_rearm(id, c);
       return;
     }
     if (n < 0) {
@@ -429,20 +431,29 @@ void NetServer::drain_outbox() {
     std::lock_guard<std::mutex> lock(out_mu_);
     done.swap(outbox_);
   }
+  std::vector<std::uint64_t> touched;
+  touched.reserve(done.size());
   for (Completion& comp : done) {
     const auto it = conns_.find(comp.conn_id);
     if (it == conns_.end()) continue;  // connection died mid-flight
     Conn& c = *it->second;
     if (c.inflight > 0) c.inflight--;
     enqueue_response(c, comp.bytes);
+    touched.push_back(comp.conn_id);
   }
   // Flush and re-arm once per touched connection, not per completion.
-  for (Completion& comp : done) {
-    const auto it = conns_.find(comp.conn_id);
-    if (it == conns_.end()) continue;
-    if (flush_writes(comp.conn_id, *it->second))
-      update_interest(comp.conn_id, *it->second);
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (std::uint64_t id : touched) flush_and_rearm(id, *conns_.at(id));
+}
+
+void NetServer::flush_and_rearm(std::uint64_t id, Conn& c) {
+  if (!flush_writes(id, c)) return;  // a send error closed it
+  if (c.read_eof && c.inflight == 0 && c.wpos == c.wbuf.size()) {
+    close_conn(id, /*protocol_error=*/false);
+    return;
   }
+  update_interest(id, c);
 }
 
 void NetServer::update_interest(std::uint64_t id, Conn& c) {
@@ -463,9 +474,11 @@ void NetServer::update_interest(std::uint64_t id, Conn& c) {
 
   epoll_event ev{};
   ev.data.u64 = id;
-  ev.events = EPOLLRDHUP;
-  if (!paused && !stopping_.load(std::memory_order_acquire))
-    ev.events |= EPOLLIN;
+  // EPOLLRDHUP is level-triggered and only a read consumes it, so it is
+  // armed only with EPOLLIN: a paused, half-closed peer must not wake
+  // the loop on every wait.
+  if (!paused && !c.read_eof && !stopping_.load(std::memory_order_acquire))
+    ev.events |= EPOLLIN | EPOLLRDHUP;
   if (unflushed > 0) ev.events |= EPOLLOUT;
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
 }

@@ -22,6 +22,10 @@
 // tenant rate) is answered with typed rejections instead, so a shed
 // client always gets an ack.
 //
+// A peer that half-closes (shutdown(SHUT_WR)) still gets a response to
+// every request it sent: the loop stops reading it and closes it once
+// nothing is in flight and its write buffer has flushed.
+//
 // stop() is graceful: accepting and reading stop immediately, but the
 // loop keeps draining until every submitted request has delivered its
 // response bytes to the socket — no lost acks — then closes.
@@ -119,6 +123,7 @@ class NetServer {
     std::size_t wpos = 0;   ///< flushed prefix of wbuf
     std::size_t inflight = 0;
     bool read_paused = false;
+    bool read_eof = false;  ///< peer half-closed; close once answered
     explicit Conn(std::size_t max_frame) : decoder(max_frame) {}
   };
 
@@ -135,6 +140,9 @@ class NetServer {
                    serve::RejectReason reason, const std::string& msg);
   void enqueue_response(Conn& c, const std::string& bytes);
   bool flush_writes(std::uint64_t id, Conn& c);
+  /// flush_writes, then either close a half-closed connection with
+  /// nothing left in flight or unflushed, or re-arm its interest.
+  void flush_and_rearm(std::uint64_t id, Conn& c);
   void drain_outbox();
   void update_interest(std::uint64_t id, Conn& c);
   void close_conn(std::uint64_t id, bool protocol_error);

@@ -6,11 +6,13 @@
 // class (unknown model, malformed payload, rate limiting, expired
 // deadlines, shutdown), protocol-error hangups, concurrent
 // connections, graceful stop with clients attached (no hangs, no lost
-// acks), and NetClient's typed errors on a corrupt or cut response
-// stream.
+// acks), half-closed clients (every response, then EOF, and no busy
+// loop while paused), and NetClient's typed errors on a corrupt or cut
+// response stream.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -311,6 +313,8 @@ class RawConn {
   FrameRead read(FrameDecoder& dec, std::string* payload) {
     return read_frame(fd_, dec, payload);
   }
+  /// Ends the request stream; responses can still arrive.
+  void half_close() { ASSERT_EQ(::shutdown(fd_, SHUT_WR), 0); }
   /// Blocks until the peer closes; true on EOF.
   bool drain_to_eof() {
     char buf[4096];
@@ -568,6 +572,80 @@ TEST(NetServerTest, BackpressurePausesReadsButLosesNothing) {
               lb.fix.expected_for(lb.fix.codes_for(i), 1));
   }
   cli.close();
+}
+
+/// Three 1-row requests on one raw connection, then a half-close.
+void send_three_and_half_close(Loopback& lb, RawConn& raw) {
+  raw.connect(lb.net->port());
+  std::string frames;
+  for (std::uint64_t i = 0; i < 3; ++i)
+    frames += make_request(i, lb.fix.codes_for(i)).encode();
+  raw.send_bytes(frames);
+  raw.half_close();
+}
+
+/// Reads the three responses, bit-exact, then expects EOF.
+void expect_three_responses_then_eof(Loopback& lb, RawConn& raw) {
+  FrameDecoder dec(1 << 20);
+  std::string payload;
+  std::map<std::uint64_t, RpcResponse> got;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(raw.read(dec, &payload), FrameRead::kFrame)
+        << "response " << i << " lost after the half-close";
+    RpcResponse resp;
+    ASSERT_TRUE(parse_response(payload, &resp));
+    got[resp.correlation_id] = std::move(resp);
+  }
+  ASSERT_EQ(got.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got.at(i).status, kStatusOk);
+    EXPECT_EQ(got.at(i).outputs,
+              lb.fix.expected_for(lb.fix.codes_for(i), 1));
+  }
+  EXPECT_EQ(raw.read(dec, &payload), FrameRead::kEof);
+}
+
+serve::ServerOptions paced_one_worker(double ns_per_row) {
+  serve::ServerOptions sopts;
+  sopts.num_workers = 1;
+  sopts.engine.backend = engine::Backend::kDevicePaced;
+  sopts.engine.device_ns_per_token = ns_per_row;
+  return sopts;
+}
+
+TEST(NetServerTest, HalfClosedClientGetsEveryResponseThenEof) {
+  // 20 ms a row keeps every request in flight when the EOF arrives.
+  Loopback lb({}, paced_one_worker(20'000'000));
+  RawConn raw;
+  send_three_and_half_close(lb, raw);
+  expect_three_responses_then_eof(lb, raw);
+}
+
+TEST(NetServerTest, PausedHalfClosedConnectionDoesNotSpinTheLoop) {
+  // Three requests against a cap of two pause reads; the half-close
+  // then waits unread until the pressure halves, 600+ ms later.
+  NetServerOptions nopts;
+  nopts.max_inflight_per_conn = 2;
+  Loopback lb(nopts, paced_one_worker(300'000'000));
+  RawConn raw;
+  send_three_and_half_close(lb, raw);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+
+  const auto cpu_ms = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  constexpr double kWindowMs = 300;
+  const double before = cpu_ms();
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(static_cast<int>(kWindowMs)));
+  const double used = cpu_ms() - before;
+  EXPECT_LT(used, kWindowMs / 3)
+      << "event loop busy while reads were paused";
+  EXPECT_GE(lb.net->stats().read_pauses, 1u);
+  expect_three_responses_then_eof(lb, raw);
 }
 
 TEST(NetServerTest, ConcurrentConnectionsServeIndependently) {
