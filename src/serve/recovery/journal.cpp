@@ -299,35 +299,39 @@ std::uint64_t RequestJournal::append_completed(std::uint64_t id,
 bool RequestJournal::parse_record(const std::string& payload,
                                   ParsedRecord* out) {
   std::istringstream body(payload);
-  std::uint8_t type = 0;
+  // Every length field is checked against the bytes after it, so a
+  // hostile length fails the parse before it sizes an allocation.
+  const auto left = [&] {
+    return static_cast<std::uint64_t>(payload.size()) -
+           static_cast<std::uint64_t>(body.tellg());
+  };
   try {
-    type = wire::get_u8(body);
+    const std::uint8_t type = wire::get_u8(body);
     if (type == kAccepted || type == kAcceptedV2) {
       out->is_accepted = true;
       AcceptedRecord& rec = out->accepted;
       rec.id = wire::get_u64(body);
       if (type == kAcceptedV2) {
-        rec.model.resize(static_cast<std::size_t>(wire::get_u64(body)));
-        body.read(rec.model.data(),
-                  static_cast<std::streamsize>(rec.model.size()));
-        if (body.gcount() !=
-            static_cast<std::streamsize>(rec.model.size()))
-          return false;
+        const std::uint64_t n = wire::get_u64(body);
+        if (n > left()) return false;
+        rec.model.resize(static_cast<std::size_t>(n));
+        body.read(rec.model.data(), static_cast<std::streamsize>(n));
         rec.model_version = wire::get_u64(body);
       }
       rec.rows = static_cast<std::size_t>(wire::get_u64(body));
-      rec.codes.resize(static_cast<std::size_t>(wire::get_u64(body)));
+      const std::uint64_t ncodes = wire::get_u64(body);
+      if (ncodes > left()) return false;
+      rec.codes.resize(static_cast<std::size_t>(ncodes));
       body.read(reinterpret_cast<char*>(rec.codes.data()),
-                static_cast<std::streamsize>(rec.codes.size()));
-      return body.gcount() ==
-             static_cast<std::streamsize>(rec.codes.size());
+                static_cast<std::streamsize>(ncodes));
+      return true;
     }
     if (type == kCompleted) {
       out->is_accepted = false;
       out->completed_id = wire::get_u64(body);
       wire::get_u32(body);  // worker id: informational only
       out->completed_crc = wire::get_u32(body);
-      return body.good() || body.eof();
+      return true;
     }
   } catch (const std::exception&) {
     return false;  // wire::get_* underflow on a truncated payload
@@ -366,40 +370,17 @@ JournalReplay RequestJournal::read(const std::string& path) {
         continue;
       }
     }
-    std::istringstream body(payload);
-    const std::uint8_t type = wire::get_u8(body);
-    if (type == kAccepted || type == kAcceptedV2) {
-      AcceptedRecord rec;
-      rec.id = wire::get_u64(body);
-      if (type == kAcceptedV2) {
-        rec.model.resize(static_cast<std::size_t>(wire::get_u64(body)));
-        body.read(rec.model.data(),
-                  static_cast<std::streamsize>(rec.model.size()));
-        SSMA_CHECK_MSG(body.gcount() == static_cast<std::streamsize>(
-                                            rec.model.size()),
-                       "journal accepted record underflow");
-        rec.model_version = wire::get_u64(body);
-      }
-      rec.rows = static_cast<std::size_t>(wire::get_u64(body));
-      rec.codes.resize(static_cast<std::size_t>(wire::get_u64(body)));
-      body.read(reinterpret_cast<char*>(rec.codes.data()),
-                static_cast<std::streamsize>(rec.codes.size()));
-      SSMA_CHECK_MSG(body.gcount() ==
-                         static_cast<std::streamsize>(rec.codes.size()),
-                     "journal accepted record underflow");
+    ParsedRecord rec;
+    SSMA_CHECK_MSG(parse_record(payload, &rec),
+                   "unparseable journal record in " << path);
+    if (rec.is_accepted) {
       replay.accepted++;
-      replay.max_id = std::max(replay.max_id, rec.id);
-      accepted.push_back(std::move(rec));
-    } else if (type == kCompleted) {
-      const std::uint64_t id = wire::get_u64(body);
-      wire::get_u32(body);  // worker id: informational only
-      const std::uint32_t crc = wire::get_u32(body);
-      replay.completed++;
-      replay.max_id = std::max(replay.max_id, id);
-      replay.completed_crc[id] = crc;
+      replay.max_id = std::max(replay.max_id, rec.accepted.id);
+      accepted.push_back(std::move(rec.accepted));
     } else {
-      SSMA_CHECK_MSG(false, "unknown journal record type "
-                                << static_cast<int>(type));
+      replay.completed++;
+      replay.max_id = std::max(replay.max_id, rec.completed_id);
+      replay.completed_crc[rec.completed_id] = rec.completed_crc;
     }
   }
 

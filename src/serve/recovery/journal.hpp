@@ -149,11 +149,14 @@ class RequestJournal {
   const std::string& path() const { return path_; }
 
   /// Parses a journal file, tolerating a torn tail. A missing file
-  /// yields an empty replay.
+  /// yields an empty replay; a whole frame whose record does not parse
+  /// throws CheckError.
   static JournalReplay read(const std::string& path);
 
   /// Decodes one record payload (the framed blob's contents). Returns
-  /// false on an unknown type or truncated fields.
+  /// false on an unknown type, truncated fields, or a length field
+  /// larger than the bytes after it; allocates no more than the payload
+  /// holds. read() decodes every record through it.
   static bool parse_record(const std::string& payload, ParsedRecord* out);
 
  private:

@@ -33,6 +33,7 @@
 #include "serve/replication/replication.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
+#include "util/wire.hpp"
 
 namespace ssma::serve {
 namespace {
@@ -319,6 +320,48 @@ TEST(Journal, ReopenTruncatesTornTailSoNewAppendsStayReadable) {
   ASSERT_EQ(replay.unacknowledged.size(), 2u);
   EXPECT_EQ(replay.unacknowledged[0].id, 0u);
   EXPECT_EQ(replay.unacknowledged[1].id, 9u);
+}
+
+/// An accepted-record payload that ends in a length field claiming
+/// `claim` bytes with none after it: the model name of a model-tagged
+/// record (type 3), or the codes of a v1 record (type 1).
+std::string hostile_record(bool model_name, std::uint64_t claim) {
+  std::ostringstream os;
+  wire::put_u8(os, model_name ? 3 : 1);
+  wire::put_u64(os, 7);                   // request id
+  if (!model_name) wire::put_u64(os, 1);  // rows
+  wire::put_u64(os, claim);
+  return os.str();
+}
+
+TEST(Journal, HostileLengthFieldFailsParseWithoutAllocating) {
+  for (bool model_name : {true, false}) {
+    const std::string payload = hostile_record(model_name, 256u << 20);
+    recovery::ParsedRecord rec;
+    EXPECT_FALSE(RequestJournal::parse_record(payload, &rec));
+    EXPECT_LE(rec.accepted.model.capacity(), payload.size());
+    EXPECT_LE(rec.accepted.codes.capacity(), payload.size());
+  }
+}
+
+TEST(Journal, HostileLengthFieldInFileIsACheckError) {
+  TmpDir dir("jnlhostile");
+  int n = 0;
+  for (std::uint64_t claim : {std::uint64_t{1} << 62, std::uint64_t{1} << 40})
+    for (bool model_name : {true, false}) {
+      const std::string path = dir.file("j" + std::to_string(n++) + ".jnl");
+      {
+        RequestJournal jnl(path);
+        jnl.append_accepted(0, 1, {1, 2, 3, 4});
+      }
+      {
+        std::ofstream os(path, std::ios::binary | std::ios::app);
+        maddness::write_framed_blob(os, hostile_record(model_name, claim));
+      }
+      EXPECT_THROW(RequestJournal::read(path), CheckError)
+          << "claim " << claim << (model_name ? " in the model name"
+                                              : " in the codes");
+    }
 }
 
 TEST(Journal, TornMagicIsRewrittenForeignFileIsRefused) {
