@@ -54,32 +54,10 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
-/// Little-endian u32 from bytes, read one at a time: no alignment or
-/// host byte order assumed.
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-void store_le(char* dst, std::uint64_t v, int nbytes) {
-  for (int i = 0; i < nbytes; ++i)
-    dst[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-}
-
-std::uint64_t load_le(const char* src, int nbytes) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < nbytes; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(src[i]))
-         << (8 * i);
-  return v;
-}
-
 /// The frame header for `n` payload bytes at `payload`.
 void put_frame_header(char* hdr, const char* payload, std::size_t n) {
-  store_le(hdr, n, 8);
-  store_le(hdr + 8, crc32(payload, n), 4);
+  wire::store_le(hdr, n, 8);
+  wire::store_le(hdr + 8, crc32(payload, n), 4);
 }
 
 void put_matrix(std::ostream& os, const Matrix& m) {
@@ -130,8 +108,8 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   crc = ~crc;
   for (; n >= 8; n -= 8, p += 8) {
-    const std::uint32_t lo = crc ^ load_le32(p);
-    const std::uint32_t hi = load_le32(p + 4);
+    const auto lo = crc ^ static_cast<std::uint32_t>(wire::load_le(p, 4));
+    const auto hi = static_cast<std::uint32_t>(wire::load_le(p + 4, 4));
     crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
           t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
           t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
@@ -153,8 +131,8 @@ void seal_frame(std::string* frame) {
 
 void read_frame_header(const char* hdr, std::uint64_t* len,
                        std::uint32_t* crc) {
-  *len = load_le(hdr, 8);
-  *crc = static_cast<std::uint32_t>(load_le(hdr + 8, 4));
+  *len = wire::load_le(hdr, 8);
+  *crc = static_cast<std::uint32_t>(wire::load_le(hdr + 8, 4));
 }
 
 void write_framed_blob(std::ostream& os, const std::string& payload) {

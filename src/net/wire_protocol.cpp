@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "maddness/framing.hpp"
+#include "util/wire.hpp"
 
 namespace ssma::net {
 
@@ -56,8 +57,7 @@ class FrameWriter {
  private:
   void le(std::uint64_t v, int nbytes) {
     char b[8];
-    for (int i = 0; i < nbytes; ++i)
-      b[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+    wire::store_le(b, v, nbytes);
     buf_.append(b, static_cast<std::size_t>(nbytes));
   }
 
@@ -78,21 +78,13 @@ class Cursor {
   }
   bool u32(std::uint32_t* v) {
     if (end_ - p_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i)
-      *v |= static_cast<std::uint32_t>(
-                static_cast<std::uint8_t>(p_[i]))
-            << (8 * i);
+    *v = static_cast<std::uint32_t>(wire::load_le(p_, 4));
     p_ += 4;
     return true;
   }
   bool u64(std::uint64_t* v) {
     if (end_ - p_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i)
-      *v |= static_cast<std::uint64_t>(
-                static_cast<std::uint8_t>(p_[i]))
-            << (8 * i);
+    *v = wire::load_le(p_, 8);
     p_ += 8;
     return true;
   }

@@ -17,6 +17,22 @@
 
 namespace ssma::wire {
 
+/// Writes the low `nbytes` bytes of `v` at `dst`, little-endian.
+inline void store_le(char* dst, std::uint64_t v, int nbytes) {
+  for (int i = 0; i < nbytes; ++i)
+    dst[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+/// Reads `nbytes` little-endian bytes at `src` one at a time, so no
+/// alignment or host byte order is assumed.
+inline std::uint64_t load_le(const void* src, int nbytes) {
+  const auto* p = static_cast<const std::uint8_t*>(src);
+  std::uint64_t v = 0;
+  for (int i = 0; i < nbytes; ++i)
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
 inline void put_u8(std::ostream& os, std::uint8_t v) {
   os.put(static_cast<char>(v));
   SSMA_CHECK_MSG(os.good(),
