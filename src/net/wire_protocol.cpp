@@ -9,15 +9,14 @@ namespace ssma::net {
 
 namespace {
 
-constexpr std::size_t kPreludeBytes = 10;  // version, type, correlation id
-
-/// Builds one frame in a single pre-sized buffer: the header slot, then
-/// little-endian fields appended in order, then seal() fills the slot.
-/// `payload_bytes` only sizes the reservation.
+/// Builds one frame in a single pre-sized buffer: the header slot, the
+/// prelude, then little-endian fields appended in order; seal() fills
+/// the slot. `var_bytes` (the message's strings and arrays) only sizes
+/// the reservation; every message's fixed fields fit in kFixedBytes.
 class FrameWriter {
  public:
-  FrameWriter(MsgType type, std::uint64_t corr, std::size_t payload_bytes) {
-    buf_.reserve(maddness::kFrameHeaderBytes + payload_bytes);
+  FrameWriter(MsgType type, std::uint64_t corr, std::size_t var_bytes) {
+    buf_.reserve(maddness::kFrameHeaderBytes + kFixedBytes + var_bytes);
     buf_.resize(maddness::kFrameHeaderBytes);
     u8(kWireVersion);
     u8(static_cast<std::uint8_t>(type));
@@ -55,6 +54,8 @@ class FrameWriter {
   }
 
  private:
+  static constexpr std::size_t kFixedBytes = 64;
+
   void le(std::uint64_t v, int nbytes) {
     char b[8];
     wire::store_le(b, v, nbytes);
@@ -137,8 +138,7 @@ bool parse_prelude(Cursor& c, MsgType want, std::uint64_t* corr) {
 
 std::string RpcRequest::encode() const {
   FrameWriter w(MsgType::kInferRequest, correlation_id,
-                kPreludeBytes + 4 + tenant.size() + 4 + model_ref.size() +
-                    4 + 1 + 8 + 8 + codes.size());
+                tenant.size() + model_ref.size() + codes.size());
   w.str(tenant);
   w.str(model_ref);
   w.u32(deadline_ms);
@@ -151,8 +151,7 @@ std::string RpcRequest::encode() const {
 
 std::string RpcResponse::encode() const {
   FrameWriter w(MsgType::kInferResponse, correlation_id,
-                kPreludeBytes + 1 + 4 + model.size() + 8 + 8 + 8 +
-                    2 * outputs.size() + 4 + message.size());
+                model.size() + 2 * outputs.size() + message.size());
   w.u8(status);
   w.str(model);
   w.u64(model_version);
@@ -165,7 +164,7 @@ std::string RpcResponse::encode() const {
 
 std::string ReplMessage::encode() const {
   // The prelude's correlation-id slot carries `arg`.
-  FrameWriter w(type, arg, kPreludeBytes + 8 + 8 + bytes.size());
+  FrameWriter w(type, arg, bytes.size());
   w.u64(arg2);
   w.u64(bytes.size());
   w.bytes(bytes.data(), bytes.size());
@@ -190,16 +189,14 @@ bool parse_repl(const std::string& payload, ReplMessage* out) {
 }
 
 std::string AdminRequest::encode() const {
-  FrameWriter w(MsgType::kAdminRequest, correlation_id,
-                kPreludeBytes + 1 + 4 + target.size());
+  FrameWriter w(MsgType::kAdminRequest, correlation_id, target.size());
   w.u8(op);
   w.str(target);
   return w.seal();
 }
 
 std::string AdminResponse::encode() const {
-  FrameWriter w(MsgType::kAdminResponse, correlation_id,
-                kPreludeBytes + 1 + 8 + 4 + body.size());
+  FrameWriter w(MsgType::kAdminResponse, correlation_id, body.size());
   w.u8(status);
   w.u64(arg);
   w.str(body);
