@@ -391,6 +391,75 @@ TEST(Journal, TornMagicIsRewrittenForeignFileIsRefused) {
   EXPECT_THROW(RequestJournal{foreign}, CheckError);
 }
 
+// Pins the journal's on-disk bytes: a committed journal holding every
+// record type (v1 accept, model-tagged accepts, completions, one of
+// them for an id that was never accepted) behind a compaction marker
+// must equal what RequestJournal writes today, and must replay to the
+// expected state. Regenerate (deliberate format bumps only) with
+// --gtest_also_run_disabled_tests --gtest_filter='*RegenerateJournalGolden*'
+namespace journal_golden {
+
+std::string path() {
+  return std::string(SSMA_TEST_DATA_DIR) + "/journal_golden.ssj";
+}
+
+/// Writes the canonical journal at `p` (which must not exist yet).
+void write(const std::string& p) {
+  RequestJournal jnl(p);
+  jnl.append_accepted(0, "alpha", 1, 1, {1, 2, 3, 4});
+  jnl.append_completed(0, 0, 0x0A0B0C0Du);
+  jnl.append_accepted(1, "alpha", 2, 2, {5, 6, 7, 8, 9, 10, 11, 12});
+  jnl.append_accepted(2, 1, {200, 201, 202, 203});
+  jnl.append_completed(1, 1, 0xDEADBEEFu);
+  jnl.append_completed(7, 2, 0x12345678u);  // never accepted
+  jnl.append_accepted(3, "beta", 1, 1, {255, 0, 128, 64});
+  // Records 1-3 are acknowledged; record 4 (request 2) is not.
+  EXPECT_EQ(jnl.compact(5), 3u);
+  jnl.append_completed(3, 0, 0xCAFEF00Du);
+}
+
+}  // namespace journal_golden
+
+TEST(Journal, GoldenJournalFormatIsStable) {
+  TmpDir dir("jnlgolden");
+  const std::string p = dir.file("golden.ssj");
+  journal_golden::write(p);
+  EXPECT_EQ(slurp(p), slurp(journal_golden::path()))
+      << "journal encoders changed bytes: format drift";
+
+  const auto replay = RequestJournal::read(journal_golden::path());
+  EXPECT_EQ(replay.compacted_through, 3u);
+  EXPECT_FALSE(replay.torn_tail);
+  EXPECT_EQ(replay.accepted, 2u);
+  EXPECT_EQ(replay.completed, 3u);
+  EXPECT_EQ(replay.max_id, 7u);
+  EXPECT_EQ(replay.completed_crc,
+            (std::unordered_map<std::uint64_t, std::uint32_t>{
+                {1, 0xDEADBEEFu}, {7, 0x12345678u}, {3, 0xCAFEF00Du}}));
+  ASSERT_EQ(replay.unacknowledged.size(), 1u);
+  const AcceptedRecord& rec = replay.unacknowledged[0];
+  EXPECT_EQ(rec.id, 2u);
+  EXPECT_EQ(rec.rows, 1u);
+  EXPECT_EQ(rec.model, "");
+  EXPECT_EQ(rec.model_version, 0u);
+  EXPECT_EQ(rec.codes, (std::vector<std::uint8_t>{200, 201, 202, 203}));
+
+  // Reopening the committed file continues its pre-compaction
+  // addressing.
+  const std::string copy = dir.file("copy.ssj");
+  std::filesystem::copy_file(journal_golden::path(), copy);
+  RequestJournal again(copy);
+  EXPECT_EQ(again.durable_seq(), 8u);
+  EXPECT_EQ(again.compaction_info().base_seq, 3u);
+}
+
+// Not a test: regenerates the golden journal after a deliberate format
+// bump.
+TEST(Journal, DISABLED_RegenerateJournalGolden) {
+  std::filesystem::remove(journal_golden::path());
+  journal_golden::write(journal_golden::path());
+}
+
 // ---------------------------------------- crash-at-every-point matrix
 
 // A fault after each worker pipeline stage; the supervisor requeues the
@@ -710,6 +779,10 @@ TEST(Recovery, GoldenCheckpointFormatIsStable) {
   }
   EXPECT_EQ(i, out.size());
 
+  // The embedded operator re-encodes to its committed bytes.
+  EXPECT_EQ(amm.save_string(), st.amm_blob)
+      << "AMM re-encode changed bytes: format drift";
+
   // save -> load -> save is byte-identical (no serialization drift).
   TmpDir dir("golden");
   const std::string again = dir.file("rewrite.ssck");
@@ -797,6 +870,18 @@ TEST(Recovery, GoldenCheckpointV2FormatIsStable) {
     i++;
   }
   EXPECT_EQ(i, got.size());
+
+  // Every bank re-encodes to its stored blob, and the loaded registry
+  // re-encodes to the committed registry section.
+  for (const char* ref : {"alpha@1", "alpha@2", "beta@1"}) {
+    const engine::ModelRef h = reg.resolve(ref);
+    EXPECT_EQ(h->amm().save_string(), h->blob())
+        << ref << ": AMM re-encode changed bytes: format drift";
+  }
+  std::ostringstream resaved;
+  reg.save(resaved);
+  EXPECT_EQ(resaved.str(), st.registry_blob)
+      << "registry re-encode changed bytes: format drift";
 
   // load -> re-encode is byte-identical (registry ordering and framing
   // are deterministic).
