@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -75,44 +74,6 @@ double SampleSet::percentile(double p) const {
   const auto rank = static_cast<std::size_t>(
       std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
   return sorted[std::min(rank == 0 ? 0 : rank - 1, sorted.size() - 1)];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  SSMA_CHECK(hi > lo);
-  SSMA_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<long long>(
-      std::floor(frac * static_cast<double>(counts_.size())));
-  idx = std::clamp<long long>(idx, 0,
-                              static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::ostringstream oss;
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / peak;
-    oss.setf(std::ios::fixed);
-    oss.precision(2);
-    oss << "[" << bin_lo(i) << ", " << bin_hi(i) << ") ";
-    for (std::size_t b = 0; b < bar; ++b) oss << '#';
-    oss << " " << counts_[i] << "\n";
-  }
-  return oss.str();
 }
 
 }  // namespace ssma

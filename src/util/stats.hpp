@@ -1,10 +1,9 @@
-// Streaming statistics accumulators and histograms used by the simulator
+// Streaming statistics accumulators used by the simulator
 // (latency distributions, energy ledgers) and by the benchmark harness.
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace ssma {
@@ -47,24 +46,6 @@ class SampleSet {
 
  private:
   std::vector<double> samples_;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins. Renders as an ASCII bar chart for bench output.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t total() const { return total_; }
-  const std::vector<std::size_t>& bins() const { return counts_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace ssma

@@ -135,19 +135,6 @@ TEST(SampleSet, PercentilesExact) {
   EXPECT_DOUBLE_EQ(s.max(), 100.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);   // clamps to bin 0
-  h.add(0.5);
-  h.add(9.99);
-  h.add(25.0);   // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bins()[0], 2u);
-  EXPECT_EQ(h.bins()[9], 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(9), 10.0);
-}
-
 TEST(Matrix, GemmMatchesNaive) {
   Rng r(41);
   Matrix a(17, 23), b(23, 9);
