@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
+#include <ostream>
 #include <utility>
 
 #include "maddness/framing.hpp"
@@ -32,16 +32,26 @@ void check_stage_chain(const std::vector<maddness::Amm>& stages) {
 
 std::string pipeline_blob(const std::vector<const maddness::Amm*>& stages) {
   SSMA_CHECK_MSG(!stages.empty(), "a pipeline needs at least one stage");
-  std::ostringstream payload;
-  wire::put_u64(payload, stages.size());
+  std::vector<std::string> blobs;
+  blobs.reserve(stages.size());
+  std::size_t total = 0;
   for (const maddness::Amm* amm : stages) {
     SSMA_CHECK(amm != nullptr);
-    maddness::write_framed_blob(payload, amm->save_string());
+    blobs.push_back(amm->save_string());
+    total += maddness::kFrameHeaderBytes + blobs.back().size();
   }
-  std::ostringstream os;
-  os.write(kPipeMagic, sizeof(kPipeMagic));
-  maddness::write_framed_blob(os, payload.str());
-  return os.str();
+  wire::Writer w(sizeof(kPipeMagic) + maddness::kFrameHeaderBytes + 8 +
+                 total);
+  w.bytes(kPipeMagic, sizeof(kPipeMagic));
+  const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
+  w.u64(stages.size());
+  for (const std::string& blob : blobs) {
+    const std::size_t stage = w.skip(maddness::kFrameHeaderBytes);
+    w.bytes(blob.data(), blob.size());
+    maddness::seal_frame(w, stage);
+  }
+  maddness::seal_frame(w, frame);
+  return w.take();
 }
 
 ModelRef ModelHandle::from_blob(std::string name, std::uint64_t version,
@@ -62,23 +72,27 @@ ModelRef ModelHandle::from_blob(std::string name, std::uint64_t version,
 
   SSMA_CHECK_MSG(blob.size() >= 8, "model blob too short to be framed");
   if (std::equal(kPipeMagic, kPipeMagic + 8, blob.data())) {
-    std::istringstream is(blob);
-    is.ignore(8);
-    std::istringstream payload(maddness::read_framed_blob(is));
-    const std::uint64_t nstages = wire::get_u64(payload);
+    wire::Reader outer(std::string_view(blob).substr(sizeof(kPipeMagic)));
+    wire::Reader payload(maddness::read_frame(outer));
+    const std::uint64_t nstages = payload.u64();
+    SSMA_CHECK_MSG(outer.ok() && payload.ok(),
+                   "truncated or CRC-corrupt pipeline blob (model "
+                       << handle->name_ << ")");
     SSMA_CHECK_MSG(nstages >= 1 && nstages <= 64,
                    "implausible pipeline stage count " << nstages);
     handle->stages_.reserve(static_cast<std::size_t>(nstages));
     for (std::uint64_t s = 0; s < nstages; ++s) {
-      std::istringstream stage(maddness::read_framed_blob(payload));
-      handle->stages_.push_back(maddness::Amm::load(stage));
+      const std::string_view stage = maddness::read_frame(payload);
+      SSMA_CHECK_MSG(payload.ok(), "truncated or CRC-corrupt stage "
+                                       << s << " of pipeline blob (model "
+                                       << handle->name_ << ")");
+      handle->stages_.push_back(maddness::Amm::load_string(stage));
     }
   } else {
     SSMA_CHECK_MSG(
         std::equal(kAmmMagicPrefix, kAmmMagicPrefix + 4, blob.data()),
         "not an SSMA model blob (model " << handle->name_ << ")");
-    std::istringstream is(blob);
-    handle->stages_.push_back(maddness::Amm::load(is));
+    handle->stages_.push_back(maddness::Amm::load_string(blob));
   }
   check_stage_chain(handle->stages_);
   // Compile the execution descriptor once per handle: stages_ is
@@ -299,7 +313,7 @@ std::size_t ModelRegistry::num_models() const {
 
 void ModelRegistry::save(std::ostream& os) const {
   // Snapshot the structure under the lock (handle refcount bumps only),
-  // then stream the — immutable — blobs outside it: serializing a large
+  // then encode the — immutable — blobs outside it: serializing a large
   // registry must not stall admission-path resolves (checkpoint cadence
   // runs save() from the submit path).
   std::map<std::string, Entry> snapshot;
@@ -307,39 +321,49 @@ void ModelRegistry::save(std::ostream& os) const {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot = models_;
   }
-  wire::put_u64(os, snapshot.size());
+  std::size_t total = 8;
+  for (const auto& kv : snapshot) {
+    total += 24 + kv.first.size();
+    for (const auto& vv : kv.second.versions)
+      total += 16 + vv.second->blob().size();
+  }
+  wire::Writer w(total);
+  w.u64(snapshot.size());
   for (const auto& kv : snapshot) {  // std::map: sorted, deterministic
-    wire::put_u64(os, kv.first.size());
-    os.write(kv.first.data(),
-             static_cast<std::streamsize>(kv.first.size()));
-    wire::put_u64(os, kv.second.latest);
-    wire::put_u64(os, kv.second.versions.size());
+    w.u64(kv.first.size());
+    w.bytes(kv.first.data(), kv.first.size());
+    w.u64(kv.second.latest);
+    w.u64(kv.second.versions.size());
     for (const auto& vv : kv.second.versions) {
-      wire::put_u64(os, vv.first);
       const std::string& blob = vv.second->blob();
-      wire::put_u64(os, blob.size());
-      os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+      w.u64(vv.first);
+      w.u64(blob.size());
+      w.bytes(blob.data(), blob.size());
     }
   }
+  os.write(w.data(), static_cast<std::streamsize>(w.size()));
+  SSMA_CHECK_MSG(os.good(), "registry write failure: the sink stream "
+                            "entered an error state");
 }
 
-void ModelRegistry::load(std::istream& is) {
-  const std::uint64_t nmodels = wire::get_u64(is);
-  SSMA_CHECK_MSG(nmodels <= 4096, "implausible registry model count");
+void ModelRegistry::load(std::string_view bytes) {
+  wire::Reader r(bytes);
+  const std::uint64_t nmodels = r.u64();
+  SSMA_CHECK_MSG(r.ok() && nmodels <= 4096,
+                 "implausible registry model count");
   for (std::uint64_t m = 0; m < nmodels; ++m) {
-    std::string name(static_cast<std::size_t>(wire::get_u64(is)), '\0');
-    is.read(name.data(), static_cast<std::streamsize>(name.size()));
-    SSMA_CHECK_MSG(is.good(), "registry decode underflow");
-    const std::uint64_t latest = wire::get_u64(is);
-    const std::uint64_t nversions = wire::get_u64(is);
+    const std::string name(r.bytes(r.u64()));
+    const std::uint64_t latest = r.u64();
+    const std::uint64_t nversions = r.u64();
+    SSMA_CHECK_MSG(r.ok(), "registry decode underflow");
     SSMA_CHECK_MSG(nversions >= 1 && nversions <= 65536,
                    "implausible version count for model " << name);
     for (std::uint64_t v = 0; v < nversions; ++v) {
-      const std::uint64_t version = wire::get_u64(is);
-      std::string blob(static_cast<std::size_t>(wire::get_u64(is)), '\0');
-      is.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-      SSMA_CHECK_MSG(is.good(), "registry decode underflow");
-      install(ModelHandle::from_blob(name, version, std::move(blob)));
+      const std::uint64_t version = r.u64();
+      const std::string_view blob = r.bytes(r.u64());
+      SSMA_CHECK_MSG(r.ok(), "registry decode underflow");
+      if (!try_resolve(name, version))
+        install(ModelHandle::from_blob(name, version, std::string(blob)));
     }
     // Honor the saved latest pointer exactly — including latest == 0, a
     // name whose only versions were staged (registered, checkpointed,
@@ -348,35 +372,6 @@ void ModelRegistry::load(std::istream& is) {
     // silently commit an uncommitted swap. install() bumped latest, so
     // undo that unless the saved pointer names a missing version (a
     // foreign/hand-edited blob — keep the install default then).
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = models_.find(name);
-    if (it != models_.end() &&
-        (latest == 0 || it->second.versions.count(latest)))
-      it->second.latest = latest;
-  }
-}
-
-void ModelRegistry::merge(std::istream& is) {
-  const std::uint64_t nmodels = wire::get_u64(is);
-  SSMA_CHECK_MSG(nmodels <= 4096, "implausible registry model count");
-  for (std::uint64_t m = 0; m < nmodels; ++m) {
-    std::string name(static_cast<std::size_t>(wire::get_u64(is)), '\0');
-    is.read(name.data(), static_cast<std::streamsize>(name.size()));
-    SSMA_CHECK_MSG(is.good(), "registry decode underflow");
-    const std::uint64_t latest = wire::get_u64(is);
-    const std::uint64_t nversions = wire::get_u64(is);
-    SSMA_CHECK_MSG(nversions >= 1 && nversions <= 65536,
-                   "implausible version count for model " << name);
-    for (std::uint64_t v = 0; v < nversions; ++v) {
-      const std::uint64_t version = wire::get_u64(is);
-      std::string blob(static_cast<std::size_t>(wire::get_u64(is)), '\0');
-      is.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-      SSMA_CHECK_MSG(is.good(), "registry decode underflow");
-      if (!try_resolve(name, version))
-        install(ModelHandle::from_blob(name, version, std::move(blob)));
-    }
-    // Same latest-pointer fidelity as load(): the stream is
-    // authoritative, newer than anything this registry was built from.
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = models_.find(name);
     if (it != models_.end() &&

@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/execution_plan.hpp"
@@ -171,17 +172,18 @@ class ModelRegistry {
   /// Registry section of the v2 checkpoint record: every registered
   /// (name, version, blob) plus the latest pointers, in deterministic
   /// (sorted) order so identical registries encode byte-identically.
+  /// Throws CheckError when `os` fails.
   void save(std::ostream& os) const;
-  /// Installs every model from a save() stream into this registry.
-  void load(std::istream& is);
-  /// Applies a save() stream to a registry that may already hold some
-  /// of it: versions already installed are skipped (no re-decode, live
-  /// pins untouched), missing ones installed, and the stream's latest
+  /// Applies save() bytes to this registry, which may already hold some
+  /// of them: versions already installed are skipped (no re-decode, live
+  /// pins untouched), missing ones installed, and the saved latest
   /// pointers honored exactly — including a latest left behind a newer
-  /// staged-but-unpublished version, so a replication follower applying
-  /// successive leader checkpoints resolves "@latest" exactly as the
-  /// leader's own restore would.
-  void merge(std::istream& is);
+  /// staged-but-unpublished version, so a restored server, and a
+  /// replication follower applying successive leader checkpoints,
+  /// resolve "@latest" exactly as the leader did. Throws CheckError on
+  /// malformed bytes; every length field is checked against the bytes
+  /// left before it sizes anything.
+  void load(std::string_view bytes);
 
  private:
   struct Entry {

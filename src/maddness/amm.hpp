@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "maddness/config.hpp"
@@ -89,16 +89,16 @@ class Amm {
                            std::size_t rows) const;
 
   /// Serialization: a trained operator (trees, prototypes, LUTs, scales)
-  /// round-trips through a portable little-endian binary stream — what a
-  /// deployment flow ships to the accelerator's write driver.
-  void save(std::ostream& os) const;
-  static Amm load(std::istream& is);
+  /// round-trips through a portable little-endian SSMAAMM2 blob — what a
+  /// deployment flow ships to the accelerator's write driver, and what
+  /// the model registry, checkpoints and worker shards pass around.
+  /// load_string throws CheckError on a torn, corrupt or foreign blob
+  /// and ignores bytes after its frame; `blob` is not kept.
+  std::string save_string() const;
+  static Amm load_string(std::string_view blob);
+  /// The same blob, as a whole file.
   void save_file(const std::string& path) const;
   static Amm load_file(const std::string& path);
-  /// In-memory blob forms of save/load — what the model registry,
-  /// checkpoints and worker shards pass around.
-  std::string save_string() const;
-  static Amm load_string(const std::string& blob);
 
  private:
   /// Rebuilds the derived hot-path state (packed LUT bank + flattened

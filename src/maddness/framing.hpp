@@ -13,6 +13,12 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+
+namespace ssma::wire {
+class Reader;
+class Writer;
+}  // namespace ssma::wire
 
 namespace ssma::maddness {
 
@@ -25,11 +31,16 @@ std::uint32_t crc32(const std::string& s);
 /// Bytes of the frame header that precedes every payload.
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 
-/// Fills the kFrameHeaderBytes slot at the front of `frame` with the
-/// length and CRC of the payload that follows it, so an encoder can
-/// build a whole frame in one buffer: reserve, append the slot and the
-/// payload, then seal.
-void seal_frame(std::string* frame);
+/// Fills the kFrameHeaderBytes slot at offset `slot` of `w` with the
+/// length and CRC of everything written after it, so an encoder builds
+/// a whole frame in one buffer: skip the slot, append the payload, then
+/// seal. Frames nest: seal an inner frame before appending past it.
+void seal_frame(wire::Writer& w, std::size_t slot);
+
+/// Reads one frame at the position of `r` and returns its payload as a
+/// view into the bytes of `r`. A truncated frame or a CRC mismatch
+/// fails `r` and returns an empty view.
+std::string_view read_frame(wire::Reader& r);
 
 /// Reads the length and CRC from the kFrameHeaderBytes at `hdr`.
 void read_frame_header(const char* hdr, std::uint64_t* len,
@@ -38,13 +49,11 @@ void read_frame_header(const char* hdr, std::uint64_t* len,
 /// Writes one length+CRC frame around `payload`.
 void write_framed_blob(std::ostream& os, const std::string& payload);
 
-/// Reads one frame; throws CheckError on truncation or CRC mismatch.
-std::string read_framed_blob(std::istream& is);
-
-/// Torn-tolerant variant: returns false (leaving *out untouched) on a
-/// clean EOF at the frame boundary, on a truncated frame, or on a CRC
-/// mismatch — the reader treats everything from the first bad frame on
-/// as a torn tail. Never throws on corrupt input.
+/// Reads one frame from a stream of frames, such as a journal file.
+/// Returns false (leaving *out untouched) on a clean EOF at the frame
+/// boundary, on a truncated frame, or on a CRC mismatch: the reader
+/// treats everything from the first bad frame on as a torn tail. Never
+/// throws on corrupt input.
 bool try_read_framed_blob(std::istream& is, std::string* out);
 
 }  // namespace ssma::maddness

@@ -8,8 +8,8 @@
 #include <array>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 
 #include "maddness/amm.hpp"
 #include "maddness/framing.hpp"
@@ -19,17 +19,6 @@
 namespace ssma::maddness {
 
 namespace {
-
-using wire::get_f32;
-using wire::get_f64;
-using wire::get_u32;
-using wire::get_u64;
-using wire::get_u8;
-using wire::put_f32;
-using wire::put_f64;
-using wire::put_u32;
-using wire::put_u64;
-using wire::put_u8;
 
 constexpr char kMagic[8] = {'S', 'S', 'M', 'A', 'A', 'M', 'M', '2'};
 
@@ -60,15 +49,27 @@ void put_frame_header(char* hdr, const char* payload, std::size_t n) {
   wire::store_le(hdr + 8, crc32(payload, n), 4);
 }
 
-void put_matrix(std::ostream& os, const Matrix& m) {
-  put_u64(os, m.rows());
-  put_u64(os, m.cols());
-  for (std::size_t i = 0; i < m.size(); ++i) put_f32(os, m.data()[i]);
+void put_matrix(wire::Writer& w, const Matrix& m) {
+  w.u64(m.rows());
+  w.u64(m.cols());
+  w.f32s(m.data(), m.size());
+}
+
+Matrix get_matrix(wire::Reader& r) {
+  const std::uint64_t rows = r.u64();
+  const std::uint64_t cols = r.u64();
+  SSMA_CHECK_MSG(rows < (1u << 24) && cols < (1u << 24),
+                 "implausible matrix dims in AMM stream");
+  std::vector<float> vals;
+  r.f32s(&vals, rows * cols);
+  SSMA_CHECK_MSG(r.ok(), "AMM matrix exceeds the bytes left");
+  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
+  std::copy(vals.begin(), vals.end(), m.data());
+  return m;
 }
 
 /// Bytes between the read position of `is` and its end, or false when
-/// the stream cannot report positions. Length fields are bounded by it
-/// before they size an allocation.
+/// the stream cannot report positions.
 bool bytes_left(std::istream& is, std::uint64_t* n) {
   const std::streampos here = is.tellg();
   is.seekg(0, std::ios::end);
@@ -77,28 +78,6 @@ bool bytes_left(std::istream& is, std::uint64_t* n) {
   is.seekg(here);
   *n = static_cast<std::uint64_t>(end - here);
   return true;
-}
-
-/// `count` elements of `elem_bytes` each, checked to fit in what is left
-/// of `is`: a corrupt length field fails as a CheckError.
-std::size_t checked_count(std::istream& is, std::uint64_t count,
-                          std::uint64_t elem_bytes) {
-  std::uint64_t left = 0;
-  SSMA_CHECK_MSG(bytes_left(is, &left) && count <= left / elem_bytes,
-                 "AMM stream length field " << count
-                                            << " exceeds the bytes left");
-  return static_cast<std::size_t>(count);
-}
-
-Matrix get_matrix(std::istream& is) {
-  const auto rows = static_cast<std::size_t>(get_u64(is));
-  const auto cols = static_cast<std::size_t>(get_u64(is));
-  SSMA_CHECK_MSG(rows < (1u << 24) && cols < (1u << 24),
-                 "implausible matrix dims in AMM stream");
-  checked_count(is, std::uint64_t{rows} * cols, 4);
-  Matrix m(rows, cols);
-  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = get_f32(is);
-  return m;
 }
 
 }  // namespace
@@ -123,10 +102,21 @@ std::uint32_t crc32(const std::string& s) {
   return crc32(s.data(), s.size());
 }
 
-void seal_frame(std::string* frame) {
-  SSMA_CHECK(frame->size() >= kFrameHeaderBytes);
-  put_frame_header(frame->data(), frame->data() + kFrameHeaderBytes,
-                   frame->size() - kFrameHeaderBytes);
+void seal_frame(wire::Writer& w, std::size_t slot) {
+  SSMA_CHECK(slot + kFrameHeaderBytes <= w.size());
+  char* hdr = w.data() + slot;
+  put_frame_header(hdr, hdr + kFrameHeaderBytes,
+                   w.size() - slot - kFrameHeaderBytes);
+}
+
+std::string_view read_frame(wire::Reader& r) {
+  const std::uint64_t len = r.u64();
+  const std::uint32_t crc = r.u32();
+  const std::string_view payload = r.bytes(len);
+  if (r.ok() && crc32(payload.data(), payload.size()) == crc)
+    return payload;
+  r.fail();
+  return {};
 }
 
 void read_frame_header(const char* hdr, std::uint64_t* len,
@@ -142,13 +132,6 @@ void write_framed_blob(std::ostream& os, const std::string& payload) {
   os.write(payload.data(),
            static_cast<std::streamsize>(payload.size()));
   SSMA_CHECK_MSG(os.good(), "framed blob write failure");
-}
-
-std::string read_framed_blob(std::istream& is) {
-  std::string payload;
-  SSMA_CHECK_MSG(try_read_framed_blob(is, &payload),
-                 "truncated or CRC-corrupt framed blob");
-  return payload;
 }
 
 bool try_read_framed_blob(std::istream& is, std::string* out) {
@@ -175,94 +158,97 @@ bool try_read_framed_blob(std::istream& is, std::string* out) {
   return true;
 }
 
-void Amm::save(std::ostream& os) const {
-  std::ostringstream body;
+std::string Amm::save_string() const {
+  // Fixed fields (magic, frame header, config, act scale, matrix dims
+  // and array counts) fit in 128 bytes; the arrays follow.
+  wire::Writer w(128 +
+                 trees_.size() * (4 * HashTree::kLevels + HashTree::kNodes) +
+                 4 * protos_.p.size() + 4 * lut_.scales.size() +
+                 lut_.q.size() + 4 * lut_.f.size());
+  w.bytes(kMagic, sizeof(kMagic));
+  const std::size_t frame = w.skip(kFrameHeaderBytes);
 
   // Config.
-  put_u32(body, static_cast<std::uint32_t>(cfg_.ncodebooks));
-  put_u32(body, static_cast<std::uint32_t>(cfg_.subvec_dim));
-  put_u32(body, static_cast<std::uint32_t>(cfg_.nlevels));
-  put_u8(body, cfg_.proto_opt == PrototypeOpt::kRidgeJoint ? 1 : 0);
-  put_f64(body, cfg_.ridge_lambda);
-  put_u8(body, cfg_.per_column_lut_scale ? 1 : 0);
-  put_f64(body, cfg_.act_clip_percentile);
-  put_u32(body, static_cast<std::uint32_t>(cfg_.lut_bits));
+  w.u32(static_cast<std::uint32_t>(cfg_.ncodebooks));
+  w.u32(static_cast<std::uint32_t>(cfg_.subvec_dim));
+  w.u32(static_cast<std::uint32_t>(cfg_.nlevels));
+  w.u8(cfg_.proto_opt == PrototypeOpt::kRidgeJoint ? 1 : 0);
+  w.f64(cfg_.ridge_lambda);
+  w.u8(cfg_.per_column_lut_scale ? 1 : 0);
+  w.f64(cfg_.act_clip_percentile);
+  w.u32(static_cast<std::uint32_t>(cfg_.lut_bits));
 
-  put_f32(body, act_scale_);
+  w.f32(act_scale_);
 
   // Trees.
   for (const auto& tree : trees_) {
     for (int l = 0; l < HashTree::kLevels; ++l)
-      put_u32(body, static_cast<std::uint32_t>(tree.split_dim(l)));
-    for (int n = 0; n < HashTree::kNodes; ++n)
-      put_u8(body, tree.threshold_flat(n));
+      w.u32(static_cast<std::uint32_t>(tree.split_dim(l)));
+    w.bytes(tree.thresholds_flat().data(), HashTree::kNodes);
   }
 
   // Prototypes.
-  put_matrix(body, protos_.p);
+  put_matrix(w, protos_.p);
 
   // LUT bank.
-  put_u32(body, static_cast<std::uint32_t>(lut_.nout));
-  put_u64(body, lut_.scales.size());
-  for (float s : lut_.scales) put_f32(body, s);
-  put_u64(body, lut_.q.size());
-  for (std::int8_t v : lut_.q) put_u8(body, static_cast<std::uint8_t>(v));
-  put_u64(body, lut_.f.size());
-  for (float v : lut_.f) put_f32(body, v);
+  w.u32(static_cast<std::uint32_t>(lut_.nout));
+  w.u64(lut_.scales.size());
+  w.f32s(lut_.scales.data(), lut_.scales.size());
+  w.u64(lut_.q.size());
+  w.bytes(lut_.q.data(), lut_.q.size());
+  w.u64(lut_.f.size());
+  w.f32s(lut_.f.data(), lut_.f.size());
 
-  os.write(kMagic, sizeof(kMagic));
-  write_framed_blob(os, body.str());
-  SSMA_CHECK_MSG(os.good(), "AMM serialization stream failure");
+  seal_frame(w, frame);
+  return w.take();
 }
 
-Amm Amm::load(std::istream& is) {
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  SSMA_CHECK_MSG(is.good() && std::equal(magic, magic + 8, kMagic),
+Amm Amm::load_string(std::string_view blob) {
+  SSMA_CHECK_MSG(blob.size() >= sizeof(kMagic) &&
+                     std::equal(kMagic, kMagic + sizeof(kMagic), blob.data()),
                  "not an SSMA AMM stream");
-  std::istringstream body(read_framed_blob(is));
+  wire::Reader outer(blob.substr(sizeof(kMagic)));
+  wire::Reader r(read_frame(outer));
+  SSMA_CHECK_MSG(outer.ok(), "truncated or CRC-corrupt AMM blob");
 
   Amm amm;
-  amm.cfg_.ncodebooks = static_cast<int>(get_u32(body));
-  amm.cfg_.subvec_dim = static_cast<int>(get_u32(body));
-  amm.cfg_.nlevels = static_cast<int>(get_u32(body));
-  amm.cfg_.proto_opt = get_u8(body) ? PrototypeOpt::kRidgeJoint
-                                    : PrototypeOpt::kBucketMeans;
-  amm.cfg_.ridge_lambda = get_f64(body);
-  amm.cfg_.per_column_lut_scale = get_u8(body) != 0;
-  amm.cfg_.act_clip_percentile = get_f64(body);
-  amm.cfg_.lut_bits = static_cast<int>(get_u32(body));
+  amm.cfg_.ncodebooks = static_cast<int>(r.u32());
+  amm.cfg_.subvec_dim = static_cast<int>(r.u32());
+  amm.cfg_.nlevels = static_cast<int>(r.u32());
+  amm.cfg_.proto_opt =
+      r.u8() ? PrototypeOpt::kRidgeJoint : PrototypeOpt::kBucketMeans;
+  amm.cfg_.ridge_lambda = r.f64();
+  amm.cfg_.per_column_lut_scale = r.u8() != 0;
+  amm.cfg_.act_clip_percentile = r.f64();
+  amm.cfg_.lut_bits = static_cast<int>(r.u32());
+  SSMA_CHECK_MSG(r.ok(), "truncated AMM stream");
   amm.cfg_.validate();
 
-  amm.act_scale_ = get_f32(body);
+  amm.act_scale_ = r.f32();
   SSMA_CHECK(amm.act_scale_ > 0.0f);
 
   amm.trees_.resize(amm.cfg_.ncodebooks);
   for (auto& tree : amm.trees_) {
     for (int l = 0; l < HashTree::kLevels; ++l)
-      tree.set_split_dim(l, static_cast<int>(get_u32(body)));
-    for (int l = 0; l < HashTree::kLevels; ++l)
-      for (int n = 0; n < (1 << l); ++n)
-        tree.set_threshold(l, n, 0);  // placeholder; set flat below
-    // Flat threshold order matches save().
+      tree.set_split_dim(l, static_cast<int>(r.u32()));
+    // Flat threshold order matches save_string().
     for (int flat = 0; flat < HashTree::kNodes; ++flat) {
       const int level = flat < 1 ? 0 : (flat < 3 ? 1 : (flat < 7 ? 2 : 3));
       const int node = flat - ((1 << level) - 1);
-      tree.set_threshold(level, node, get_u8(body));
+      tree.set_threshold(level, node, r.u8());
     }
   }
 
-  amm.protos_.p = get_matrix(body);
+  amm.protos_.p = get_matrix(r);
   amm.protos_.cfg = amm.cfg_;
 
   amm.lut_.cfg = amm.cfg_;
-  amm.lut_.nout = static_cast<int>(get_u32(body));
-  amm.lut_.scales.resize(checked_count(body, get_u64(body), 4));
-  for (auto& s : amm.lut_.scales) s = get_f32(body);
-  amm.lut_.q.resize(checked_count(body, get_u64(body), 1));
-  for (auto& v : amm.lut_.q) v = static_cast<std::int8_t>(get_u8(body));
-  amm.lut_.f.resize(checked_count(body, get_u64(body), 4));
-  for (auto& v : amm.lut_.f) v = get_f32(body);
+  amm.lut_.nout = static_cast<int>(r.u32());
+  r.f32s(&amm.lut_.scales, r.u64());
+  r.u8s(&amm.lut_.q, r.u64());
+  r.f32s(&amm.lut_.f, r.u64());
+  SSMA_CHECK_MSG(r.ok(), "truncated AMM stream, or a length field that "
+                         "exceeds the bytes left");
 
   SSMA_CHECK(amm.lut_.q.size() ==
              static_cast<std::size_t>(amm.cfg_.ncodebooks) *
@@ -276,26 +262,19 @@ Amm Amm::load(std::istream& is) {
 }
 
 void Amm::save_file(const std::string& path) const {
+  const std::string blob = save_string();
   std::ofstream os(path, std::ios::binary);
   SSMA_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  save(os);
+  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  SSMA_CHECK_MSG(os.good(), "AMM write failure: " << path);
 }
 
 Amm Amm::load_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   SSMA_CHECK_MSG(is.is_open(), "cannot open " << path);
-  return load(is);
-}
-
-std::string Amm::save_string() const {
-  std::ostringstream os;
-  save(os);
-  return os.str();
-}
-
-Amm Amm::load_string(const std::string& blob) {
-  std::istringstream is(blob);
-  return load(is);
+  const std::string blob((std::istreambuf_iterator<char>(is)),
+                         std::istreambuf_iterator<char>());
+  return load_string(blob);
 }
 
 }  // namespace ssma::maddness

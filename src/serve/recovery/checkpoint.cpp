@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "maddness/framing.hpp"
 #include "serve/recovery/fault_injector.hpp"
@@ -50,20 +50,33 @@ std::string encode(std::uint64_t version, const CheckpointState& st) {
   // fixtures survive the v2 bump.
   const bool v1 = st.is_v1();
   const std::string& blob = v1 ? st.amm_blob : st.registry_blob;
-  std::ostringstream payload;
-  wire::put_u64(payload, st.next_request_id);
-  wire::put_u64(payload, st.accepted_requests);
-  wire::put_u64(payload, st.completed_requests);
-  wire::put_u64(payload, st.tokens);
-  wire::put_u64(payload, st.batches);
-  wire::put_u64(payload, blob.size());
-  payload.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  // magic, version, frame header, five counters and the blob length
+  wire::Writer w(16 + maddness::kFrameHeaderBytes + 48 + blob.size());
+  w.bytes(v1 ? kMagicV1 : kMagicV2, 8);
+  w.u64(version);
+  const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
+  w.u64(st.next_request_id);
+  w.u64(st.accepted_requests);
+  w.u64(st.completed_requests);
+  w.u64(st.tokens);
+  w.u64(st.batches);
+  w.u64(blob.size());
+  w.bytes(blob.data(), blob.size());
+  maddness::seal_frame(w, frame);
+  return w.take();
+}
 
-  std::ostringstream file;
-  file.write(v1 ? kMagicV1 : kMagicV2, 8);
-  wire::put_u64(file, version);
-  maddness::write_framed_blob(file, payload.str());
-  return file.str();
+/// The whole file at `path`.
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = is.tellg();
+  SSMA_CHECK_MSG(is.is_open() && size >= 0,
+                 "cannot open checkpoint " << path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  is.seekg(0);
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  SSMA_CHECK_MSG(is.good(), "checkpoint read failure: " << path);
+  return bytes;
 }
 
 }  // namespace
@@ -126,30 +139,24 @@ void CheckpointManager::write_file(const std::string& path,
 }
 
 CheckpointState CheckpointManager::load_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  SSMA_CHECK_MSG(is.is_open(), "cannot open checkpoint " << path);
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  const bool v1 =
-      is.gcount() == 8 && std::equal(magic, magic + 8, kMagicV1);
-  const bool v2 =
-      is.gcount() == 8 && std::equal(magic, magic + 8, kMagicV2);
+  const std::string bytes = read_file(path);
+  wire::Reader file(bytes);
+  const std::string_view magic = file.bytes(8);
+  const bool v1 = magic == std::string_view(kMagicV1, 8);
+  const bool v2 = magic == std::string_view(kMagicV2, 8);
   SSMA_CHECK_MSG(v1 || v2, "not an SSMA checkpoint: " << path);
-  wire::get_u64(is);  // version echo; the filename is authoritative
-  std::istringstream payload(maddness::read_framed_blob(is));
+  file.u64();  // version echo; the filename is authoritative
+  wire::Reader payload(maddness::read_frame(file));
+  SSMA_CHECK_MSG(file.ok(), "truncated or CRC-corrupt checkpoint: " << path);
 
   CheckpointState st;
-  st.next_request_id = wire::get_u64(payload);
-  st.accepted_requests = wire::get_u64(payload);
-  st.completed_requests = wire::get_u64(payload);
-  st.tokens = wire::get_u64(payload);
-  st.batches = wire::get_u64(payload);
-  std::string& blob = v1 ? st.amm_blob : st.registry_blob;
-  blob.resize(static_cast<std::size_t>(wire::get_u64(payload)));
-  payload.read(blob.data(), static_cast<std::streamsize>(blob.size()));
-  SSMA_CHECK_MSG(payload.gcount() ==
-                     static_cast<std::streamsize>(blob.size()),
-                 "checkpoint payload underflow: " << path);
+  st.next_request_id = payload.u64();
+  st.accepted_requests = payload.u64();
+  st.completed_requests = payload.u64();
+  st.tokens = payload.u64();
+  st.batches = payload.u64();
+  (v1 ? st.amm_blob : st.registry_blob) = payload.bytes(payload.u64());
+  SSMA_CHECK_MSG(payload.ok(), "checkpoint payload underflow: " << path);
   return st;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <sstream>
 
 #include "maddness/framing.hpp"
 #include "util/check.hpp"
@@ -24,23 +23,20 @@ constexpr std::uint8_t kCompacted = 4;
 /// Marker payload: type byte + base_seq + base_bytes.
 std::string encode_marker(std::uint64_t base_seq,
                           std::uint64_t base_bytes) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kCompacted);
-  wire::put_u64(payload, base_seq);
-  wire::put_u64(payload, base_bytes);
-  return payload.str();
+  wire::Writer w(17);
+  w.u8(kCompacted);
+  w.u64(base_seq);
+  w.u64(base_bytes);
+  return w.take();
 }
 
 bool parse_marker(const std::string& payload, std::uint64_t* base_seq,
                   std::uint64_t* base_bytes) {
-  if (payload.size() != 17 ||
-      static_cast<std::uint8_t>(payload[0]) != kCompacted)
-    return false;
-  std::istringstream body(payload);
-  wire::get_u8(body);
-  *base_seq = wire::get_u64(body);
-  *base_bytes = wire::get_u64(body);
-  return true;
+  wire::Reader r(payload);
+  const bool marker = r.u8() == kCompacted;
+  *base_seq = r.u64();
+  *base_bytes = r.u64();
+  return marker && r.done();
 }
 
 }  // namespace
@@ -257,86 +253,66 @@ void RequestJournal::set_commit_hook(CommitHook hook) {
 std::uint64_t RequestJournal::append_accepted(
     std::uint64_t id, std::size_t rows,
     const std::vector<std::uint8_t>& codes) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kAccepted);
-  wire::put_u64(payload, id);
-  wire::put_u64(payload, rows);
-  wire::put_u64(payload, codes.size());
-  payload.write(reinterpret_cast<const char*>(codes.data()),
-                static_cast<std::streamsize>(codes.size()));
-  return append_record(payload.str());
+  wire::Writer w(25 + codes.size());
+  w.u8(kAccepted);
+  w.u64(id);
+  w.u64(rows);
+  w.u64(codes.size());
+  w.bytes(codes.data(), codes.size());
+  return append_record(w.take());
 }
 
 std::uint64_t RequestJournal::append_accepted(
     std::uint64_t id, const std::string& model,
     std::uint64_t model_version, std::size_t rows,
     const std::vector<std::uint8_t>& codes) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kAcceptedV2);
-  wire::put_u64(payload, id);
-  wire::put_u64(payload, model.size());
-  payload.write(model.data(),
-                static_cast<std::streamsize>(model.size()));
-  wire::put_u64(payload, model_version);
-  wire::put_u64(payload, rows);
-  wire::put_u64(payload, codes.size());
-  payload.write(reinterpret_cast<const char*>(codes.data()),
-                static_cast<std::streamsize>(codes.size()));
-  return append_record(payload.str());
+  wire::Writer w(41 + model.size() + codes.size());
+  w.u8(kAcceptedV2);
+  w.u64(id);
+  w.u64(model.size());
+  w.bytes(model.data(), model.size());
+  w.u64(model_version);
+  w.u64(rows);
+  w.u64(codes.size());
+  w.bytes(codes.data(), codes.size());
+  return append_record(w.take());
 }
 
 std::uint64_t RequestJournal::append_completed(std::uint64_t id,
                                                int worker_id,
                                                std::uint32_t output_crc) {
-  std::ostringstream payload;
-  wire::put_u8(payload, kCompleted);
-  wire::put_u64(payload, id);
-  wire::put_u32(payload, static_cast<std::uint32_t>(worker_id));
-  wire::put_u32(payload, output_crc);
-  return append_record(payload.str());
+  wire::Writer w(17);
+  w.u8(kCompleted);
+  w.u64(id);
+  w.u32(static_cast<std::uint32_t>(worker_id));
+  w.u32(output_crc);
+  return append_record(w.take());
 }
 
 bool RequestJournal::parse_record(const std::string& payload,
                                   ParsedRecord* out) {
-  std::istringstream body(payload);
-  // Every length field is checked against the bytes after it, so a
-  // hostile length fails the parse before it sizes an allocation.
-  const auto left = [&] {
-    return static_cast<std::uint64_t>(payload.size()) -
-           static_cast<std::uint64_t>(body.tellg());
-  };
-  try {
-    const std::uint8_t type = wire::get_u8(body);
-    if (type == kAccepted || type == kAcceptedV2) {
-      out->is_accepted = true;
-      AcceptedRecord& rec = out->accepted;
-      rec.id = wire::get_u64(body);
-      if (type == kAcceptedV2) {
-        const std::uint64_t n = wire::get_u64(body);
-        if (n > left()) return false;
-        rec.model.resize(static_cast<std::size_t>(n));
-        body.read(rec.model.data(), static_cast<std::streamsize>(n));
-        rec.model_version = wire::get_u64(body);
-      }
-      rec.rows = static_cast<std::size_t>(wire::get_u64(body));
-      const std::uint64_t ncodes = wire::get_u64(body);
-      if (ncodes > left()) return false;
-      rec.codes.resize(static_cast<std::size_t>(ncodes));
-      body.read(reinterpret_cast<char*>(rec.codes.data()),
-                static_cast<std::streamsize>(ncodes));
-      return true;
+  wire::Reader r(payload);
+  const std::uint8_t type = r.u8();
+  if (type == kAccepted || type == kAcceptedV2) {
+    out->is_accepted = true;
+    AcceptedRecord& rec = out->accepted;
+    rec.id = r.u64();
+    if (type == kAcceptedV2) {
+      rec.model = r.bytes(r.u64());
+      rec.model_version = r.u64();
     }
-    if (type == kCompleted) {
-      out->is_accepted = false;
-      out->completed_id = wire::get_u64(body);
-      wire::get_u32(body);  // worker id: informational only
-      out->completed_crc = wire::get_u32(body);
-      return true;
-    }
-  } catch (const std::exception&) {
-    return false;  // wire::get_* underflow on a truncated payload
+    rec.rows = static_cast<std::size_t>(r.u64());
+    r.u8s(&rec.codes, r.u64());
+    return r.ok();
   }
-  return false;  // unknown record type
+  if (type == kCompleted) {
+    out->is_accepted = false;
+    out->completed_id = r.u64();
+    r.u32();  // worker id: informational only
+    out->completed_crc = r.u32();
+    return r.ok();
+  }
+  return false;  // unknown record type, or an empty payload
 }
 
 JournalReplay RequestJournal::read(const std::string& path) {

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -111,8 +110,7 @@ bool ReplicaApplier::handle_checkpoint(const ReplMessage& m) {
     // Incremental registry application: already-installed versions are
     // skipped (live pins untouched), the stream's latest pointers are
     // honored exactly — the hot-swap-aware half of promotion fidelity.
-    std::istringstream is(st.registry_blob);
-    standby_->registry().merge(is);
+    standby_->registry().load(st.registry_blob);
   }
   std::lock_guard<std::mutex> lk(mu_);
   ++checkpoints_received_;
@@ -269,9 +267,9 @@ void ReplicaApplier::session(int fd) {
     // Durable byte offset: our journal is a byte-prefix of the
     // leader's, so this lets the leader seek straight to our resume
     // point instead of re-scanning `arg` frames on every reconnect.
-    std::ostringstream hb;
-    wire::put_u64(hb, journal_->durable_bytes());
-    hello.bytes = hb.str();
+    wire::Writer hb(8);
+    hb.u64(journal_->durable_bytes());
+    hello.bytes = hb.take();
   }
   if (write_all(fd, hello.encode())) {
     FrameDecoder dec(opts_.max_frame_bytes);

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -329,11 +328,9 @@ void ReplicationLog::session_main(Follower* f) {
     // re-scanning hello.arg frames (O(journal) per reconnect adds up
     // to O(journal^2) under reconnect churn). An empty/implausible
     // offset falls back to the sequential skip.
-    std::uint64_t follower_bytes = 0;
-    if (hello.bytes.size() == 8) {
-      std::istringstream hb(hello.bytes);
-      follower_bytes = wire::get_u64(hb);
-    }
+    wire::Reader hb(hello.bytes);
+    const std::uint64_t sent_bytes = hb.u64();
+    const std::uint64_t follower_bytes = hb.done() ? sent_bytes : 0;
     if (follower_bytes >= tail.info().base_bytes &&
         follower_bytes <= journal_.durable_bytes() &&
         (hello.arg > 0 || follower_bytes == 8)) {

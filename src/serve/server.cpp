@@ -65,8 +65,7 @@ std::unique_ptr<InferenceServer> InferenceServer::restore(
           engine::ModelRegistry::kDefaultModel, 1,
           rs.checkpoint.amm_blob));
   } else {
-    std::istringstream is(rs.checkpoint.registry_blob);
-    registry->load(is);
+    registry->load(rs.checkpoint.registry_blob);
   }
   auto server = std::make_unique<InferenceServer>(
       std::move(registry), opts, rs.next_request_id);

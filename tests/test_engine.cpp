@@ -18,6 +18,7 @@
 #include "serve_test_util.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace ssma::engine {
 namespace {
@@ -102,8 +103,7 @@ TEST(ModelRegistry, UnpublishedVersionStaysOffLatestUntilPublish) {
   std::ostringstream os;
   reg.save(os);
   ModelRegistry back;
-  std::istringstream is(os.str());
-  back.load(is);
+  back.load(os.str());
   EXPECT_EQ(back.versions("m"), (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(back.latest_version("m"), 1u);
 
@@ -121,8 +121,7 @@ TEST(ModelRegistry, UnpublishedVersionStaysOffLatestUntilPublish) {
   std::ostringstream sos;
   staged.save(sos);
   ModelRegistry sback;
-  std::istringstream sis(sos.str());
-  sback.load(sis);
+  sback.load(sos.str());
   EXPECT_EQ(sback.latest_version("fresh"), 0u);
   EXPECT_EQ(sback.try_resolve("fresh", 0), nullptr);
   ASSERT_NE(sback.try_resolve("fresh", 1), nullptr);
@@ -162,8 +161,7 @@ TEST(ModelRegistry, SaveLoadRoundTripIsDeterministic) {
   reg.save(os1);
 
   ModelRegistry back;
-  std::istringstream is(os1.str());
-  back.load(is);
+  back.load(os1.str());
   EXPECT_EQ(back.names(), reg.names());
   EXPECT_EQ(back.versions("alpha"), (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(back.latest_version("alpha"), 2u);
@@ -175,6 +173,26 @@ TEST(ModelRegistry, SaveLoadRoundTripIsDeterministic) {
   std::ostringstream os2;
   back.save(os2);
   EXPECT_EQ(os1.str(), os2.str());
+}
+
+std::string le64(std::uint64_t v) {
+  std::string b(8, '\0');
+  wire::store_le(b.data(), v, 8);
+  return b;
+}
+
+TEST(ModelRegistry, HostileLengthFieldsAreCheckErrors) {
+  for (const std::uint64_t claim :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    SCOPED_TRACE(claim);
+    // One model whose name length claims `claim` bytes.
+    const std::string name = le64(1) + le64(claim) + "abc";
+    EXPECT_THROW(ModelRegistry().load(name), CheckError);
+    // One model "m", latest 1, one version whose blob claims `claim`.
+    const std::string blob = le64(1) + le64(1) + "m" + le64(1) + le64(1) +
+                             le64(1) + le64(claim) + "xyz";
+    EXPECT_THROW(ModelRegistry().load(blob), CheckError);
+  }
 }
 
 // ----------------------------------------------------- engine backends
@@ -321,8 +339,7 @@ TEST(Pipeline, BlobRoundTripPreservesEveryStage) {
   std::ostringstream os;
   reg.save(os);
   ModelRegistry loaded;
-  std::istringstream is(os.str());
-  loaded.load(is);
+  loaded.load(os.str());
   EXPECT_EQ(pipeline_reference_apply(*loaded.resolve("mlp"), f.pool),
             pipeline_reference_apply(*model, f.pool));
 }

@@ -286,9 +286,7 @@ TEST(LutSerialize, EmptyBankRoundTripsThroughCrcFrame) {
   const Amm amm = Amm::train(cfg, x, Matrix(d, 0));
   ASSERT_EQ(amm.lut().nout, 0);
   ASSERT_TRUE(amm.lut().q.empty());
-  std::stringstream ss;
-  amm.save(ss);
-  const Amm loaded = Amm::load(ss);
+  const Amm loaded = Amm::load_string(amm.save_string());
   EXPECT_EQ(loaded.lut().nout, 0);
   EXPECT_TRUE(loaded.lut().q.empty());
   EXPECT_EQ(loaded.packed_lut().q.size(), 0u);
@@ -305,9 +303,7 @@ TEST(LutSerialize, BroadcastScaleRoundTrips) {
   const Matrix x = random_activations(rng, 150, d);
   const Amm amm = Amm::train(cfg, x, random_weights(rng, d, 5));
   ASSERT_EQ(amm.lut().scales.size(), 1u);  // single broadcast scale
-  std::stringstream ss;
-  amm.save(ss);
-  const Amm loaded = Amm::load(ss);
+  const Amm loaded = Amm::load_string(amm.save_string());
   ASSERT_EQ(loaded.lut().scales.size(), 1u);
   EXPECT_EQ(loaded.lut().scales, amm.lut().scales);
   EXPECT_EQ(loaded.lut().q, amm.lut().q);
@@ -330,20 +326,15 @@ TEST(LutSerialize, PackedUnpackedRoundTripUnderCrcFraming) {
   const std::size_t d = 3 * 9;
   const Matrix x = random_activations(rng, 180, d);
   const Amm amm = Amm::train(cfg, x, random_weights(rng, d, 7));
-  std::stringstream ss;
-  amm.save(ss);
-  const std::string bytes = ss.str();
-  std::istringstream is(bytes);
-  const Amm loaded = Amm::load(is);
+  const std::string bytes = amm.save_string();
+  const Amm loaded = Amm::load_string(bytes);
   EXPECT_EQ(loaded.packed_lut().q, amm.packed_lut().q);
   EXPECT_EQ(loaded.packed_lut().scales, amm.packed_lut().scales);
   const LutBank unpacked = unpack_lut(loaded.packed_lut(), loaded.cfg());
   EXPECT_EQ(unpacked.q, amm.lut().q);
   // Re-serializing the loaded operator reproduces the original frame
   // bit-for-bit (and therefore the same CRC).
-  std::stringstream ss2;
-  loaded.save(ss2);
-  EXPECT_EQ(ss2.str(), bytes);
+  EXPECT_EQ(loaded.save_string(), bytes);
   // The framed payload itself still validates through the CRC reader.
   std::istringstream frame(bytes);
   char magic[8];

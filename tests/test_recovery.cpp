@@ -117,13 +117,21 @@ TEST(Framing, FramedBlobRoundTripAndCorruptionDetected) {
   std::string bytes = os.str();
   {
     std::istringstream is(bytes);
-    EXPECT_EQ(maddness::read_framed_blob(is), "hello, shard");
+    std::string out;
+    EXPECT_TRUE(maddness::try_read_framed_blob(is, &out));
+    EXPECT_EQ(out, "hello, shard");
+    wire::Reader r(bytes);
+    EXPECT_EQ(maddness::read_frame(r), "hello, shard");
+    EXPECT_TRUE(r.done());
   }
   // Flip one payload bit -> CRC must catch it.
   bytes[bytes.size() - 3] ^= 0x40;
   std::istringstream is(bytes);
   std::string out;
   EXPECT_FALSE(maddness::try_read_framed_blob(is, &out));
+  wire::Reader r(bytes);
+  EXPECT_TRUE(maddness::read_frame(r).empty());
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Framing, CorruptLengthHeaderIsTornNotOom) {
@@ -139,19 +147,13 @@ TEST(Framing, CorruptLengthHeaderIsTornNotOom) {
 
 TEST(Framing, AmmBlobIsSelfValidating) {
   const ServeFixture f = ServeFixture::make();
-  std::ostringstream os;
-  f.amm.save(os);
-  std::string blob = os.str();
-  {
-    std::istringstream is(blob);
-    const maddness::Amm replica = maddness::Amm::load(is);
-    EXPECT_EQ(replica.apply_int16(f.pool), f.amm.apply_int16(f.pool));
-  }
+  std::string blob = f.amm.save_string();
+  const maddness::Amm replica = maddness::Amm::load_string(blob);
+  EXPECT_EQ(replica.apply_int16(f.pool), f.amm.apply_int16(f.pool));
   // A single flipped byte deep in the payload fails the frame CRC
   // instead of silently corrupting LUT entries.
   blob[blob.size() / 2] ^= 0x01;
-  std::istringstream is(blob);
-  EXPECT_THROW(maddness::Amm::load(is), CheckError);
+  EXPECT_THROW(maddness::Amm::load_string(blob), CheckError);
 }
 
 // --------------------------------------------------------- checkpoints
@@ -220,6 +222,50 @@ TEST(Checkpoint, TornWriteFallsBackToLastValidVersion) {
   EXPECT_EQ(mgr.write(v3), 3u);
   ASSERT_TRUE(mgr.load_latest(&version).has_value());
   EXPECT_EQ(version, 3u);
+}
+
+std::string le64(std::uint64_t v) {
+  std::string b(8, '\0');
+  wire::store_le(b.data(), v, 8);
+  return b;
+}
+
+/// A CRC-valid v2 checkpoint file whose payload claims `claim` registry
+/// bytes and holds one.
+void write_hostile_checkpoint(const std::string& path, std::uint64_t claim) {
+  std::string payload;
+  for (int i = 0; i < 5; ++i) payload += le64(0);  // ids and counters
+  payload += le64(claim) + "x";
+  std::ofstream os(path, std::ios::binary);
+  os << "SSMACKP2" << le64(1);
+  maddness::write_framed_blob(os, payload);
+}
+
+TEST(Checkpoint, HostileBlobLengthIsACheckError) {
+  TmpDir dir("ckpthostile");
+  for (const std::uint64_t claim :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    const std::string path = dir.file("checkpoint-000001.ssck");
+    write_hostile_checkpoint(path, claim);
+    EXPECT_THROW(CheckpointManager::load_file(path), CheckError)
+        << "claim " << claim;
+  }
+}
+
+TEST(Checkpoint, LoadLatestSkipsAHostileVersion) {
+  TmpDir dir("ckpthostilelatest");
+  CheckpointManager mgr(dir.str());
+  CheckpointState good;
+  good.amm_blob = "any-bytes";
+  good.next_request_id = 100;
+  EXPECT_EQ(mgr.write(good), 1u);
+  write_hostile_checkpoint(mgr.path_of(2), std::uint64_t{1} << 62);
+
+  std::uint64_t version = 0;
+  const auto loaded = mgr.load_latest(&version);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(loaded->next_request_id, 100u);
 }
 
 // ------------------------------------------------------------- journal
@@ -326,12 +372,12 @@ TEST(Journal, ReopenTruncatesTornTailSoNewAppendsStayReadable) {
 /// `claim` bytes with none after it: the model name of a model-tagged
 /// record (type 3), or the codes of a v1 record (type 1).
 std::string hostile_record(bool model_name, std::uint64_t claim) {
-  std::ostringstream os;
-  wire::put_u8(os, model_name ? 3 : 1);
-  wire::put_u64(os, 7);                   // request id
-  if (!model_name) wire::put_u64(os, 1);  // rows
-  wire::put_u64(os, claim);
-  return os.str();
+  wire::Writer w;
+  w.u8(model_name ? 3 : 1);
+  w.u64(7);                   // request id
+  if (!model_name) w.u64(1);  // rows
+  w.u64(claim);
+  return w.take();
 }
 
 TEST(Journal, HostileLengthFieldFailsParseWithoutAllocating) {
@@ -705,8 +751,7 @@ TEST(Recovery, CheckpointCadenceWritesVersions) {
   // back as the implicitly-named default model, version 1.
   ASSERT_FALSE(latest->is_v1());
   engine::ModelRegistry registry;
-  std::istringstream is(latest->registry_blob);
-  registry.load(is);
+  registry.load(latest->registry_blob);
   const engine::ModelRef replica = registry.resolve("default@1");
   EXPECT_EQ(replica->amm().apply_int16(f.pool), f.amm.apply_int16(f.pool));
 }
@@ -764,8 +809,7 @@ TEST(Recovery, GoldenCheckpointFormatIsStable) {
 
   // The embedded operator still decodes the probe to the committed
   // bits (pure integer pipeline — platform independent).
-  std::istringstream is(st.amm_blob);
-  const maddness::Amm amm = maddness::Amm::load(is);
+  const maddness::Amm amm = maddness::Amm::load_string(st.amm_blob);
   const auto out = amm.apply_int16(golden::probe(amm));
   std::ifstream want(golden::outputs_path());
   ASSERT_TRUE(want.is_open()) << golden::outputs_path();
@@ -844,8 +888,7 @@ TEST(Recovery, GoldenCheckpointV2FormatIsStable) {
   EXPECT_EQ(st.batches, golden_v2::kBatches);
 
   engine::ModelRegistry reg;
-  std::istringstream is(st.registry_blob);
-  reg.load(is);
+  reg.load(st.registry_blob);
   EXPECT_EQ(reg.names(), (std::vector<std::string>{"alpha", "beta"}));
   EXPECT_EQ(reg.versions("alpha"), (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(reg.latest_version("alpha"), 2u);
@@ -1509,10 +1552,8 @@ TEST(Failover, KillLeaderAtEverySitePromoteByteIdentical) {
 // bump. Keep the constants above in sync.
 TEST(Recovery, DISABLED_RegenerateGoldenCheckpoint) {
   const ServeFixture f = golden::fixture();
-  std::ostringstream blob;
-  f.amm.save(blob);
   CheckpointState st;
-  st.amm_blob = blob.str();
+  st.amm_blob = f.amm.save_string();
   st.next_request_id = golden::kNextId;
   st.accepted_requests = golden::kAccepted;
   st.completed_requests = golden::kCompleted;

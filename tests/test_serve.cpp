@@ -12,7 +12,6 @@
 #include <atomic>
 #include <future>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "core/ppa_report.hpp"
@@ -458,10 +457,8 @@ TEST(Amm, SaveLoadRoundTripDrivesIdenticalServing) {
   const Fixture f = Fixture::make();
 
   // Round-trip through the exact blob the worker pool hands its shards.
-  std::ostringstream blob;
-  f.amm.save(blob);
-  std::istringstream is(blob.str());
-  const maddness::Amm replica = maddness::Amm::load(is);
+  const maddness::Amm replica =
+      maddness::Amm::load_string(f.amm.save_string());
 
   EXPECT_EQ(replica.cfg().ncodebooks, f.amm.cfg().ncodebooks);
   EXPECT_FLOAT_EQ(replica.activation_scale(), f.amm.activation_scale());

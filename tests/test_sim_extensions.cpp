@@ -3,7 +3,6 @@
 // option (bit-exactness preserved, encoder latency hidden).
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "maddness/amm.hpp"
 #include "ppa/delay_model.hpp"
@@ -160,9 +159,8 @@ TEST(Serialize, RoundTripPreservesBehaviour) {
     w.data()[i] = static_cast<float>(rng.next_gaussian(0, 0.05));
   const maddness::Amm amm = maddness::Amm::train(cfg, x, w);
 
-  std::stringstream ss;
-  amm.save(ss);
-  const maddness::Amm loaded = maddness::Amm::load(ss);
+  const maddness::Amm loaded =
+      maddness::Amm::load_string(amm.save_string());
 
   EXPECT_EQ(loaded.cfg().ncodebooks, 3);
   EXPECT_EQ(loaded.activation_scale(), amm.activation_scale());
@@ -175,9 +173,8 @@ TEST(Serialize, RoundTripPreservesBehaviour) {
 }
 
 TEST(Serialize, RejectsCorruptStream) {
-  std::stringstream ss;
-  ss << "not an amm stream at all";
-  EXPECT_THROW(maddness::Amm::load(ss), CheckError);
+  EXPECT_THROW(maddness::Amm::load_string("not an amm stream at all"),
+               CheckError);
 }
 
 TEST(Serialize, FileRoundTrip) {

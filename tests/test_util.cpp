@@ -1,12 +1,17 @@
 // Unit tests for the utility substrate: RNG determinism and
 // distributions, streaming statistics, matrices/GEMM, Cholesky/ridge,
-// fixed-point helpers, table rendering.
+// fixed-point helpers, table rendering, and the byte codec.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
-#include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
+#include "engine/model_registry.hpp"
+#include "maddness/framing.hpp"
 #include "util/check.hpp"
 #include "util/fixed_point.hpp"
 #include "util/linalg.hpp"
@@ -271,37 +276,119 @@ class FailingStreambuf : public std::streambuf {
   std::size_t written_ = 0;
 };
 
-// Regression: wire::put_* used to swallow write failures — a full disk
-// or closed socket only surfaced as a CRC mismatch when the blob was
-// read back, far from the fault. The helpers must now throw at the
-// write site.
-TEST(Wire, PutFailsLoudlyWhenSinkRejectsBytes) {
-  FailingStreambuf sink(/*budget=*/2);  // dies mid-u32
-  std::ostream os(&sink);
-  EXPECT_THROW(wire::put_u32(os, 0xDEADBEEFu), CheckError);
-  EXPECT_EQ(sink.written(), 2u);  // failed at the third byte, loudly
+// Regression: stream writes used to swallow failures — a full disk or
+// closed socket only surfaced as a CRC mismatch when the blob was read
+// back, far from the fault. The writes that still go to a stream must
+// throw at the write site.
+TEST(Wire, StreamWritesFailLoudlyWhenSinkRejectsBytes) {
+  FailingStreambuf header(/*budget=*/5);  // dies inside the frame header
+  std::ostream os(&header);
+  EXPECT_THROW(maddness::write_framed_blob(os, "payload"), CheckError);
+  EXPECT_EQ(header.written(), 5u);  // failed at the sixth byte, loudly
 
-  FailingStreambuf sink64(/*budget=*/5);  // dies mid-u64
-  std::ostream os64(&sink64);
-  EXPECT_THROW(wire::put_u64(os64, 1), CheckError);
+  FailingStreambuf payload(/*budget=*/14);  // dies inside the payload
+  std::ostream osp(&payload);
+  EXPECT_THROW(maddness::write_framed_blob(osp, "payload"), CheckError);
 
-  FailingStreambuf dead(/*budget=*/0);  // first byte already fails
+  FailingStreambuf dead(/*budget=*/2);  // dies inside the model count
   std::ostream osd(&dead);
-  EXPECT_THROW(wire::put_u8(osd, 7), CheckError);
+  EXPECT_THROW(engine::ModelRegistry().save(osd), CheckError);
 }
 
-TEST(Wire, PutGetRoundTripStillWorks) {
-  std::stringstream ss;
-  wire::put_u8(ss, 0xAB);
-  wire::put_u32(ss, 0x01020304u);
-  wire::put_u64(ss, 0x0102030405060708ull);
-  wire::put_f32(ss, 1.5f);
-  wire::put_f64(ss, -2.25);
-  EXPECT_EQ(wire::get_u8(ss), 0xAB);
-  EXPECT_EQ(wire::get_u32(ss), 0x01020304u);
-  EXPECT_EQ(wire::get_u64(ss), 0x0102030405060708ull);
-  EXPECT_EQ(wire::get_f32(ss), 1.5f);
-  EXPECT_EQ(wire::get_f64(ss), -2.25);
+TEST(Wire, WriterReaderRoundTripIsLittleEndian) {
+  wire::Writer w;
+  w.u8(0xAB);
+  w.u32(0x01020304u);
+  w.u64(0x0102030405060708ull);
+  w.f32(1.5f);
+  w.f64(-2.25);
+  w.str("hi");
+  const std::int16_t i16[] = {-2, 258};
+  w.i16s(i16, 2);
+  const float f32[] = {-0.5f};
+  w.f32s(f32, 1);
+  const std::string bytes = w.take();
+  const std::string want(
+      "\xAB"
+      "\x04\x03\x02\x01"
+      "\x08\x07\x06\x05\x04\x03\x02\x01"
+      "\x00\x00\xC0\x3F"                  // 1.5f
+      "\x00\x00\x00\x00\x00\x00\x02\xC0"  // -2.25
+      "\x02\x00\x00\x00hi"
+      "\xFE\xFF\x02\x01"
+      "\x00\x00\x00\xBF",  // -0.5f
+      39);
+  EXPECT_EQ(bytes, want);
+
+  wire::Reader r(bytes);
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+  EXPECT_EQ(r.f32(), 1.5f);
+  EXPECT_EQ(r.f64(), -2.25);
+  EXPECT_EQ(r.str(), "hi");
+  std::vector<std::int16_t> i16_back;
+  r.i16s(&i16_back, 2);
+  EXPECT_EQ(i16_back, (std::vector<std::int16_t>{-2, 258}));
+  std::vector<float> f32_back;
+  r.f32s(&f32_back, 1);
+  EXPECT_EQ(f32_back, (std::vector<float>{-0.5f}));
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Wire, ShortReadFailsAndStaysFailed) {
+  const std::string bytes("\x01\x02\x03", 3);
+  wire::Reader r(bytes);
+  EXPECT_EQ(r.u32(), 0u);  // one byte short
+  EXPECT_FALSE(r.ok());
+  // Bytes are left, but a failed reader reads nothing more.
+  EXPECT_EQ(r.u8(), 0u);
+  EXPECT_TRUE(r.bytes(0).empty());
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.done());
+
+  // A read that ends exactly at the last byte is not a failure.
+  wire::Reader exact(bytes);
+  EXPECT_EQ(exact.bytes(3), bytes);
+  EXPECT_TRUE(exact.done());
+}
+
+TEST(Wire, HostileCountsFailWithoutAllocating) {
+  const std::string bytes(16, '\x7F');
+  // 2^63 + 1 int16s and 2^62 + 1 floats wrap to 2 and 4 bytes if the
+  // count is multiplied by the element size.
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 40, (std::uint64_t{1} << 62) + 1,
+        (std::uint64_t{1} << 63) + 1}) {
+    SCOPED_TRACE(n);
+    wire::Reader a(bytes);
+    std::vector<std::int16_t> i16;
+    a.i16s(&i16, n);
+    EXPECT_FALSE(a.ok());
+    EXPECT_EQ(i16.capacity(), 0u);
+
+    wire::Reader b(bytes);
+    std::vector<float> f32;
+    b.f32s(&f32, n);
+    EXPECT_FALSE(b.ok());
+    EXPECT_EQ(f32.capacity(), 0u);
+
+    wire::Reader c(bytes);
+    std::vector<std::uint8_t> u8;
+    c.u8s(&u8, n);
+    EXPECT_FALSE(c.ok());
+    EXPECT_EQ(u8.capacity(), 0u);
+
+    wire::Reader d(bytes);
+    EXPECT_TRUE(d.bytes(n).empty());
+    EXPECT_FALSE(d.ok());
+  }
+  // The largest count that fits still reads.
+  wire::Reader r(bytes);
+  std::vector<std::int16_t> i16;
+  r.i16s(&i16, 8);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(i16.size(), 8u);
 }
 
 }  // namespace
