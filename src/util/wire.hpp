@@ -170,13 +170,6 @@ class Reader {
     p_ += 4 * n;
   }
 
-  /// True when `n` elements of `elem_bytes` each are left to read;
-  /// otherwise fails the reader.
-  bool fits(std::uint64_t n, std::size_t elem_bytes) {
-    if (ok_ && n <= left() / elem_bytes) return true;
-    fail();
-    return false;
-  }
   /// Marks the bytes as malformed: every later read fails.
   void fail() {
     ok_ = false;
@@ -185,9 +178,16 @@ class Reader {
   bool ok() const { return ok_; }
   /// ok() with every byte consumed.
   bool done() const { return ok_ && p_ == end_; }
-  std::size_t left() const { return static_cast<std::size_t>(end_ - p_); }
 
  private:
+  /// True when `n` elements of `elem_bytes` each are left to read;
+  /// otherwise fails the reader.
+  bool fits(std::uint64_t n, std::size_t elem_bytes) {
+    if (ok_ && n <= static_cast<std::size_t>(end_ - p_) / elem_bytes)
+      return true;
+    fail();
+    return false;
+  }
   std::uint64_t le(int nbytes) {
     if (!fits(static_cast<std::uint64_t>(nbytes), 1)) return 0;
     const std::uint64_t v = load_le(p_, nbytes);
