@@ -175,23 +175,27 @@ TEST(ModelRegistry, SaveLoadRoundTripIsDeterministic) {
   EXPECT_EQ(os1.str(), os2.str());
 }
 
-std::string le64(std::uint64_t v) {
-  std::string b(8, '\0');
-  wire::store_le(b.data(), v, 8);
-  return b;
-}
-
 TEST(ModelRegistry, HostileLengthFieldsAreCheckErrors) {
   for (const std::uint64_t claim :
        {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
     SCOPED_TRACE(claim);
     // One model whose name length claims `claim` bytes.
-    const std::string name = le64(1) + le64(claim) + "abc";
-    EXPECT_THROW(ModelRegistry().load(name), CheckError);
+    wire::Writer name;
+    name.u64(1);
+    name.u64(claim);
+    name.bytes("abc", 3);
+    EXPECT_THROW(ModelRegistry().load(name.take()), CheckError);
     // One model "m", latest 1, one version whose blob claims `claim`.
-    const std::string blob = le64(1) + le64(1) + "m" + le64(1) + le64(1) +
-                             le64(1) + le64(claim) + "xyz";
-    EXPECT_THROW(ModelRegistry().load(blob), CheckError);
+    wire::Writer blob;
+    blob.u64(1);  // models
+    blob.u64(1);  // name length
+    blob.bytes("m", 1);
+    blob.u64(1);  // latest
+    blob.u64(1);  // versions
+    blob.u64(1);  // version
+    blob.u64(claim);
+    blob.bytes("xyz", 3);
+    EXPECT_THROW(ModelRegistry().load(blob.take()), CheckError);
   }
 }
 

@@ -224,21 +224,19 @@ TEST(Checkpoint, TornWriteFallsBackToLastValidVersion) {
   EXPECT_EQ(version, 3u);
 }
 
-std::string le64(std::uint64_t v) {
-  std::string b(8, '\0');
-  wire::store_le(b.data(), v, 8);
-  return b;
-}
-
 /// A CRC-valid v2 checkpoint file whose payload claims `claim` registry
 /// bytes and holds one.
 void write_hostile_checkpoint(const std::string& path, std::uint64_t claim) {
-  std::string payload;
-  for (int i = 0; i < 5; ++i) payload += le64(0);  // ids and counters
-  payload += le64(claim) + "x";
+  wire::Writer w;
+  w.bytes("SSMACKP2", 8);
+  w.u64(1);  // version
+  const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
+  for (int i = 0; i < 5; ++i) w.u64(0);  // ids and counters
+  w.u64(claim);
+  w.u8('x');
+  maddness::seal_frame(w, frame);
   std::ofstream os(path, std::ios::binary);
-  os << "SSMACKP2" << le64(1);
-  maddness::write_framed_blob(os, payload);
+  os.write(w.data(), static_cast<std::streamsize>(w.size()));
 }
 
 TEST(Checkpoint, HostileBlobLengthIsACheckError) {

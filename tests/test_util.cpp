@@ -341,7 +341,8 @@ TEST(Wire, ShortReadFailsAndStaysFailed) {
   wire::Reader r(bytes);
   EXPECT_EQ(r.u32(), 0u);  // one byte short
   EXPECT_FALSE(r.ok());
-  // Bytes are left, but a failed reader reads nothing more.
+  // The source still holds three bytes, but a failed reader reads
+  // nothing more.
   EXPECT_EQ(r.u8(), 0u);
   EXPECT_TRUE(r.bytes(0).empty());
   EXPECT_FALSE(r.ok());
