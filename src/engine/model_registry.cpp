@@ -323,8 +323,8 @@ void ModelRegistry::save(std::ostream& os) const {
   }
   // The fields go through a Writer, but each blob is written straight
   // from its handle: copying the whole section into one buffer first
-  // made save ~8x slower on a 5.8 MB registry saved into an
-  // ostringstream, as the server does.
+  // made save ~8x slower on a 5.8 MB registry saved into a string
+  // stream, as the server does.
   wire::Writer w;
   const auto flush = [&] {
     os.write(w.data(), static_cast<std::streamsize>(w.size()));
