@@ -350,36 +350,51 @@ void ModelRegistry::save(std::ostream& os) const {
 }
 
 void ModelRegistry::load(std::string_view bytes) {
+  // Decode and validate every section before installing any of it, so
+  // malformed bytes leave the registry exactly as it was.
+  struct Section {
+    std::string name;
+    std::uint64_t latest = 0;
+    std::vector<ModelRef> fresh;  ///< versions not installed yet
+  };
+  std::vector<Section> sections;
   wire::Reader r(bytes);
   const std::uint64_t nmodels = r.u64();
   SSMA_CHECK_MSG(r.ok() && nmodels <= 4096,
                  "implausible registry model count");
   for (std::uint64_t m = 0; m < nmodels; ++m) {
-    const std::string name(r.bytes(r.u64()));
-    const std::uint64_t latest = r.u64();
+    Section& s = sections.emplace_back();
+    s.name = std::string(r.bytes(r.u64()));
+    s.latest = r.u64();
     const std::uint64_t nversions = r.u64();
     SSMA_CHECK_MSG(r.ok(), "registry decode underflow");
     SSMA_CHECK_MSG(nversions >= 1 && nversions <= 65536,
-                   "implausible version count for model " << name);
+                   "implausible version count for model " << s.name);
     for (std::uint64_t v = 0; v < nversions; ++v) {
       const std::uint64_t version = r.u64();
       const std::string_view blob = r.bytes(r.u64());
       SSMA_CHECK_MSG(r.ok(), "registry decode underflow");
-      if (!try_resolve(name, version))
-        install(ModelHandle::from_blob(name, version, std::string(blob)));
+      if (!try_resolve(s.name, version))
+        s.fresh.push_back(
+            ModelHandle::from_blob(s.name, version, std::string(blob)));
+    }
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const Section& s : sections) {
+    Entry& entry = models_[s.name];
+    for (const ModelRef& handle : s.fresh) {
+      entry.versions.emplace(handle->version(), handle);
+      entry.latest = std::max(entry.latest, handle->version());
     }
     // Honor the saved latest pointer exactly — including latest == 0, a
     // name whose only versions were staged (registered, checkpointed,
     // but never published before the crash): the staged versions stay
     // explicitly resolvable for journal replay, but "@latest" must not
-    // silently commit an uncommitted swap. install() bumped latest, so
+    // silently commit an uncommitted swap. Installing bumped latest, so
     // undo that unless the saved pointer names a missing version (a
     // foreign/hand-edited blob — keep the install default then).
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = models_.find(name);
-    if (it != models_.end() &&
-        (latest == 0 || it->second.versions.count(latest)))
-      it->second.latest = latest;
+    if (s.latest == 0 || entry.versions.count(s.latest))
+      entry.latest = s.latest;
   }
 }
 

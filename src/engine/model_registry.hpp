@@ -180,9 +180,10 @@ class ModelRegistry {
   /// pointers honored exactly — including a latest left behind a newer
   /// staged-but-unpublished version, so a restored server, and a
   /// replication follower applying successive leader checkpoints,
-  /// resolve "@latest" exactly as the leader did. Throws CheckError on
-  /// malformed bytes; every length field is checked against the bytes
-  /// left before it sizes anything.
+  /// resolve "@latest" exactly as the leader did. All or nothing: every
+  /// blob is decoded before any is installed, so malformed bytes throw
+  /// CheckError and leave the registry unchanged. Every length field is
+  /// checked against the bytes left before it sizes anything.
   void load(std::string_view bytes);
 
  private:

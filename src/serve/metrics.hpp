@@ -173,7 +173,8 @@ class Metrics {
                     const std::vector<double>& queue_ns,
                     const std::vector<double>& total_ns);
 
-  /// One write-ahead journal append (accepted or completed record).
+  /// One write-ahead journal append call: an accepted record, or a
+  /// batch's group of completed records.
   void record_journal_append(double ns);
 
   /// `n` requests refused with the given typed reason (admission shed,

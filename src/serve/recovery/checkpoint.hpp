@@ -22,6 +22,7 @@
 // the newest version that validates.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -77,8 +78,17 @@ class CheckpointManager {
   static void write_file(const std::string& path, std::uint64_t version,
                          const CheckpointState& st);
 
-  /// Versions present on disk (valid or not), ascending.
+  /// Versions present on disk (valid or not), ascending. Lists the
+  /// directory: keep it off hot paths.
   std::vector<std::uint64_t> versions() const;
+  /// Newest version on disk as far as this manager knows: seeded by the
+  /// constructor's scan, bumped by each write() once its file exists
+  /// under its final name (torn or not). Lock-free, so a replication
+  /// sender can poll it for new checkpoints instead of listing the
+  /// directory.
+  std::uint64_t newest_version() const {
+    return newest_.load(std::memory_order_acquire);
+  }
   std::string path_of(std::uint64_t version) const;
   const std::string& dir() const { return dir_; }
 
@@ -87,6 +97,7 @@ class CheckpointManager {
   FaultInjector* fault_;
   mutable std::mutex mu_;
   std::uint64_t next_version_ = 1;
+  std::atomic<std::uint64_t> newest_{0};
 };
 
 }  // namespace ssma::serve::recovery

@@ -120,23 +120,35 @@ RequestJournal::RequestJournal(const std::string& path) : path_(path) {
   }
 }
 
-std::uint64_t RequestJournal::append_record(const std::string& payload) {
+std::uint64_t RequestJournal::append_group(const std::string& frames,
+                                           std::size_t records) {
   std::lock_guard<std::mutex> lock(mu_);
-  maddness::write_framed_blob(os_, payload);
-  // Flush every record: the journal is only useful if it survives the
+  if (records == 0) return seq_;
+  os_.write(frames.data(), static_cast<std::streamsize>(frames.size()));
+  // Flush every group: the journal is only useful if it survives the
   // crash it exists to cover. (OS-level fsync durability is out of
   // scope for the in-process model; flush makes records visible to a
   // same-host reader immediately.)
   os_.flush();
   SSMA_CHECK_MSG(os_.good(), "journal append failure on " << path_);
-  const std::uint64_t seq = ++seq_;
-  bytes_ += 12 + payload.size();  // frame = len(8) + crc(4) + payload
-  if (hook_) hook_(seq, bytes_);
-  return seq;
+  seq_ += records;
+  bytes_ += frames.size();
+  if (hook_) hook_(seq_, bytes_);
+  return seq_;
 }
 
-std::uint64_t RequestJournal::append_raw(const std::string& payload) {
-  return append_record(payload);
+std::uint64_t RequestJournal::append_raw(
+    const std::vector<std::string>& payloads) {
+  std::size_t total = 0;
+  for (const std::string& p : payloads)
+    total += maddness::kFrameHeaderBytes + p.size();
+  wire::Writer w(total);
+  for (const std::string& p : payloads) {
+    const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
+    w.bytes(p.data(), p.size());
+    maddness::seal_frame(w, frame);
+  }
+  return append_group(w.take(), payloads.size());
 }
 
 std::uint64_t RequestJournal::durable_seq() const {
@@ -253,20 +265,24 @@ void RequestJournal::set_commit_hook(CommitHook hook) {
 std::uint64_t RequestJournal::append_accepted(
     std::uint64_t id, std::size_t rows,
     const std::vector<std::uint8_t>& codes) {
-  wire::Writer w(25 + codes.size());
+  wire::Writer w(maddness::kFrameHeaderBytes + 25 + codes.size());
+  const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
   w.u8(kAccepted);
   w.u64(id);
   w.u64(rows);
   w.u64(codes.size());
   w.bytes(codes.data(), codes.size());
-  return append_record(w.take());
+  maddness::seal_frame(w, frame);
+  return append_group(w.take(), 1);
 }
 
 std::uint64_t RequestJournal::append_accepted(
     std::uint64_t id, const std::string& model,
     std::uint64_t model_version, std::size_t rows,
     const std::vector<std::uint8_t>& codes) {
-  wire::Writer w(41 + model.size() + codes.size());
+  wire::Writer w(maddness::kFrameHeaderBytes + 41 + model.size() +
+                 codes.size());
+  const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
   w.u8(kAcceptedV2);
   w.u64(id);
   w.u64(model.size());
@@ -275,18 +291,29 @@ std::uint64_t RequestJournal::append_accepted(
   w.u64(rows);
   w.u64(codes.size());
   w.bytes(codes.data(), codes.size());
-  return append_record(w.take());
+  maddness::seal_frame(w, frame);
+  return append_group(w.take(), 1);
 }
 
 std::uint64_t RequestJournal::append_completed(std::uint64_t id,
                                                int worker_id,
                                                std::uint32_t output_crc) {
-  wire::Writer w(17);
-  w.u8(kCompleted);
-  w.u64(id);
-  w.u32(static_cast<std::uint32_t>(worker_id));
-  w.u32(output_crc);
-  return append_record(w.take());
+  return append_completed({{id, output_crc}}, worker_id);
+}
+
+std::uint64_t RequestJournal::append_completed(
+    const std::vector<Completion>& done, int worker_id) {
+  constexpr std::size_t kFrame = maddness::kFrameHeaderBytes + 17;
+  wire::Writer w(kFrame * done.size());
+  for (const Completion& c : done) {
+    const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
+    w.u8(kCompleted);
+    w.u64(c.id);
+    w.u32(static_cast<std::uint32_t>(worker_id));
+    w.u32(c.output_crc);
+    maddness::seal_frame(w, frame);
+  }
+  return append_group(w.take(), done.size());
 }
 
 bool RequestJournal::parse_record(const std::string& payload,

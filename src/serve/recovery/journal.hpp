@@ -3,12 +3,13 @@
 // The server appends an `accepted` record (id + payload) before a
 // request enters the queue, and the worker that serves it appends a
 // `completed` record (id + CRC-32 of the int16 outputs) after the
-// response future is fulfilled. After a crash, replaying the journal
-// yields every accepted-but-unacknowledged request; because the kernel
-// is deterministic and bit-exact, re-executing them on a restored
-// server reproduces the exact bits the lost run would have produced,
-// and the completed CRCs let an auditor verify already-acknowledged
-// responses to the bit.
+// response future is fulfilled — one group per batch, written with one
+// flush. After a crash, replaying the journal yields every
+// accepted-but-unacknowledged request; because the kernel is
+// deterministic and bit-exact, re-executing them on a restored server
+// reproduces the exact bits the lost run would have produced, and the
+// completed CRCs let an auditor verify already-acknowledged responses
+// to the bit.
 //
 // Records are individually CRC-framed (maddness/framing.hpp); a torn
 // tail — the half-written record of the crash itself — is detected and
@@ -63,6 +64,12 @@ struct JournalReplay {
   std::uint64_t compacted_through = 0;
 };
 
+/// One request's completion, as a worker journals it.
+struct Completion {
+  std::uint64_t id = 0;
+  std::uint32_t output_crc = 0;  ///< CRC-32 of the int16 output bytes
+};
+
 /// One record decoded in isolation — what a replication follower needs
 /// to interpret a streamed record payload without re-reading the file.
 struct ParsedRecord {
@@ -74,9 +81,10 @@ struct ParsedRecord {
 
 class RequestJournal {
  public:
-  /// Notified after every record becomes durable (post-flush, while the
-  /// append lock is held): (seq, file_bytes). Replication's sender tails
-  /// the file on this signal. Keep the hook cheap and non-reentrant.
+  /// Notified once per append call, after its records become durable
+  /// (post-flush, while the append lock is held), with the newest
+  /// record's (seq, file_bytes). Replication's sender tails the file on
+  /// this signal. Keep the hook cheap and non-reentrant.
   using CommitHook =
       std::function<void(std::uint64_t seq, std::uint64_t file_bytes)>;
 
@@ -100,10 +108,17 @@ class RequestJournal {
   /// Ack record — call after the response future is fulfilled.
   std::uint64_t append_completed(std::uint64_t id, int worker_id,
                                  std::uint32_t output_crc);
-  /// Appends an already-serialized record payload verbatim — the
-  /// replication follower persists streamed leader records through
-  /// here, keeping its file a byte-prefix of the leader's.
-  std::uint64_t append_raw(const std::string& payload);
+  /// One ack record per entry of `done`, in order, written with one
+  /// flush: a worker journals a whole batch's completions at once.
+  /// Returns the last record's sequence number.
+  std::uint64_t append_completed(const std::vector<Completion>& done,
+                                 int worker_id);
+  /// Appends already-serialized record payloads verbatim, in order,
+  /// with one flush — the replication follower persists each read's
+  /// streamed leader records through here, keeping its file a
+  /// byte-prefix of the leader's. Returns the last record's sequence
+  /// number.
+  std::uint64_t append_raw(const std::vector<std::string>& payloads);
 
   /// Sequence number of the newest durable record (0 = none yet).
   std::uint64_t durable_seq() const;
@@ -160,7 +175,11 @@ class RequestJournal {
   static bool parse_record(const std::string& payload, ParsedRecord* out);
 
  private:
-  std::uint64_t append_record(const std::string& payload);
+  /// Writes `frames` (`records` whole record frames) with one write and
+  /// one flush, then calls the commit hook once. Returns the newest
+  /// record's sequence number.
+  std::uint64_t append_group(const std::string& frames,
+                             std::size_t records);
 
   std::string path_;
   mutable std::mutex mu_;

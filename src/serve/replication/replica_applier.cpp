@@ -104,13 +104,21 @@ bool ReplicaApplier::handle_checkpoint(const ReplMessage& m) {
   }
   std::filesystem::rename(tmp, path);
 
-  if (!standby_) {
-    build_standby();
-  } else if (!st.registry_blob.empty()) {
-    // Incremental registry application: already-installed versions are
-    // skipped (live pins untouched), the stream's latest pointers are
-    // honored exactly — the hot-swap-aware half of promotion fidelity.
-    standby_->registry().load(st.registry_blob);
+  try {
+    if (!standby_) {
+      build_standby();
+    } else if (!st.registry_blob.empty()) {
+      // Incremental registry application: already-installed versions
+      // are skipped (live pins untouched), the stream's latest pointers
+      // are honored exactly — the hot-swap-aware half of promotion
+      // fidelity. The load is all-or-nothing.
+      standby_->registry().load(st.registry_blob);
+    }
+  } catch (const std::exception&) {
+    // CRC-valid but undecodable (say, a registry section that does not
+    // parse): treat it as torn — drop it and resync.
+    std::remove(path.c_str());
+    return false;
   }
   std::lock_guard<std::mutex> lk(mu_);
   ++checkpoints_received_;
@@ -120,8 +128,7 @@ bool ReplicaApplier::handle_checkpoint(const ReplMessage& m) {
   return true;
 }
 
-bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
-  int acks = 1;
+bool ReplicaApplier::take_record(ReplMessage& m, Run* run) {
   if (opts_.fault) {
     const auto action = opts_.fault->poll(recovery::FaultSite::kReplRecv);
     switch (action.kind) {
@@ -141,30 +148,26 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
         ++recv_faults_;
         return false;
       }
-      case recovery::FaultKind::kDupMessage:
-        acks = 2;  // duplicate ack; the leader's watermark is monotonic
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          ++recv_faults_;
-        }
+      case recovery::FaultKind::kDupMessage: {
+        run->acks = 2;  // duplicate ack; the leader's watermark is monotonic
+        std::lock_guard<std::mutex> lk(mu_);
+        ++recv_faults_;
         break;
+      }
       default:
         break;
     }
   }
 
-  const std::uint64_t durable = journal_->durable_seq();
+  const std::uint64_t durable =
+      journal_->durable_seq() + run->payloads.size();
   if (m.arg <= durable) {
     // Duplicate delivery (leader-side kDupMessage or a resend race):
     // already durable, so just re-ack the high-water mark.
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++dup_records_;
-    }
-    ReplMessage ack;
-    ack.type = MsgType::kReplAck;
-    ack.arg = durable;
-    return write_all(fd, ack.encode());
+    run->acks = std::max(run->acks, 1);
+    std::lock_guard<std::mutex> lk(mu_);
+    ++dup_records_;
+    return true;
   }
   if (m.arg != durable + 1) {
     // Sequence gap (a drop upstream): resync from our true mark.
@@ -172,15 +175,25 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
     ++gap_reconnects_;
     return false;
   }
+  run->payloads.push_back(std::move(m.bytes));
+  run->acks = std::max(run->acks, 1);
+  return true;
+}
 
-  const std::uint64_t seq = journal_->append_raw(m.bytes);
-  SSMA_CHECK_MSG(seq == m.arg,
-                 "replication: follower journal diverged from stream");
-
-  recovery::ParsedRecord pr;
-  if (recovery::RequestJournal::parse_record(m.bytes, &pr)) {
-    if (pr.is_accepted) {
-      if (standby_) {
+bool ReplicaApplier::flush_run(Run* run, int fd) {
+  if (!run->payloads.empty()) {
+    const std::uint64_t want =
+        journal_->durable_seq() + run->payloads.size();
+    SSMA_CHECK_MSG(journal_->append_raw(run->payloads) == want,
+                   "replication: follower journal diverged from stream");
+    for (const std::string& payload : run->payloads) {
+      recovery::ParsedRecord pr;
+      if (!recovery::RequestJournal::parse_record(payload, &pr)) continue;
+      if (!pr.is_accepted) {
+        std::lock_guard<std::mutex> lk(mu_);
+        note_completion(pr.completed_id, pr.completed_crc);
+        ++completed_records_;
+      } else if (standby_) {
         SSMA_TRACE_SPAN_IDS(kReplApply, pr.accepted.id, pr.accepted.id);
         auto futs = standby_->replay({pr.accepted});
         std::lock_guard<std::mutex> lk(mu_);
@@ -192,21 +205,20 @@ bool ReplicaApplier::handle_record(const ReplMessage& m, int fd) {
           first_apply_at_ = now;
         last_apply_at_ = now;
       }
-    } else {
-      std::lock_guard<std::mutex> lk(mu_);
-      note_completion(pr.completed_id, pr.completed_crc);
-      ++completed_records_;
     }
+    cv_.notify_all();
   }
-  cv_.notify_all();
-
-  ReplMessage ack;
-  ack.type = MsgType::kReplAck;
-  ack.arg = seq;
-  const std::string frame = ack.encode();
-  for (int i = 0; i < acks; ++i)
-    if (!write_all(fd, frame)) return false;
-  return true;
+  bool ok = true;
+  if (run->acks > 0) {
+    ReplMessage ack;
+    ack.type = MsgType::kReplAck;
+    ack.arg = journal_->durable_seq();
+    const std::string frame = ack.encode();
+    for (int i = 0; i < run->acks && ok; ++i) ok = write_all(fd, frame);
+  }
+  run->payloads.clear();
+  run->acks = 0;
+  return ok;
 }
 
 void ReplicaApplier::track_replay(std::uint64_t id,
@@ -275,8 +287,26 @@ void ReplicaApplier::session(int fd) {
     FrameDecoder dec(opts_.max_frame_bytes);
     std::string payload;
     ReplMessage m;
-    while (net::read_frame(fd, dec, &payload) == FrameRead::kFrame) {
-      if (!net::parse_repl(payload, &m)) break;
+    Run run;
+    for (;;) {
+      // Decode every whole frame one socket read delivered; before the
+      // next read blocks, persist, apply and ack the records among them.
+      FrameDecoder::Result got = dec.next(&payload);
+      if (got == FrameDecoder::Result::kNeedMore) {
+        if (!flush_run(&run, fd) ||
+            net::read_frame(fd, dec, &payload) != FrameRead::kFrame)
+          break;
+        got = FrameDecoder::Result::kFrame;
+      }
+      if (got != FrameDecoder::Result::kFrame ||
+          !net::parse_repl(payload, &m))
+        break;
+      if (m.type == MsgType::kReplRecord) {
+        if (!take_record(m, &run)) break;
+        continue;
+      }
+      // Any other message ends the run of records before it.
+      if (!flush_run(&run, fd)) break;
       if (m.type == MsgType::kReplReject) {
         std::lock_guard<std::mutex> lk(mu_);
         rejected_ = true;
@@ -288,8 +318,6 @@ void ReplicaApplier::session(int fd) {
       }
       if (m.type == MsgType::kReplCheckpoint) {
         if (!handle_checkpoint(m)) break;
-      } else if (m.type == MsgType::kReplRecord) {
-        if (!handle_record(m, fd)) break;
       } else if (m.type == MsgType::kReplBase) {
         // Compacted leader, fresh follower: adopt the compaction base
         // so our file is byte-identical to the leader's compacted
@@ -305,6 +333,9 @@ void ReplicaApplier::session(int fd) {
         break;
       }
     }
+    // A gap, a tear or a closed stream still leaves the records before
+    // it durable and acked.
+    (void)flush_run(&run, fd);
   }
   std::lock_guard<std::mutex> lk(mu_);
   ::close(fd);

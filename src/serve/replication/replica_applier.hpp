@@ -9,21 +9,26 @@
 //   - persists every shipped checkpoint file into its own checkpoint
 //     directory (atomic tmp + rename, leader-byte-exact);
 //   - appends every streamed journal record verbatim, keeping the
-//     follower journal a byte-prefix of the leader's;
+//     follower journal a byte-prefix of the leader's — the records of
+//     one socket read as one group, with one flush;
 //   - replays each accepted record into a warm standby server built
 //     from the first checkpoint, so promotion-time work is bounded by
 //     in-flight requests, not journal length. Later checkpoints merge
 //     into the standby's registry (live pins untouched), which is how
 //     a promoted follower resolves "@latest" exactly as the leader
 //     would — including across hot-swap boundaries;
-//   - acks each record's sequence number, advancing the leader's
-//     replication watermark (what sync/window acked-writes wait on).
+//   - acks its high-water mark once per socket read, advancing the
+//     leader's replication watermark (what sync/window acked-writes
+//     wait on).
 //
 // Duplicate records (seq <= durable) are acked and skipped; a sequence
-// gap or torn stream tears the connection down and the reconnect
-// handshake resumes from the follower's true high-water mark — the
-// stream self-heals under drops, tears and duplication, which the
-// chaos tests drive via the kReplSend/kReplRecv fault sites.
+// gap or torn stream tears the connection down (after persisting and
+// acking the records before it) and the reconnect handshake resumes
+// from the follower's true high-water mark — the stream self-heals
+// under drops, tears and duplication, which the chaos tests drive via
+// the kReplSend/kReplRecv fault sites. A checkpoint that validates but
+// does not decode (say, a registry section that does not parse) is
+// treated like a torn one: dropped, and the session resyncs.
 //
 // Each replayed request is audited as soon as both its replay result
 // and the leader's completion record are in: its output CRC must match
@@ -48,6 +53,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "serve/recovery/checkpoint.hpp"
 #include "serve/recovery/fault_injector.hpp"
@@ -77,7 +83,7 @@ struct ApplierOptions {
   std::chrono::milliseconds backoff_cap{1000};
   std::uint64_t backoff_seed = 0x5eedfa57;
   std::size_t max_frame_bytes = 256u << 20;
-  /// Polled at kReplRecv as each record arrives. Borrowed.
+  /// Polled at kReplRecv once per arriving record. Borrowed.
   recovery::FaultInjector* fault = nullptr;
 };
 
@@ -154,8 +160,21 @@ class ReplicaApplier {
   /// connection dies or stop() is called.
   void session(int fd);
   bool handle_checkpoint(const net::ReplMessage& m);
-  /// Returns false when the session must be torn down (gap/tear).
-  bool handle_record(const net::ReplMessage& m, int fd);
+  /// Consecutive streamed records of one socket read, not yet durable.
+  struct Run {
+    std::vector<std::string> payloads;
+    /// Acks owed: 1 once a record or a duplicate arrived, 2 after an
+    /// injected kReplRecv dup.
+    int acks = 0;
+  };
+  /// Takes one streamed record into `run`, applying any armed kReplRecv
+  /// fault. Returns false when the session must be torn down (gap or
+  /// tear); the caller still persists and acks the run.
+  bool take_record(net::ReplMessage& m, Run* run);
+  /// Persists `run` as one journal group, applies its records in order,
+  /// acks the high-water mark once (twice after a dup fault) and clears
+  /// it. Returns false when the ack could not be sent.
+  bool flush_run(Run* run, int fd);
   void build_standby();
   /// Newest on-disk checkpoint version that validates (0 = none).
   std::uint64_t newest_local_checkpoint() const;

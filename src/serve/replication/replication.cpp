@@ -46,6 +46,9 @@ namespace {
 /// rewrites the file (generation bump).
 class JournalTailer {
  public:
+  /// Bytes of one read, unless its first frame alone is larger.
+  static constexpr std::uint64_t kMaxRead = 4u << 20;
+
   explicit JournalTailer(recovery::RequestJournal& journal)
       : journal_(journal), info_(journal.compaction_info()) {
     is_.open(journal_.path(), std::ios::binary);
@@ -55,28 +58,49 @@ class JournalTailer {
     return info_;
   }
 
-  /// Reads the frame at virtual offset `*vpos`; advances *vpos past it
-  /// on success. False on a not-yet-visible frame or an offset behind
-  /// the compaction horizon.
-  bool read_at(std::uint64_t* vpos, std::string* payload) {
+  /// Reads the whole frames that start at virtual offset `vpos` and end
+  /// by `vend` into *out, with one read of at most kMaxRead bytes —
+  /// more only when the first frame alone is larger. False when those
+  /// bytes are not (yet) visible, or `vpos` is behind the compaction
+  /// horizon.
+  bool read_frames(std::uint64_t vpos, std::uint64_t vend,
+                   std::string* out) {
     const auto now = journal_.compaction_info();
     if (now.generation != info_.generation) {
       info_ = now;
       is_.close();
       is_.open(journal_.path(), std::ios::binary);
     }
-    if (*vpos < info_.base_bytes) return false;
-    const std::uint64_t phys =
-        *vpos - info_.base_bytes + info_.header_bytes;
-    is_.clear();
-    is_.seekg(static_cast<std::streamoff>(phys));
-    if (!is_ || !maddness::try_read_framed_blob(is_, payload))
-      return false;
-    *vpos += 12 + payload->size();  // u64 len + u32 crc + payload
-    return true;
+    if (vpos < info_.base_bytes || vend <= vpos) return false;
+    if (!read(vpos, std::min(vend - vpos, kMaxRead), out)) return false;
+    // Cut the read back to its last whole frame.
+    constexpr std::size_t kHdr = maddness::kFrameHeaderBytes;
+    std::size_t whole = 0;
+    std::uint64_t len = 0;
+    std::uint32_t crc = 0;
+    while (out->size() - whole >= kHdr) {
+      maddness::read_frame_header(out->data() + whole, &len, &crc);
+      if (len > out->size() - whole - kHdr) break;
+      whole += kHdr + static_cast<std::size_t>(len);
+    }
+    if (whole > 0) {
+      out->resize(whole);
+      return true;
+    }
+    if (out->size() < kHdr || len > vend - vpos - kHdr) return false;
+    return read(vpos, kHdr + len, out);
   }
 
  private:
+  bool read(std::uint64_t vpos, std::uint64_t n, std::string* out) {
+    out->resize(static_cast<std::size_t>(n));
+    is_.clear();
+    is_.seekg(static_cast<std::streamoff>(vpos - info_.base_bytes +
+                                          info_.header_bytes));
+    is_.read(out->data(), static_cast<std::streamsize>(n));
+    return is_.gcount() == static_cast<std::streamsize>(n);
+  }
+
   recovery::RequestJournal& journal_;
   recovery::RequestJournal::CompactionInfo info_;
   std::ifstream is_;
@@ -131,7 +155,7 @@ void ReplicationLog::on_commit(std::uint64_t seq, std::uint64_t bytes) {
     pending_.swap(thinned);
   }
   pending_.push_back({seq, bytes, std::chrono::steady_clock::now()});
-  cv_.notify_all();
+  records_cv_.notify_all();
 }
 
 void ReplicationLog::accept_main() {
@@ -156,80 +180,90 @@ void ReplicationLog::accept_main() {
 
 std::uint64_t ReplicationLog::newest_valid_checkpoint() {
   if (!checkpoints_) return 0;
+  const std::uint64_t newest = checkpoints_->newest_version();
+  std::uint64_t examined;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (newest <= ckpt_examined_) return ckpt_valid_;
+    examined = ckpt_examined_;
+  }
+  // Validate, newest first, only the versions not examined yet; a torn
+  // one (e.g. injected kTornCheckpoint) is skipped once, not per wake.
+  std::uint64_t found = 0;
   const auto versions = checkpoints_->versions();
-  for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-    bool valid;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      auto cached = ckpt_valid_.find(*it);
-      if (cached != ckpt_valid_.end()) {
-        if (cached->second) return *it;
-        continue;
-      }
-    }
+  for (auto it = versions.rbegin();
+       it != versions.rend() && *it > examined && found == 0; ++it) {
+    if (*it > newest) continue;  // written since newest was read
     try {
       (void)recovery::CheckpointManager::load_file(
           checkpoints_->path_of(*it));
-      valid = true;
+      found = *it;
     } catch (const std::exception&) {
-      valid = false;  // torn (e.g. injected kTornCheckpoint) — skip
     }
-    std::lock_guard<std::mutex> lk(mu_);
-    ckpt_valid_[*it] = valid;
-    if (valid) return *it;
   }
-  return 0;
+  std::lock_guard<std::mutex> lk(mu_);
+  ckpt_examined_ = std::max(ckpt_examined_, newest);
+  ckpt_valid_ = std::max(ckpt_valid_, found);
+  return ckpt_valid_;
 }
 
-bool ReplicationLog::faulted_send(Follower* f, const std::string& frame,
-                                  bool* sent) {
-  SSMA_TRACE_SPAN(kReplSend);
-  *sent = false;
-  int dup = 1;
-  if (opts_.fault) {
-    const auto action = opts_.fault->poll(recovery::FaultSite::kReplSend);
-    switch (action.kind) {
-      case recovery::FaultKind::kDelay:
-        std::this_thread::sleep_for(action.delay);
-        break;
-      case recovery::FaultKind::kDropMessage: {
-        // Silently not delivered: the stream position advances, and the
-        // drop heals either when the follower detects the sequence gap
-        // on the next record and reconnects with its real high-water
-        // mark, or — if traffic stops — when the idle resend rewinds to
-        // the follower's ack mark and re-offers it.
-        std::lock_guard<std::mutex> lk(mu_);
-        ++dropped_sends_;
-        *sent = true;
-        return true;
-      }
-      case recovery::FaultKind::kTornMessage: {
-        // Half a frame, then cut: the follower's decoder sees a torn
-        // stream and reconnects.
-        (void)write_all(f->fd,
-                        std::string_view(frame).substr(0, frame.size() / 2));
-        ::shutdown(f->fd, SHUT_RDWR);
-        std::lock_guard<std::mutex> lk(mu_);
-        ++torn_sends_;
-        return false;
-      }
-      case recovery::FaultKind::kDupMessage: {
-        dup = 2;
-        std::lock_guard<std::mutex> lk(mu_);
-        ++dup_sends_;
-        break;
-      }
-      default:
-        break;
+recovery::FaultKind ReplicationLog::send_fault(std::string* out,
+                                               std::size_t start) {
+  if (!opts_.fault) return recovery::FaultKind::kNone;
+  const auto action = opts_.fault->poll(recovery::FaultSite::kReplSend);
+  switch (action.kind) {
+    case recovery::FaultKind::kDelay:
+      std::this_thread::sleep_for(action.delay);
+      break;
+    case recovery::FaultKind::kDropMessage: {
+      // Silently not delivered: the stream position advances, and a
+      // dropped record heals either when the follower detects the
+      // sequence gap on the next record and reconnects with its real
+      // high-water mark, or — if traffic stops — when the idle resend
+      // rewinds to the follower's ack mark and re-offers it.
+      out->resize(start);
+      std::lock_guard<std::mutex> lk(mu_);
+      ++dropped_sends_;
+      break;
     }
+    case recovery::FaultKind::kTornMessage: {
+      // Half a frame, then the caller cuts: the follower's decoder sees
+      // a torn stream and reconnects.
+      out->resize(start + (out->size() - start) / 2);
+      std::lock_guard<std::mutex> lk(mu_);
+      ++torn_sends_;
+      break;
+    }
+    case recovery::FaultKind::kDupMessage: {
+      const std::string frame = out->substr(start);
+      *out += frame;
+      std::lock_guard<std::mutex> lk(mu_);
+      ++dup_sends_;
+      break;
+    }
+    default:
+      break;
   }
-  for (int i = 0; i < dup; ++i) {
-    if (!write_all(f->fd, frame)) return false;
-    std::lock_guard<std::mutex> lk(mu_);
-    bytes_sent_ += frame.size();
-  }
-  *sent = true;
+  return action.kind;
+}
+
+bool ReplicationLog::send(Follower* f, const std::string& bytes) {
+  SSMA_TRACE_SPAN(kReplSend);
+  if (!write_all(f->fd, bytes)) return false;
+  std::lock_guard<std::mutex> lk(mu_);
+  bytes_sent_ += bytes.size();
   return true;
+}
+
+bool ReplicationLog::send_message(Follower* f, std::string frame) {
+  const recovery::FaultKind kind = send_fault(&frame, 0);
+  if (kind == recovery::FaultKind::kDropMessage ||
+      kind == recovery::FaultKind::kTornMessage) {
+    (void)write_all(f->fd, frame);
+    ::shutdown(f->fd, SHUT_RDWR);
+    return false;
+  }
+  return send(f, frame);
 }
 
 bool ReplicationLog::ship_checkpoints(Follower* f) {
@@ -243,14 +277,7 @@ bool ReplicationLog::ship_checkpoints(Follower* f) {
   m.type = MsgType::kReplCheckpoint;
   m.arg = v;
   m.bytes = std::move(bytes);
-  bool sent = false;
-  // A dropped checkpoint cannot be gap-detected from sequence numbers
-  // the way records are, so treat drop like a torn stream: cut the
-  // connection and let the reconnect handshake re-ship it.
-  if (!faulted_send(f, m.encode(), &sent) || !sent) {
-    ::shutdown(f->fd, SHUT_RDWR);
-    return false;
-  }
+  if (!send_message(f, m.encode())) return false;
   f->shipped_ckpt = v;
   std::lock_guard<std::mutex> lk(mu_);
   ++checkpoints_shipped_;
@@ -313,9 +340,7 @@ void ReplicationLog::session_main(Follower* f) {
     base.type = MsgType::kReplBase;
     base.arg = tail.info().base_seq;
     base.arg2 = tail.info().base_bytes;
-    bool sent = false;
-    if (!faulted_send(f, base.encode(), &sent) || !sent) {
-      ::shutdown(f->fd, SHUT_RDWR);
+    if (!send_message(f, base.encode())) {
       ok = false;
     } else {
       next_seq = tail.info().base_seq + 1;
@@ -339,9 +364,15 @@ void ReplicationLog::session_main(Follower* f) {
       // Skip the frames the follower already has, starting from the
       // first surviving record.
       pos = tail.info().base_bytes;
-      for (std::uint64_t i = tail.info().base_seq;
-           ok && i < hello.arg; ++i)
-        ok = tail.read_at(&pos, &payload);
+      for (std::uint64_t i = tail.info().base_seq; ok && i < hello.arg;) {
+        ok = tail.read_frames(pos, journal_.durable_bytes(), &payload);
+        wire::Reader frames(payload);
+        for (; ok && i < hello.arg && !frames.done(); ++i) {
+          pos += maddness::kFrameHeaderBytes +
+                 maddness::read_frame(frames).size();
+          ok = frames.ok();
+        }
+      }
     }
   }
   if (ok) {
@@ -350,7 +381,7 @@ void ReplicationLog::session_main(Follower* f) {
       f->ready = true;
       f->acked_seq = hello.arg;
       replicated_seq_ = std::max(replicated_seq_, hello.arg);
-      cv_.notify_all();
+      acks_cv_.notify_all();
     }
     f->reader = std::thread([this, f] { reader_main(f); });
 
@@ -363,26 +394,32 @@ void ReplicationLog::session_main(Follower* f) {
     std::deque<std::pair<std::uint64_t, std::uint64_t>> unacked;
     constexpr std::size_t kMaxUnackedTracked = 65536;
     auto last_activity = std::chrono::steady_clock::now();
+    std::string out;  // the kReplRecord frames of one send
 
     bool broken = false;
     while (!broken) {
       std::uint64_t target;
+      std::uint64_t target_bytes;
       std::uint64_t acked;
       {
         std::unique_lock<std::mutex> lk(mu_);
-        // The timeout doubles as the checkpoint-discovery poll: model
-        // registrations checkpoint without journaling a record.
-        cv_.wait_for(lk, std::chrono::milliseconds(50), [&] {
+        // The timeout doubles as the checkpoint-discovery poll (model
+        // registrations checkpoint without journaling a record) and as
+        // the idle-resend clock (acks do not wake the sender).
+        records_cv_.wait_for(lk, std::chrono::milliseconds(50), [&] {
           return stopping_ || leader_seq_ >= next_seq;
         });
         if (stopping_) break;
         target = leader_seq_;
+        target_bytes = leader_bytes_;
         acked = f->acked_seq;
       }
       while (!unacked.empty() && unacked.front().first <= acked) {
         unacked.pop_front();
         last_activity = std::chrono::steady_clock::now();
       }
+      // Before this wake's records: a record never reaches the follower
+      // ahead of the checkpoint holding the model it pins.
       if (!ship_checkpoints(f)) break;
       if (next_seq > target && !unacked.empty() &&
           std::chrono::steady_clock::now() - last_activity >
@@ -400,12 +437,12 @@ void ReplicationLog::session_main(Follower* f) {
         ++idle_resends_;
       }
       while (next_seq <= target && !broken) {
-        // The record is durable (leader_seq_ covers it), so the frame
-        // is fully on disk; retry briefly against fs visibility jitter.
-        const std::uint64_t frame_pos = pos;
+        // The records are durable (leader_bytes_ covers them), so their
+        // frames are fully on disk; retry briefly against fs visibility
+        // jitter.
         bool have = false;
         for (int attempt = 0; attempt < 100 && !have; ++attempt) {
-          have = tail.read_at(&pos, &payload);
+          have = tail.read_frames(pos, target_bytes, &payload);
           if (!have)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
@@ -413,21 +450,45 @@ void ReplicationLog::session_main(Follower* f) {
           broken = true;
           break;
         }
-        ReplMessage rec;
-        rec.type = MsgType::kReplRecord;
-        rec.arg = next_seq;
-        rec.bytes = payload;
-        bool sent = false;
-        if (!faulted_send(f, rec.encode(), &sent)) {
-          broken = true;
-          break;
+        // One kReplRecord frame per journal frame, each passed through
+        // the armed kReplSend faults, then one write for all of them.
+        out.clear();
+        std::uint64_t records = 0;
+        std::size_t torn_at = std::string::npos;
+        wire::Reader frames(payload);
+        while (!frames.done()) {
+          const std::uint64_t frame_pos = pos;
+          ReplMessage rec;
+          rec.type = MsgType::kReplRecord;
+          rec.arg = next_seq;
+          rec.bytes = maddness::read_frame(frames);
+          if (!frames.ok()) break;  // corrupt journal bytes: resync
+          const std::size_t start = out.size();
+          out += rec.encode();
+          if (send_fault(&out, start) == recovery::FaultKind::kTornMessage) {
+            torn_at = start;
+            break;
+          }
+          if (unacked.size() == kMaxUnackedTracked) unacked.pop_front();
+          unacked.emplace_back(next_seq, frame_pos);
+          pos += maddness::kFrameHeaderBytes + rec.bytes.size();
+          ++next_seq;
+          ++records;
         }
-        if (unacked.size() == kMaxUnackedTracked) unacked.pop_front();
-        unacked.emplace_back(next_seq, frame_pos);
-        last_activity = std::chrono::steady_clock::now();
-        ++next_seq;
-        std::lock_guard<std::mutex> lk(mu_);
-        ++records_sent_;
+        {
+          std::lock_guard<std::mutex> lk(mu_);
+          records_sent_ += records;
+        }
+        if (records > 0) last_activity = std::chrono::steady_clock::now();
+        if (torn_at != std::string::npos) {
+          (void)write_all(f->fd, out);
+          ::shutdown(f->fd, SHUT_RDWR);
+          std::lock_guard<std::mutex> lk(mu_);
+          bytes_sent_ += torn_at;
+          broken = true;
+        } else if (!frames.done() || !send(f, out)) {
+          broken = true;
+        }
       }
     }
   }
@@ -439,7 +500,7 @@ void ReplicationLog::session_main(Follower* f) {
   f->fd = -1;
   f->ready = false;
   f->done = true;
-  cv_.notify_all();
+  acks_cv_.notify_all();
 }
 
 void ReplicationLog::reader_main(Follower* f) {
@@ -457,7 +518,7 @@ void ReplicationLog::reader_main(Follower* f) {
         replicated_bytes_ = pending_.front().bytes;
         pending_.pop_front();
       }
-      cv_.notify_all();
+      acks_cv_.notify_all();
     }
   }
   // Wake the sender so a half-dead connection (peer gone, sends still
@@ -475,9 +536,9 @@ bool ReplicationLog::wait_follower(std::size_t n,
     return ready;
   };
   ++waiters_;
-  (void)cv_.wait_for(lk, timeout,
-                     [&] { return stopping_ || ready_count() >= n; });
-  if (--waiters_ == 0) cv_.notify_all();
+  (void)acks_cv_.wait_for(lk, timeout,
+                          [&] { return stopping_ || ready_count() >= n; });
+  if (--waiters_ == 0) acks_cv_.notify_all();
   return ready_count() >= n;
 }
 
@@ -502,10 +563,10 @@ bool ReplicationLog::wait_acked(std::uint64_t seq) {
   if (target == 0) return true;
   std::unique_lock<std::mutex> lk(mu_);
   ++waiters_;
-  const bool ok = cv_.wait_for(lk, opts_.ack_timeout, [&] {
+  const bool ok = acks_cv_.wait_for(lk, opts_.ack_timeout, [&] {
     return stopping_ || replicated_seq_ >= target;
   });
-  if (--waiters_ == 0) cv_.notify_all();
+  if (--waiters_ == 0) acks_cv_.notify_all();
   if (!ok) ++sync_degraded_;
   return ok;
 }
@@ -545,7 +606,8 @@ void ReplicationLog::stop() {
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) return;
     stopping_ = true;
-    cv_.notify_all();
+    records_cv_.notify_all();
+    acks_cv_.notify_all();
   }
   journal_.set_commit_hook(nullptr);
   ::shutdown(listen_fd_, SHUT_RDWR);
@@ -561,9 +623,9 @@ void ReplicationLog::stop() {
     if (f->session.joinable()) f->session.join();
   // Drain in-flight wait_acked()/wait_follower() callers: they wake on
   // stopping_ and leave promptly, but destruction must not pull
-  // mu_/cv_ out from under a waiter still inside cv_.wait_for.
+  // mu_/acks_cv_ out from under a waiter still inside its wait_for.
   std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return waiters_ == 0; });
+  acks_cv_.wait(lk, [&] { return waiters_ == 0; });
 }
 
 }  // namespace ssma::serve::replication

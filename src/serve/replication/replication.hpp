@@ -8,10 +8,12 @@
 // wire protocol (net/wire_protocol.hpp, kRepl* messages), handshake
 // with their durable high-water mark, receive the newest checkpoint if
 // theirs is older, and then receive every journal record from their
-// resume point on, byte-exact. The follower's journal file is thereby
-// a byte-prefix of the leader's at all times, which is what makes
-// promotion zero-RPO: replaying it on the deterministic kernel
-// reproduces the leader's acknowledged outputs to the bit.
+// resume point on, byte-exact. Each sender wake reads every pending
+// record with one file read and sends them with one socket write. The
+// follower's journal file is thereby a byte-prefix of the leader's at
+// all times, which is what makes promotion zero-RPO: replaying it on
+// the deterministic kernel reproduces the leader's acknowledged outputs
+// to the bit.
 //
 // Acked-write semantics — the durability contract clients buy:
 //
@@ -34,7 +36,10 @@
 // journal time contains every model that record can reference. The
 // sender ships the newest valid checkpoint before streaming records
 // past it, which is therefore sufficient for the follower to replay
-// everything — including across hot-swap boundaries.
+// everything — including across hot-swap boundaries. It learns of new
+// checkpoints from the CheckpointManager's newest version, so the
+// server and its ReplicationLog share one manager, and the directory
+// is listed and validated only when that version moves.
 #pragma once
 
 #include <chrono>
@@ -42,7 +47,6 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,7 +80,8 @@ struct ReplicationOptions {
   /// traffic would ever gap-detect.
   std::chrono::milliseconds resend_after{250};
   std::size_t max_frame_bytes = 256u << 20;
-  /// Polled at kReplSend before every outbound message. Borrowed.
+  /// Polled at kReplSend once per outbound message — per record inside
+  /// a batched send. Borrowed.
   recovery::FaultInjector* fault = nullptr;
 };
 
@@ -108,6 +113,8 @@ struct ReplicationStats {
 /// stop()) tears both down. One instance per journal.
 class ReplicationLog {
  public:
+  /// `checkpoints` must be the manager the server writes through (or
+  /// null): new checkpoints are discovered from its newest_version().
   ReplicationLog(recovery::RequestJournal& journal,
                  recovery::CheckpointManager* checkpoints,
                  const ReplicationOptions& opts);
@@ -163,11 +170,21 @@ class ReplicationLog {
   /// Ships the newest valid checkpoint newer than f->shipped_ckpt.
   /// Returns false when the connection broke.
   bool ship_checkpoints(Follower* f);
-  /// Sends one encoded frame, applying any armed kReplSend fault.
-  /// Returns false when the connection is (or was made) unusable.
-  bool faulted_send(Follower* f, const std::string& frame,
-                    bool* advanced);
-  /// Newest on-disk checkpoint version whose file validates (0 = none).
+  /// Applies any armed kReplSend fault to the frame that occupies
+  /// `*out` from `start` on: a delay sleeps, a drop removes the frame,
+  /// a dup repeats it and a tear keeps its first half. Returns the
+  /// fault's kind.
+  recovery::FaultKind send_fault(std::string* out, std::size_t start);
+  /// Sends one control message (checkpoint, base) after send_fault.
+  /// Neither a drop nor a tear can be gap-detected, so both cut the
+  /// connection. Returns false when the connection is (or was made)
+  /// unusable.
+  bool send_message(Follower* f, std::string frame);
+  /// Writes `bytes` with one send; false when the connection broke.
+  bool send(Follower* f, const std::string& bytes);
+  /// Newest checkpoint version whose file validates (0 = none). Lists
+  /// the directory only when the manager's newest version passes the
+  /// newest one examined so far.
   std::uint64_t newest_valid_checkpoint();
 
   recovery::RequestJournal& journal_;
@@ -179,7 +196,11 @@ class ReplicationLog {
   std::thread accept_thread_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  /// Senders wait here for new records (or stop).
+  std::condition_variable records_cv_;
+  /// wait_acked(), wait_follower() and stop()'s drain wait here for
+  /// acks, follower readiness and the waiter count.
+  std::condition_variable acks_cv_;
   bool stopping_ = false;
   std::uint64_t leader_seq_ = 0;
   std::uint64_t leader_bytes_ = 0;
@@ -199,10 +220,12 @@ class ReplicationLog {
   std::deque<Pending> pending_;
   /// Threads currently blocked in wait_acked()/wait_follower(); stop()
   /// drains them before returning so destruction cannot race a waiter
-  /// still inside cv_.wait_for on mu_/cv_.
+  /// still inside acks_cv_.wait_for on mu_/acks_cv_.
   std::size_t waiters_ = 0;
   std::list<std::unique_ptr<Follower>> followers_;
-  std::map<std::uint64_t, bool> ckpt_valid_;  ///< load_file result cache
+  /// Newest checkpoint version examined, and the newest that validated.
+  std::uint64_t ckpt_examined_ = 0;
+  std::uint64_t ckpt_valid_ = 0;
 
   // Lifetime counters (under mu_).
   std::uint64_t records_sent_ = 0;

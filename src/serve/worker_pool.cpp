@@ -173,6 +173,7 @@ void WorkerPool::worker_main(int worker_id) {
   recovery::FaultInjector* fault = opts_.fault;
 
   std::vector<double> queue_ns, total_ns;
+  std::vector<recovery::Completion> done;
 
   // Steady-state hot-path buffers, owned by the shard for its whole
   // life: the stitched activation matrix and the output accumulators
@@ -291,12 +292,16 @@ void WorkerPool::worker_main(int worker_id) {
 
     // Ack stage. Atomic in-process: promises fulfill exactly once, so
     // faults are only injected before it, never inside it. The journal
-    // ack lands after the response — a crash in between re-executes
-    // the request on recovery (at-least-once across restarts).
+    // acks land after the responses, as one group per batch — a crash
+    // in between re-executes the requests on recovery (at-least-once
+    // across restarts).
     const Clock::time_point t_done = Clock::now();
     SSMA_TRACE_SPAN_IDS(kAck, id_lo, id_hi);
     queue_ns.clear();
     total_ns.clear();
+    done.clear();
+    // Only a journal stores the output CRCs.
+    auto* journal = journal_.load(std::memory_order_acquire);
     std::size_t row = 0;
     for (InferenceRequest& req : slot.in_flight) {
       InferenceResult res;
@@ -317,24 +322,22 @@ void WorkerPool::worker_main(int worker_id) {
       total_ns.push_back(std::chrono::duration<double, std::nano>(
                              t_done - req.enqueued_at)
                              .count());
-      // Only a journal stores the output CRC.
-      auto* journal = journal_.load(std::memory_order_acquire);
-      const std::uint32_t out_crc =
-          journal ? maddness::crc32(res.outputs.data(),
-                                    res.outputs.size() * sizeof(std::int16_t))
-                  : 0;
-      const std::uint64_t req_id = req.id;
+      if (journal)
+        done.push_back(
+            {req.id, maddness::crc32(res.outputs.data(),
+                                     res.outputs.size() *
+                                         sizeof(std::int16_t))});
       req.fulfill(std::move(res));
-      if (journal) {
-        const Clock::time_point t_j = Clock::now();
-        {
-          SSMA_TRACE_SPAN_IDS(kJournalAppend, req_id, req_id);
-          journal->append_completed(req_id, worker_id, out_crc);
-        }
-        metrics_.record_journal_append(
-            std::chrono::duration<double, std::nano>(Clock::now() - t_j)
-                .count());
+    }
+    if (journal) {
+      const Clock::time_point t_j = Clock::now();
+      {
+        SSMA_TRACE_SPAN_IDS(kJournalAppend, id_lo, id_hi);
+        journal->append_completed(done, worker_id);
       }
+      metrics_.record_journal_append(
+          std::chrono::duration<double, std::nano>(Clock::now() - t_j)
+              .count());
     }
     slot.in_flight.clear();
     shard_tokens_[static_cast<std::size_t>(worker_id)] += batch.tokens;

@@ -175,6 +175,35 @@ TEST(ModelRegistry, SaveLoadRoundTripIsDeterministic) {
   EXPECT_EQ(os1.str(), os2.str());
 }
 
+TEST(ModelRegistry, LoadIsAllOrNothing) {
+  const ServeFixture a = ServeFixture::make(4, 8, 64, 7);
+  const ServeFixture b = ServeFixture::make(8, 16, 64, 8);
+  ModelRegistry src;
+  src.register_model("alpha", a.amm);
+  src.register_model("alpha", a.amm);
+  src.register_model("beta", b.amm);
+  std::ostringstream os;
+  src.save(os);
+  // The section ends with beta's blob: flip its last byte so the second
+  // model fails its CRC after the first one decoded.
+  std::string bytes = os.str();
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x5A);
+
+  ModelRegistry reg;
+  reg.register_model("alpha", a.amm);
+  EXPECT_THROW(reg.load(bytes), CheckError);
+  EXPECT_EQ(reg.names(), (std::vector<std::string>{"alpha"}));
+  EXPECT_EQ(reg.versions("alpha"), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(reg.latest_version("alpha"), 1u);
+  EXPECT_EQ(reg.try_resolve("beta", 0), nullptr);
+
+  // The intact section still applies on top.
+  reg.load(os.str());
+  EXPECT_EQ(reg.versions("alpha"), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(reg.latest_version("alpha"), 2u);
+  EXPECT_EQ(reg.latest_version("beta"), 1u);
+}
+
 TEST(ModelRegistry, HostileLengthFieldsAreCheckErrors) {
   for (const std::uint64_t claim :
        {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {

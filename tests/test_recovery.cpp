@@ -301,6 +301,60 @@ TEST(Journal, ReplaySeparatesUnacknowledgedFromCompleted) {
   EXPECT_EQ(replay2.unacknowledged[0].id, 2u);
 }
 
+TEST(Journal, GroupAppendsMatchOneAtATime) {
+  TmpDir dir("jnlgroup");
+  const std::vector<recovery::Completion> done = {
+      {7, 0xDEADBEEF}, {8, 0x01020304}, {9, 0}};
+  // One group of completions against the same records one at a time.
+  RequestJournal one(dir.file("one.jnl"));
+  RequestJournal group(dir.file("group.jnl"));
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> hooked;
+  group.set_commit_hook([&](std::uint64_t seq, std::uint64_t bytes) {
+    hooked.emplace_back(seq, bytes);
+  });
+  for (RequestJournal* j : {&one, &group})
+    j->append_accepted(7, "m", 2, 1, {1, 2, 3, 4});
+  for (const recovery::Completion& c : done)
+    one.append_completed(c.id, /*worker_id=*/3, c.output_crc);
+  EXPECT_EQ(group.append_completed(done, /*worker_id=*/3), 4u);
+  // One commit notification per append call, with the newest record.
+  ASSERT_EQ(hooked.size(), 2u);
+  EXPECT_EQ(hooked[1],
+            std::make_pair(group.durable_seq(), group.durable_bytes()));
+  EXPECT_EQ(slurp(group.path()), slurp(one.path()));
+  EXPECT_EQ(group.durable_seq(), one.durable_seq());
+  EXPECT_EQ(group.durable_bytes(), one.durable_bytes());
+
+  // The leader's record payloads appended raw, as one group, rebuild
+  // the same file.
+  std::vector<std::string> payloads;
+  {
+    std::ifstream is(one.path(), std::ios::binary);
+    is.ignore(8);
+    std::string payload;
+    while (maddness::try_read_framed_blob(is, &payload))
+      payloads.push_back(payload);
+  }
+  ASSERT_EQ(payloads.size(), 4u);
+  RequestJournal raw(dir.file("raw.jnl"));
+  EXPECT_EQ(raw.append_raw(payloads), 4u);
+  EXPECT_EQ(slurp(raw.path()), slurp(one.path()));
+  EXPECT_EQ(raw.durable_seq(), one.durable_seq());
+  EXPECT_EQ(raw.durable_bytes(), one.durable_bytes());
+  // An empty group writes nothing.
+  EXPECT_EQ(raw.append_raw({}), 4u);
+  EXPECT_EQ(raw.durable_bytes(), one.durable_bytes());
+
+  // Reopened, every journal continues the same addressing.
+  const auto replay = RequestJournal::read(raw.path());
+  EXPECT_EQ(replay.accepted, 1u);
+  EXPECT_EQ(replay.completed, 3u);
+  EXPECT_EQ(replay.completed_crc.at(8), 0x01020304u);
+  RequestJournal reopened(raw.path());
+  EXPECT_EQ(reopened.durable_seq(), one.durable_seq());
+  EXPECT_EQ(reopened.durable_bytes(), one.durable_bytes());
+}
+
 TEST(Journal, TornTailIsDroppedNotMisparsed) {
   TmpDir dir("jnltorn");
   const std::string path = dir.file("requests.jnl");

@@ -20,7 +20,9 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -609,6 +611,215 @@ TEST(Replication, IdleResendHealsADroppedFinalRecord) {
   EXPECT_GE(st.idle_resends, 1u);
   // The record arrived in-stream and in-order: no gap was ever seen.
   EXPECT_EQ(applier.stats().gap_reconnects, 0u);
+}
+
+/// Journals `n` accept records of `bytes` code bytes each, one append
+/// call per record, then their completions as one group.
+void journal_requests(RequestJournal& journal, std::uint64_t first_id,
+                      std::size_t n, std::size_t bytes) {
+  std::vector<recovery::Completion> done;
+  for (std::uint64_t id = first_id; id < first_id + n; ++id) {
+    journal.append_accepted(id, "m", 1, 1,
+                            std::vector<std::uint8_t>(bytes, id & 0xFF));
+    done.push_back({id, static_cast<std::uint32_t>(id * 2654435761u)});
+  }
+  journal.append_completed(done, /*worker_id=*/0);
+}
+
+bool wait_until(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+TEST(Replication, FaultsInsideAGroupHealByteExact) {
+  // The sender ships everything pending in one send, and the follower
+  // persists and acks everything one read delivers; a fault still hits
+  // exactly one record of such a group. Each case arms one fault on a
+  // record in the middle of the group the first session ships (16
+  // records already journaled), and another in the middle of a group of
+  // 8 completions journaled while the follower is live.
+  for (const FaultSite site : {FaultSite::kReplSend, FaultSite::kReplRecv}) {
+    for (const FaultKind kind : {FaultKind::kDropMessage,
+                                 FaultKind::kDupMessage,
+                                 FaultKind::kTornMessage}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "site " << static_cast<int>(site) << " kind "
+                   << static_cast<int>(kind));
+      TmpDir dir("groupfault");
+      FaultInjector fault(1);
+      FaultPlan plan;
+      plan.site = site;
+      plan.kind = kind;
+      plan.fire_at = 5;
+      fault.arm(plan);
+
+      RequestJournal journal(dir.file("leader.jnl"));
+      journal_requests(journal, 0, 8, 32);
+      ReplicationOptions ropts;
+      ropts.fault = &fault;
+      ropts.resend_after = std::chrono::milliseconds(50);
+      ReplicationLog repl(journal, nullptr, ropts);
+      ApplierOptions aopts;
+      aopts.leader_port = repl.port();
+      aopts.dir = dir.file("follower");
+      aopts.fault = &fault;
+      ReplicaApplier applier(aopts);
+      ASSERT_TRUE(applier.wait_caught_up(journal.durable_seq(),
+                                         std::chrono::milliseconds(10000)));
+      EXPECT_EQ(fault.fired(), 1u);
+      EXPECT_EQ(slurp(applier.journal_path()), slurp(journal.path()));
+
+      plan.fire_at = fault.polls(site) + 3;
+      fault.arm(plan);
+      std::vector<recovery::Completion> live;
+      for (std::uint64_t id = 100; id < 108; ++id) live.push_back({id, 7});
+      journal.append_completed(live, /*worker_id=*/1);
+      ASSERT_TRUE(applier.wait_caught_up(journal.durable_seq(),
+                                         std::chrono::milliseconds(10000)));
+      EXPECT_EQ(fault.fired(), 2u);
+      EXPECT_EQ(slurp(applier.journal_path()), slurp(journal.path()))
+          << "fired: " << ::testing::PrintToString(fault.fired_log());
+      EXPECT_TRUE(wait_until([&] {
+        return repl.stats().replicated_seq == journal.durable_seq();
+      }));
+    }
+  }
+}
+
+TEST(Replication, StreamsAJournalLargerThanOneSenderRead) {
+  // A follower that connects late catches up over several sender reads
+  // (each bounded to a few MiB), one of them a single record larger
+  // than the read bound.
+  TmpDir dir("bigread");
+  RequestJournal journal(dir.file("leader.jnl"));
+  journal_requests(journal, 0, 6, 1u << 20);
+  journal_requests(journal, 6, 1, 5u << 20);
+  journal_requests(journal, 7, 6, 1u << 20);
+  ASSERT_GT(journal.durable_bytes(), std::uint64_t{16} << 20);
+  ReplicationLog repl(journal, nullptr, ReplicationOptions{});
+  ApplierOptions aopts;
+  aopts.leader_port = repl.port();
+  aopts.dir = dir.file("follower");
+  ReplicaApplier applier(aopts);
+  ASSERT_TRUE(applier.wait_caught_up(journal.durable_seq(),
+                                     std::chrono::milliseconds(20000)));
+  EXPECT_EQ(slurp(applier.journal_path()), slurp(journal.path()));
+  EXPECT_EQ(applier.stats().dup_records, 0u);
+  EXPECT_EQ(applier.stats().gap_reconnects, 0u);
+  EXPECT_EQ(repl.stats().records_sent, journal.durable_seq());
+}
+
+TEST(Replication, TornNewestCheckpointDoesNotBlockTheNextOne) {
+  // The sender examines each new checkpoint version once: a torn newest
+  // file is skipped, and the next good one still ships.
+  const ServeFixture f = ServeFixture::make();
+  TmpDir dir("torncp");
+  FaultInjector fault(1);
+  CheckpointManager ckpts(dir.file("leader-ckpts"), &fault);
+  RequestJournal journal(dir.file("leader.jnl"));
+  recovery::CheckpointState st;
+  st.amm_blob = f.amm.save_string();
+  ckpts.write(st);
+  ReplicationLog repl(journal, &ckpts, ReplicationOptions{});
+  ApplierOptions aopts;
+  aopts.leader_port = repl.port();
+  aopts.dir = dir.file("follower");
+  ReplicaApplier applier(aopts);
+  ASSERT_TRUE(applier.wait_standby(std::chrono::milliseconds(10000)));
+
+  FaultPlan torn;
+  torn.site = FaultSite::kCheckpointWrite;
+  torn.kind = FaultKind::kTornCheckpoint;
+  torn.fire_at = fault.polls(FaultSite::kCheckpointWrite) + 1;
+  fault.arm(torn);
+  EXPECT_EQ(ckpts.write(st), 2u);
+  EXPECT_EQ(ckpts.newest_version(), 2u);
+  // Several discovery polls see the torn version as the newest.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(ckpts.write(st), 3u);
+
+  ASSERT_TRUE(
+      wait_until([&] { return applier.stats().checkpoints_received >= 2; }));
+  const auto follower_copy = [&](std::uint64_t v) {
+    return (std::filesystem::path(applier.checkpoint_dir()) /
+            std::filesystem::path(ckpts.path_of(v)).filename())
+        .string();
+  };
+  EXPECT_EQ(slurp(follower_copy(3)), slurp(ckpts.path_of(3)));
+  EXPECT_FALSE(std::filesystem::exists(follower_copy(2)));
+  EXPECT_EQ(repl.stats().checkpoints_shipped, 2u);
+}
+
+TEST(Replication, UndecodableRegistryCheckpointIsDroppedNotFatal) {
+  // A checkpoint that passes its CRC but whose registry section does
+  // not decode must not take the follower process down: the follower
+  // drops it, resyncs, and installs the next good checkpoint — both as
+  // its first checkpoint and once its standby exists.
+  const ServeFixture f = ServeFixture::make();
+  recovery::CheckpointState junk;
+  junk.registry_blob = std::string(20, '\x7f');
+  for (const bool standby_first : {false, true}) {
+    SCOPED_TRACE(standby_first ? "after the standby exists"
+                               : "as the first checkpoint");
+    TmpDir dir("badregistry");
+    CheckpointManager ckpts(dir.file("leader-ckpts"));
+    RequestJournal journal(dir.file("leader.jnl"));
+    if (!standby_first) ckpts.write(junk);
+    ReplicationLog repl(journal, &ckpts, ReplicationOptions{});
+    ApplierOptions aopts;
+    aopts.leader_port = repl.port();
+    aopts.dir = dir.file("follower");
+    aopts.server.num_workers = 1;
+    ReplicaApplier applier(aopts);
+
+    ServerOptions opts;
+    opts.num_workers = 1;
+    opts.recovery.journal = &journal;
+    opts.recovery.checkpoints = &ckpts;
+    opts.recovery.replication = &repl;
+    std::unique_ptr<InferenceServer> server;
+    std::uint64_t bad_version = 1;
+    if (standby_first) {
+      server = std::make_unique<InferenceServer>(opts);
+      server->register_model("m", f.amm);
+      ASSERT_TRUE(applier.wait_standby(std::chrono::milliseconds(10000)));
+      bad_version = ckpts.write(junk);
+    }
+    // The follower drops the bad checkpoint and redials, more than once.
+    ASSERT_TRUE(wait_until([&] { return applier.stats().reconnects >= 2; }));
+    EXPECT_EQ(applier.stats().has_standby, standby_first);
+    if (!standby_first) server = std::make_unique<InferenceServer>(opts);
+    server->register_model("m", f.amm);  // newer, good checkpoints
+
+    constexpr std::size_t kRequests = 12;
+    std::vector<std::future<InferenceResult>> futs;
+    for (std::size_t id = 0; id < kRequests; ++id)
+      futs.push_back(server->submit("m", f.codes_for(id), 1));
+    for (std::size_t i = 0; i < futs.size(); ++i)
+      EXPECT_EQ(futs[i].get().outputs, f.expected(i % f.pool.rows, 1));
+    server->shutdown();
+
+    ASSERT_TRUE(applier.wait_caught_up(journal.durable_seq(),
+                                       std::chrono::milliseconds(10000)));
+    EXPECT_EQ(slurp(applier.journal_path()), slurp(journal.path()));
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::path(applier.checkpoint_dir()) /
+        std::filesystem::path(ckpts.path_of(bad_version)).filename()));
+    repl.stop();
+
+    replication::PromotionReport rep;
+    auto promoted = applier.promote(&rep);
+    ASSERT_NE(promoted, nullptr);
+    EXPECT_EQ(rep.crc_mismatches, 0u);
+    EXPECT_EQ(rep.replay_failures, 0u);
+    EXPECT_EQ(rep.applied, kRequests);
+    promoted->shutdown();
+  }
 }
 
 TEST(Replication, LagBookkeepingStaysBoundedWithoutAFollower) {
