@@ -86,7 +86,7 @@ CheckpointManager::CheckpointManager(std::string dir, FaultInjector* fault)
   fs::create_directories(dir_);
   for (const std::uint64_t v : versions())
     next_version_ = std::max(next_version_, v + 1);
-  newest_.store(next_version_ - 1, std::memory_order_release);
+  newest_.store(next_version_ - 1);
 }
 
 std::string CheckpointManager::path_of(std::uint64_t version) const {
@@ -120,7 +120,7 @@ std::uint64_t CheckpointManager::write(const CheckpointState& st) {
       os.write(bytes.data(),
                static_cast<std::streamsize>(bytes.size() / 2));
       os.close();
-      newest_.store(version, std::memory_order_release);
+      newest_.store(version);
       return version;
     }
   }
@@ -128,7 +128,7 @@ std::uint64_t CheckpointManager::write(const CheckpointState& st) {
   const std::string tmp_path = final_path + ".tmp";
   write_file(tmp_path, version, st);
   fs::rename(tmp_path, final_path);
-  newest_.store(version, std::memory_order_release);
+  newest_.store(version);
   return version;
 }
 

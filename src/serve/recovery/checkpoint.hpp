@@ -87,7 +87,7 @@ class CheckpointManager {
   /// sender can poll it for new checkpoints instead of listing the
   /// directory.
   std::uint64_t newest_version() const {
-    return newest_.load(std::memory_order_acquire);
+    return newest_.load();
   }
   std::string path_of(std::uint64_t version) const;
   const std::string& dir() const { return dir_; }

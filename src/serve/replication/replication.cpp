@@ -184,7 +184,7 @@ std::uint64_t ReplicationLog::newest_valid_checkpoint() {
   std::uint64_t examined;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (newest <= ckpt_examined_) return ckpt_valid_;
+    if (newest <= ckpt_examined_) return ckpt_newest_valid_;
     examined = ckpt_examined_;
   }
   // Validate, newest first, only the versions not examined yet; a torn
@@ -203,8 +203,8 @@ std::uint64_t ReplicationLog::newest_valid_checkpoint() {
   }
   std::lock_guard<std::mutex> lk(mu_);
   ckpt_examined_ = std::max(ckpt_examined_, newest);
-  ckpt_valid_ = std::max(ckpt_valid_, found);
-  return ckpt_valid_;
+  ckpt_newest_valid_ = std::max(ckpt_newest_valid_, found);
+  return ckpt_newest_valid_;
 }
 
 recovery::FaultKind ReplicationLog::send_fault(std::string* out,

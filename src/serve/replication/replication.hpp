@@ -225,7 +225,7 @@ class ReplicationLog {
   std::list<std::unique_ptr<Follower>> followers_;
   /// Newest checkpoint version examined, and the newest that validated.
   std::uint64_t ckpt_examined_ = 0;
-  std::uint64_t ckpt_valid_ = 0;
+  std::uint64_t ckpt_newest_valid_ = 0;
 
   // Lifetime counters (under mu_).
   std::uint64_t records_sent_ = 0;

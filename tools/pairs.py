@@ -38,6 +38,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("rpc_small", "mlp_fused", "durable_sync")
 SIDES = ("parent", "change")
+# Rows measured around each run rather than by the benchmark.
+CONTEXT = ("fail_share", "steal_share", "nvcsw_per_req", "cpu_us_per_req")
 
 
 # ----------------------------------------------------------------- statistics
@@ -113,16 +115,15 @@ def benchmark_spec(root=ROOT):
         spec = json.load(f)
     bounds = {m["name"]: (m["better"], m.get("bound"))
               for m in spec["end_to_end"] + spec["per_layer"]}
-    # Context rows measured around each run, not by the benchmark.
-    bounds["steal_share"] = ("lower", None)
-    bounds["nvcsw_per_req"] = ("lower", None)
-    bounds["cpu_us_per_req"] = ("lower", None)
+    for name in CONTEXT:
+        bounds[name] = ("lower", None)
     return bounds
 
 
 def run_values(run):
     values = {name: m["value"] for name, m in run["metrics"].items()}
-    for key in ("steal_share", "nvcsw_per_req", "cpu_us_per_req"):
+    values["fail_share"] = (run.get("failed") or 0) / max(1, run["attempted"])
+    for key in CONTEXT[1:]:
         values[key] = run[key]
     return values
 
@@ -154,9 +155,7 @@ def tables(runs, bounds):
 
 
 def fmt(v):
-    if v == 0 or 0.01 <= abs(v) < 1e5:
-        return f"{v:.4g}"
-    return f"{v:.3e}"
+    return f"{v / 1e3:.4g}k" if abs(v) >= 1e4 else f"{v:.4g}"
 
 
 def render(runs, bounds):
@@ -176,7 +175,8 @@ def render(runs, bounds):
                 verdict.append("resolved" if r["resolved"] else "unresolved")
                 if not r["within_bound"]:
                     verdict.append("WORSE THAN BOUND")
-            verdict.append("gain" if r["gain"] else "no gain")
+            if r["metric"] not in CONTEXT:
+                verdict.append("gain" if r["gain"] else "no gain")
             bound = "-" if r["bound"] is None else f"{r['bound']:.2f}"
             lines.append(
                 f"{r['metric']:28} "

@@ -40,8 +40,8 @@ RUNS.append(run("durable_sync", 10, "parent", 1.0, 9.0, exit_code=1))
 RUNS.append(run("durable_sync", 11, "change", 1.0, 9.0))
 
 BOUNDS = {"rows_per_s": ("higher", 0.25), "p50_ms": ("lower", 0.25),
-          "steal_share": ("lower", None), "nvcsw_per_req": ("lower", None),
-          "cpu_us_per_req": ("lower", None)}
+          "fail_share": ("lower", None), "steal_share": ("lower", None),
+          "nvcsw_per_req": ("lower", None), "cpu_us_per_req": ("lower", None)}
 
 
 class Statistics(unittest.TestCase):
@@ -99,8 +99,10 @@ class Tables(unittest.TestCase):
     def test_recorded_runs_pair_by_workload_and_pair_index(self):
         rows = {r["metric"]: r for r in pairs.tables(RUNS, BOUNDS)[
             "durable_sync"]}
-        self.assertEqual(list(rows), ["rows_per_s", "p50_ms", "steal_share",
-                                      "nvcsw_per_req", "cpu_us_per_req"])
+        self.assertEqual(list(rows), ["rows_per_s", "p50_ms", "fail_share",
+                                      "steal_share", "nvcsw_per_req",
+                                      "cpu_us_per_req"])
+        self.assertEqual(rows["fail_share"]["parent"], (0.0, 0.0, 0.0))
         rps = rows["rows_per_s"]
         self.assertEqual(rps["n"], 10)
         self.assertEqual(rps["wins"], 9)
@@ -124,15 +126,19 @@ class Tables(unittest.TestCase):
         self.assertIn("durable_sync: 10 pairs", text)
         line = next(ln for ln in text.splitlines()
                     if ln.startswith("rows_per_s"))
-        self.assertIn("1.395e+04", line)
+        self.assertIn("13.95k (13.55k-14.18k)", line)
         self.assertIn("9/10", line)
         self.assertIn("resolved, gain", line)
+        steal = next(ln for ln in text.splitlines()
+                     if ln.startswith("steal_share"))
+        self.assertNotIn("gain", steal)  # context rows carry no verdict
 
     def test_benchmark_spec_reads_every_bound(self):
         spec = pairs.benchmark_spec()
         self.assertEqual(spec["rows_per_s"], ("higher", 0.25))
         self.assertEqual(spec["repl.bytes_per_req"], ("lower", None))
         self.assertEqual(spec["nvcsw_per_req"], ("lower", None))
+        self.assertEqual(spec["fail_share"], ("lower", None))
 
 
 if __name__ == "__main__":
