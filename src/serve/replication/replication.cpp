@@ -199,6 +199,7 @@ std::uint64_t ReplicationLog::newest_valid_checkpoint() {
           checkpoints_->path_of(*it));
       found = *it;
     } catch (const std::exception&) {
+      // Torn or corrupt: the version before it may still validate.
     }
   }
   std::lock_guard<std::mutex> lk(mu_);

@@ -662,7 +662,6 @@ TEST(Replication, FaultsInsideAGroupHealByteExact) {
       journal_requests(journal, 0, 8, 32);
       ReplicationOptions ropts;
       ropts.fault = &fault;
-      ropts.resend_after = std::chrono::milliseconds(50);
       ReplicationLog repl(journal, nullptr, ropts);
       ApplierOptions aopts;
       aopts.leader_port = repl.port();
@@ -701,7 +700,9 @@ TEST(Replication, StreamsAJournalLargerThanOneSenderRead) {
   journal_requests(journal, 6, 1, 5u << 20);
   journal_requests(journal, 7, 6, 1u << 20);
   ASSERT_GT(journal.durable_bytes(), std::uint64_t{16} << 20);
-  ReplicationLog repl(journal, nullptr, ReplicationOptions{});
+  ReplicationOptions ropts;
+  ropts.resend_after = std::chrono::seconds(60);  // no idle re-offers
+  ReplicationLog repl(journal, nullptr, ropts);
   ApplierOptions aopts;
   aopts.leader_port = repl.port();
   aopts.dir = dir.file("follower");
