@@ -1,7 +1,7 @@
 // Shared helpers for bench harnesses that emit BENCH_*.json artifacts:
 // machine identification (CPU model, logical core count) so a recorded
-// number can be read in context — in particular the 1-CPU CI container
-// caveat from the serving benchmarks is visible in the data itself.
+// number can be read in context — how many cores the threads of a
+// serving or replication cell shared is visible in the data itself.
 #pragma once
 
 #include <cstdio>

@@ -22,10 +22,10 @@
 // the middle checkpoint cadence — the price of zero RPO.
 //
 // Results are machine-dependent: both halves of the pair share one
-// host, so on the 1-CPU CI container the leader, follower and loopback
-// stream all contend for the same core — absolute numbers there bound
-// the protocol overhead, not achievable failover time. The artifact
-// records the CPU model and logical core count for that reason.
+// host, so the leader, follower and loopback stream contend for the
+// same cores — absolute numbers bound the protocol overhead, not
+// achievable failover time. The artifact records the CPU model and
+// logical core count for that reason.
 //
 //   build/bench/replication_failover [--requests=N] [--rows=N]
 //                                    [--out=BENCH_replication.json]

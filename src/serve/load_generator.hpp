@@ -1,10 +1,7 @@
-// Load generation against an InferenceServer, the two classic arrival
-// models: open-loop Poisson (requests arrive at a fixed offered rate
-// whether or not the server keeps up — latency includes queueing and
-// admission backpressure) and closed-loop (a fixed number of synchronous
-// clients, each submitting its next request when the previous returns).
-// Payloads are drawn deterministically from a quantized activation pool,
-// so every run is bit-reproducible.
+// Closed-loop load generation against an InferenceServer: a fixed
+// number of synchronous clients, each submitting its next request when
+// the previous returns. Payloads are drawn deterministically from a
+// quantized activation pool, so every run is bit-reproducible.
 #pragma once
 
 #include <cstdint>
@@ -24,26 +21,17 @@ struct LoadSpec {
   /// targets model_refs[i % size]) — the multi-model interleave the
   /// registry-dispatch bench uses. Must not be empty.
   std::vector<std::string> model_refs;
-  /// Drives the Poisson arrival stream — and, when a run injects
-  /// faults, the same seed should be handed to the FaultInjector so
-  /// one number reproduces the whole scenario from a failure log.
-  std::uint64_t seed = 0x5eed5e12;
 };
 
 /// Client-side view of a finished load run.
 struct LoadReport {
-  std::uint64_t seed = 0;  ///< echoed from LoadSpec; lands in the JSON
   std::size_t completed = 0;
   std::size_t tokens = 0;
   double wall_seconds = 0.0;
-  /// True for open-loop runs; closed-loop runs have no offered rate, and
-  /// json() emits `"offered_rps": null` for them instead of a bogus 0.
-  bool open_loop = false;
-  double offered_rps = 0.0;  ///< open-loop target; meaningless otherwise
   double achieved_rps = 0.0;
   double tokens_per_sec = 0.0;
-  // Client-observed end-to-end latency (intended arrival / submit time
-  // -> result fulfilled), in milliseconds.
+  // Client-observed end-to-end latency (submit -> result fulfilled), in
+  // milliseconds.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -69,13 +57,6 @@ class LoadGenerator {
   const std::string& model_ref(std::uint64_t id) const;
 
   const LoadSpec& spec() const { return spec_; }
-  std::uint64_t seed() const { return spec_.seed; }
-
-  /// Open-loop: Poisson arrivals at `requests_per_sec`. Latency is
-  /// measured from each request's *intended* arrival instant, so time
-  /// spent blocked on a full queue is charged to the server.
-  LoadReport run_open_loop(InferenceServer& server,
-                           double requests_per_sec);
 
   /// Closed-loop: `concurrency` clients submitting back-to-back.
   LoadReport run_closed_loop(InferenceServer& server, int concurrency);

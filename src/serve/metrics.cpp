@@ -351,44 +351,6 @@ std::string MetricsSnapshot::render() const {
   return out;
 }
 
-std::string MetricsSnapshot::json() const {
-  std::ostringstream oss;
-  oss.setf(std::ios::fixed);
-  oss.precision(3);
-  oss << "{\"requests\":" << requests << ",\"tokens\":" << tokens
-      << ",\"batches\":" << batches << ",\"wall_seconds\":" << wall_seconds
-      << ",\"requests_per_sec\":" << requests_per_sec
-      << ",\"tokens_per_sec\":" << tokens_per_sec
-      << ",\"mean_batch_tokens\":" << mean_batch_tokens
-      << ",\"p50_us\":" << p50_us << ",\"p95_us\":" << p95_us
-      << ",\"p99_us\":" << p99_us << ",\"mean_us\":" << mean_us
-      << ",\"max_us\":" << max_us << ",\"queue_p50_us\":" << queue_p50_us
-      << ",\"queue_p99_us\":" << queue_p99_us
-      << ",\"journal_appends\":" << journal_appends
-      << ",\"journal_p50_us\":" << journal_p50_us
-      << ",\"journal_p99_us\":" << journal_p99_us << ",\"rejects\":{";
-  for (std::size_t i = 0; i < kNumRejectReasons; ++i) {
-    if (i) oss << ",";
-    oss << "\"" << reject_reason_name(static_cast<RejectReason>(i))
-        << "\":" << rejects[i];
-  }
-  oss << "},\"per_model\":[";
-  for (std::size_t i = 0; i < per_model.size(); ++i) {
-    const ModelMetricsSnapshot& m = per_model[i];
-    if (i) oss << ",";
-    oss << "{\"model\":\"" << m.model << "\",\"requests\":" << m.requests
-        << ",\"tokens\":" << m.tokens << ",\"batches\":" << m.batches
-        << ",\"p50_us\":" << m.p50_us << ",\"p99_us\":" << m.p99_us
-        << ",\"mean_us\":" << m.mean_us
-        << ",\"queue_p50_us\":" << m.queue_p50_us
-        << ",\"queue_p99_us\":" << m.queue_p99_us
-        << ",\"service_p50_us\":" << m.service_p50_us
-        << ",\"service_p99_us\":" << m.service_p99_us << "}";
-  }
-  oss << "]}";
-  return oss.str();
-}
-
 std::string Metrics::render_prometheus(const PromGauges& gauges) const {
   std::ostringstream oss;
 

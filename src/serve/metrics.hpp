@@ -126,7 +126,6 @@ struct MetricsSnapshot {
   const ModelMetricsSnapshot* for_model(const std::string& model) const;
 
   std::string render() const;
-  std::string json() const;
 };
 
 /// Live values owned by the server, not the metrics sink, sampled at

@@ -2,8 +2,8 @@
 // injected clock, refill across tenant churn and LRU eviction),
 // priority-watermark load shedding, priority-aware queue ordering, the
 // pop_compatible starvation guard (regression for the unbounded
-// model-affine skip), deadline handling at batch formation, typed
-// rejection taxonomy, and the closed-loop offered_rps JSON fix.
+// model-affine skip), deadline handling at batch formation, and the
+// typed rejection taxonomy.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,7 +15,6 @@
 #include "engine/model_registry.hpp"
 #include "serve/admission.hpp"
 #include "serve/batcher.hpp"
-#include "serve/load_generator.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
@@ -368,22 +367,6 @@ TEST(RejectTaxonomyTest, NonblockingSubmitRejectsWhenQueueFull) {
                 RejectReason::kQueueFull)],
             1u);
   server.shutdown();
-}
-
-// ------------------------------------------------------- offered_rps
-
-TEST(LoadReportJsonTest, ClosedLoopOfferedRpsIsNullNotZero) {
-  LoadReport r;  // closed-loop reports leave open_loop false
-  const std::string j = r.json();
-  EXPECT_NE(j.find("\"offered_rps\":null"), std::string::npos)
-      << "closed-loop cells must not report a measured-looking 0: " << j;
-
-  LoadReport open;
-  open.open_loop = true;
-  open.offered_rps = 1234.5;
-  EXPECT_NE(open.json().find("\"offered_rps\":1234.500"),
-            std::string::npos)
-      << open.json();
 }
 
 }  // namespace

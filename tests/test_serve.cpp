@@ -248,7 +248,6 @@ TEST(Metrics, CountsAndRates) {
   EXPECT_DOUBLE_EQ(s.mean_batch_tokens, 4.0);
   EXPECT_GT(s.wall_seconds, 0.0);
   EXPECT_GT(s.tokens_per_sec, 0.0);
-  EXPECT_NE(s.json().find("\"tokens\":8"), std::string::npos);
 
   // Per-model slices: one row per name, sorted, counters partitioned.
   ASSERT_EQ(s.per_model.size(), 2u);
@@ -258,7 +257,6 @@ TEST(Metrics, CountsAndRates) {
   ASSERT_NE(s.for_model("b"), nullptr);
   EXPECT_EQ(s.for_model("b")->requests, 1u);
   EXPECT_EQ(s.for_model("nope"), nullptr);
-  EXPECT_NE(s.json().find("\"per_model\""), std::string::npos);
 }
 
 // ------------------------------------------------- the central contract
@@ -737,28 +735,6 @@ TEST(LoadGenerator, ClosedLoopServesExactlyTheSpec) {
 
   server.shutdown();
   EXPECT_EQ(server.metrics().requests, spec.total_requests);
-}
-
-TEST(LoadGenerator, OpenLoopPoissonCompletesAndMeasures) {
-  const Fixture f = Fixture::make();
-  ServerOptions opts;
-  opts.num_workers = 4;
-  InferenceServer server(opts);
-  server.register_model("m", f.amm);
-
-  LoadSpec spec;
-  spec.model_refs = {"m"};
-  spec.total_requests = 200;
-  spec.rows_per_request = 1;
-  LoadGenerator gen(f.pool, spec);
-  // High offered rate so the run finishes fast; latency must still be
-  // measured for every request.
-  const LoadReport r = gen.run_open_loop(server, 50'000.0);
-  EXPECT_EQ(r.completed, spec.total_requests);
-  EXPECT_DOUBLE_EQ(r.offered_rps, 50'000.0);
-  EXPECT_GT(r.achieved_rps, 0.0);
-  EXPECT_GT(r.mean_ms, 0.0);
-  EXPECT_GE(r.max_ms, r.p50_ms);
 }
 
 }  // namespace
