@@ -221,16 +221,10 @@ int main(int argc, char** argv) {
   }
   if (smoke) min_ms = 2.0;
 
-  std::vector<maddness::KernelTier> tiers{maddness::KernelTier::kScalar};
-  if (maddness::kernel_tier_available(maddness::KernelTier::kSsse3))
-    tiers.push_back(maddness::KernelTier::kSsse3);
-  if (maddness::kernel_tier_available(maddness::KernelTier::kAvx2))
-    tiers.push_back(maddness::KernelTier::kAvx2);
-  std::vector<maddness::KernelTier> enc_tiers{maddness::KernelTier::kScalar};
-  if (maddness::encoder_tier_available(maddness::KernelTier::kSsse3))
-    enc_tiers.push_back(maddness::KernelTier::kSsse3);
-  if (maddness::encoder_tier_available(maddness::KernelTier::kAvx2))
-    enc_tiers.push_back(maddness::KernelTier::kAvx2);
+  const std::vector<maddness::KernelTier> tiers =
+      maddness::available_kernel_tiers();
+  const std::vector<maddness::KernelTier> enc_tiers =
+      maddness::available_encoder_tiers();
 
   struct CellSpec {
     std::size_t rows;

@@ -80,13 +80,9 @@ void BM_MaddnessApplyReference(benchmark::State& state) {
 BENCHMARK(BM_MaddnessApplyReference)->Arg(256)->Arg(1024);
 
 void BM_PackedLutKernel(benchmark::State& state) {
-  // Accumulation only, on a prebuilt encode cache, at a fixed dispatch
-  // tier (0 = scalar, 1 = ssse3, 2 = avx2); unavailable tiers skip.
+  // Accumulation only, on a prebuilt encode cache, at each available
+  // dispatch tier.
   const auto tier = static_cast<maddness::KernelTier>(state.range(0));
-  if (!maddness::kernel_tier_available(tier)) {
-    state.SkipWithError("tier not available on this build/CPU");
-    return;
-  }
   const std::size_t n = 1024;
   Rng rng(5);
   maddness::Config cfg;
@@ -104,7 +100,10 @@ void BM_PackedLutKernel(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * 32 * 128);
   state.SetLabel(maddness::kernel_tier_name(tier));
 }
-BENCHMARK(BM_PackedLutKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_PackedLutKernel)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const maddness::KernelTier tier : maddness::available_kernel_tiers())
+    b->Arg(static_cast<int>(tier));
+});
 
 void BM_TreeEncode(benchmark::State& state) {
   // Per-row reference walk — the scalar baseline BM_BatchEncoder is
@@ -129,14 +128,9 @@ void BM_TreeEncode(benchmark::State& state) {
 BENCHMARK(BM_TreeEncode);
 
 void BM_BatchEncoder(benchmark::State& state) {
-  // The vectorized batch encoder at a fixed dispatch tier (0 = scalar,
-  // 1 = ssse3, 2 = avx2); unavailable tiers skip. Scratch is reused
-  // across iterations, as the serve worker shards do.
+  // The vectorized batch encoder at each available dispatch tier.
+  // Scratch is reused across iterations, as the serve worker shards do.
   const auto tier = static_cast<maddness::KernelTier>(state.range(0));
-  if (!maddness::encoder_tier_available(tier)) {
-    state.SkipWithError("tier not available on this build/CPU");
-    return;
-  }
   const std::size_t n = 1024;
   Rng rng(6);
   maddness::Config cfg;
@@ -157,7 +151,10 @@ void BM_BatchEncoder(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * 32);
   state.SetLabel(maddness::kernel_tier_name(tier));
 }
-BENCHMARK(BM_BatchEncoder)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_BatchEncoder)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const maddness::KernelTier tier : maddness::available_encoder_tiers())
+    b->Arg(static_cast<int>(tier));
+});
 
 void BM_EventSimTokens(benchmark::State& state) {
   const int ndec = static_cast<int>(state.range(0));

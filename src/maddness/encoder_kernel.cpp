@@ -92,15 +92,20 @@ bool encoder_tier_available(KernelTier tier) {
     case KernelTier::kAvx2:
       return detail::encoder_avx2_compiled_in() &&
              detail::cpu_supports_tier(tier);
+    case KernelTier::kAvx512:
+      return false;  // the encoder's top tier is AVX2
   }
   return false;
 }
 
-KernelTier best_encoder_tier() {
-  if (encoder_tier_available(KernelTier::kAvx2)) return KernelTier::kAvx2;
-  if (encoder_tier_available(KernelTier::kSsse3)) return KernelTier::kSsse3;
-  return KernelTier::kScalar;
+std::vector<KernelTier> available_encoder_tiers() {
+  std::vector<KernelTier> tiers;
+  for (const KernelTier tier : available_kernel_tiers())
+    if (encoder_tier_available(tier)) tiers.push_back(tier);
+  return tiers;
 }
+
+KernelTier best_encoder_tier() { return available_encoder_tiers().back(); }
 
 KernelTier select_encoder_tier() {
   static const KernelTier tier =
@@ -158,6 +163,7 @@ inline void traverse_codebook(KernelTier tier, const std::uint8_t* stage,
                               const std::uint8_t* thr,
                               std::uint8_t* codes) {
   switch (tier) {
+    case KernelTier::kAvx512:  // clamped away by the callers
     case KernelTier::kAvx2:
       detail::encode_codebook_avx2(stage, stride, rows, thr, codes);
       break;

@@ -24,7 +24,8 @@
 //
 // Dispatch rides the same machinery as the LUT kernel: runtime CPUID
 // probing with per-TU -m compilation, clamped by the SSMA_KERNEL
-// environment override (scalar | ssse3 | avx2).
+// environment override (scalar | ssse3 | avx2; avx512, the LUT kernel's
+// top tier, clamps down to the encoder's, avx2).
 #pragma once
 
 #include <cstddef>
@@ -99,6 +100,8 @@ struct EncodeScratch {
 
 /// True when `tier`'s encoder TU is compiled in and the CPU supports it.
 bool encoder_tier_available(KernelTier tier);
+/// Every encoder tier that can run on this build + CPU, lowest first.
+std::vector<KernelTier> available_encoder_tiers();
 /// Highest available encoder tier on this build + CPU.
 KernelTier best_encoder_tier();
 /// best_encoder_tier() clamped down by SSMA_KERNEL when set (same

@@ -9,11 +9,12 @@
 //   * LutBank — proto-major, index (c * K + k) * nout + o. This is the
 //     construction/serialization layout (it matches the order build_lut
 //     fills entries in and the on-disk SSMAAMM2 payload).
-//   * LutBankPacked — output-major, codebook-tiled: the K entries of one
-//     (codebook, output) table are contiguous, index (c * nout + o) * K + k.
-//     This is the accumulation layout: the hot kernel walks output blocks
-//     with each 16-entry table resident in one cache line (and, on x86,
-//     in one pshufb register). See lut_kernel.hpp.
+//   * LutBankPacked — output-major within groups of four codebooks: the
+//     K entries of one (codebook, output) table are contiguous, and the
+//     four tables of one group for one output follow each other. This
+//     is the accumulation layout: each 16-entry table is one pshufb
+//     operand, and for K = 16 a group's four tables for one output are
+//     one 64-byte vpermb operand. See lut_kernel.hpp.
 #pragma once
 
 #include <cstdint>
@@ -52,20 +53,44 @@ struct LutBank {
   std::vector<std::int8_t> table(int codebook, int out) const;
 };
 
-/// Output-major, codebook-tiled packing of a LutBank (see file comment).
-/// Self-contained (no Config) so kernels and tests can drive it directly.
+/// Output-major, four-codebook-grouped packing of a LutBank (see file
+/// comment). Self-contained (no Config) so kernels and tests can drive
+/// it directly.
 struct LutBankPacked {
+  static constexpr int kGroup = 4;  ///< codebooks per group
+
   int ncodebooks = 0;
   int nprotos = 0;  ///< K; kProtosPerCodebook (16) for the hardware shape
   int nout = 0;
   bool per_column_scale = true;
-  /// index = (c * nout + o) * nprotos + k.
+  /// index = (c / 4) * 4 * nout * K + o * w * K + (c % 4) * K + k, with
+  /// w = group_width(c).
   std::vector<std::int8_t> q;
   std::vector<float> scales;
 
-  std::size_t table_index(int codebook, int out) const {
-    return (static_cast<std::size_t>(codebook) * nout + out) *
+  /// Codebooks in `codebook`'s group: kGroup, or fewer in a ragged last
+  /// group.
+  int group_width(int codebook) const {
+    const int rest = ncodebooks - codebook / kGroup * kGroup;
+    return rest < kGroup ? rest : kGroup;
+  }
+  /// Distance between one codebook's tables for consecutive outputs.
+  std::size_t out_stride(int codebook) const {
+    return static_cast<std::size_t>(group_width(codebook)) *
            static_cast<std::size_t>(nprotos);
+  }
+  /// Distance between the starts of consecutive groups. Within full
+  /// groups, table_ptr(c, o) is table_ptr(0, o) + (c / 4) * group_bytes()
+  /// + (c % 4) * K, which kernel inner loops use instead of table_ptr.
+  std::size_t group_bytes() const {
+    return static_cast<std::size_t>(kGroup) * static_cast<std::size_t>(nout) *
+           static_cast<std::size_t>(nprotos);
+  }
+  std::size_t table_index(int codebook, int out) const {
+    return static_cast<std::size_t>(codebook / kGroup) * group_bytes() +
+           static_cast<std::size_t>(out) * out_stride(codebook) +
+           static_cast<std::size_t>(codebook % kGroup) *
+               static_cast<std::size_t>(nprotos);
   }
   const std::int8_t* table_ptr(int codebook, int out) const {
     return q.data() + table_index(codebook, out);

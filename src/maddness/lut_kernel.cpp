@@ -7,14 +7,17 @@
 
 #if defined(SSMA_TRACE_ENABLED)
 #include <chrono>
-
-#include "telemetry/kernel_profile.hpp"
 #endif
 
 #include "ppa/tech_constants.hpp"
+#include "telemetry/kernel_profile.hpp"
 #include "util/check.hpp"
 
 namespace ssma::maddness {
+
+static_assert(telemetry::kNumKernelTiers ==
+                  static_cast<int>(KernelTier::kAvx512) + 1,
+              "telemetry counts one slot per KernelTier");
 
 namespace {
 
@@ -23,6 +26,7 @@ KernelTier parse_tier_env(const char* s, KernelTier fallback) {
   if (std::strcmp(s, "scalar") == 0) return KernelTier::kScalar;
   if (std::strcmp(s, "ssse3") == 0) return KernelTier::kSsse3;
   if (std::strcmp(s, "avx2") == 0) return KernelTier::kAvx2;
+  if (std::strcmp(s, "avx512") == 0) return KernelTier::kAvx512;
   return fallback;
 }
 
@@ -50,6 +54,16 @@ bool cpu_supports_tier(KernelTier tier) {
 #else
       return false;
 #endif
+    case KernelTier::kAvx512:
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("avx512vl") &&
+             __builtin_cpu_supports("avx512vbmi") &&
+             __builtin_cpu_supports("avx512vnni");
+#else
+      return false;
+#endif
   }
   return false;
 }
@@ -69,6 +83,8 @@ const char* kernel_tier_name(KernelTier tier) {
       return "ssse3";
     case KernelTier::kAvx2:
       return "avx2";
+    case KernelTier::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -81,15 +97,21 @@ bool kernel_tier_available(KernelTier tier) {
       return detail::ssse3_compiled_in() && detail::cpu_supports_tier(tier);
     case KernelTier::kAvx2:
       return detail::avx2_compiled_in() && detail::cpu_supports_tier(tier);
+    case KernelTier::kAvx512:
+      return detail::avx512_compiled_in() && detail::cpu_supports_tier(tier);
   }
   return false;
 }
 
-KernelTier best_kernel_tier() {
-  if (kernel_tier_available(KernelTier::kAvx2)) return KernelTier::kAvx2;
-  if (kernel_tier_available(KernelTier::kSsse3)) return KernelTier::kSsse3;
-  return KernelTier::kScalar;
+std::vector<KernelTier> available_kernel_tiers() {
+  std::vector<KernelTier> tiers;
+  for (int t = 0; t <= static_cast<int>(KernelTier::kAvx512); ++t)
+    if (kernel_tier_available(static_cast<KernelTier>(t)))
+      tiers.push_back(static_cast<KernelTier>(t));
+  return tiers;
 }
+
+KernelTier best_kernel_tier() { return available_kernel_tiers().back(); }
 
 KernelTier select_kernel_tier() {
   static const KernelTier tier = detail::clamp_tier_by_env(best_kernel_tier());
@@ -143,19 +165,18 @@ namespace {
 
 // Blocked scalar kernel. Tile shape: kRowBlock rows x kOutBlock outputs.
 // Within a tile the working set is tiny — kRowBlock codes per codebook,
-// kOutBlock contiguous 16-byte tables, and a kRowBlock x kOutBlock int32
-// accumulator patch — so every LUT byte is read from L1. The sink decides
-// what a finished accumulator row becomes: an int16 store (classic
-// accumulate) or the fused dequantize -> ReLU -> requantize handoff to
-// the next stage's uint8 activations — either way straight from the
-// L1-hot tile.
+// kOutBlock 16-byte tables (out_stride apart), and a kRowBlock x
+// kOutBlock int32 accumulator patch — so every LUT byte is read from
+// L1. The sink decides what a finished accumulator row becomes: an
+// int16 store (classic accumulate) or the fused dequantize -> ReLU ->
+// requantize handoff to the next stage's uint8 activations — either way
+// straight from the L1-hot tile.
 template <class Sink>
 void scalar_rows_impl(const LutBankPacked& lut, const EncodedBatch& enc,
                       std::size_t row_lo, Sink sink) {
   constexpr std::size_t kRowBlock = 32;
   constexpr int kOutBlock = 16;
   const int nout = lut.nout;
-  const int nk = lut.nprotos;
   const std::size_t rows = enc.rows;
   std::int32_t acc[kRowBlock * kOutBlock];
   for (std::size_t n0 = row_lo; n0 < rows; n0 += kRowBlock) {
@@ -166,11 +187,12 @@ void scalar_rows_impl(const LutBankPacked& lut, const EncodedBatch& enc,
       for (int c = 0; c < lut.ncodebooks; ++c) {
         const std::uint8_t* codes = enc.codebook(c) + n0;
         const std::int8_t* tables = lut.table_ptr(c, o0);
+        const std::size_t stride = lut.out_stride(c);
         for (std::size_t i = 0; i < nb; ++i) {
           const std::int8_t* entry = tables + codes[i];
           std::int32_t* arow = acc + i * static_cast<std::size_t>(ob);
           for (int j = 0; j < ob; ++j)
-            arow[j] += entry[static_cast<std::size_t>(j) * nk];
+            arow[j] += entry[static_cast<std::size_t>(j) * stride];
         }
       }
       for (std::size_t i = 0; i < nb; ++i)
@@ -251,6 +273,9 @@ void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
   const auto t0 = std::chrono::steady_clock::now();
 #endif
   switch (tier) {
+    case KernelTier::kAvx512:
+      detail::apply_packed_avx512(lut, enc, out.data());
+      break;
     case KernelTier::kAvx2:
       detail::apply_packed_avx2(lut, enc, out.data());
       break;
@@ -289,6 +314,9 @@ void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
   SSMA_CHECK_MSG(ep.next_scale > 0.0f,
                  "fused epilogue needs a positive activation scale");
   if (enc.rows == 0 || lut.nout == 0) return;
+  if (tier == KernelTier::kAvx512 &&
+      ep.next_scale < detail::kAvx512MinNextScale)
+    tier = KernelTier::kAvx2;
   while (!kernel_tier_available(tier))
     tier = static_cast<KernelTier>(static_cast<int>(tier) - 1);
   if (lut.nprotos != ppa::kProtosPerCodebook) tier = KernelTier::kScalar;
@@ -302,6 +330,9 @@ void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
   const auto t0 = std::chrono::steady_clock::now();
 #endif
   switch (tier) {
+    case KernelTier::kAvx512:
+      detail::apply_fused_avx512(lut, enc, ep, dst);
+      break;
     case KernelTier::kAvx2:
       detail::apply_fused_avx2(lut, enc, ep, dst);
       break;

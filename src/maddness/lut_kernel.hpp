@@ -3,17 +3,20 @@
 // output in int32 and saturate once to int16 at the end — the software
 // mirror of the paper's pipeline-accumulate-then-clamp datapath.
 //
-// Three implementation tiers share one contract (bit-exact results):
+// Four implementation tiers share one contract (bit-exact results):
 //   * kScalar — portable blocked kernel: 32-row x 16-output tiles keep
 //     the codes, the 16-byte tables and the int32 accumulators L1-hot.
 //   * kSsse3  — pshufb gather: one 16-entry table lives in an XMM
 //     register; 16 rows of codes index it in a single shuffle.
 //   * kAvx2   — the same with the table broadcast to both 128-bit lanes,
 //     32 rows per shuffle.
+//   * kAvx512 — one vpermb gathers four codebooks' tables (one 64-byte
+//     group of the packed bank) for 16 rows, and one vpdpbusd adds the
+//     four bytes into each row's int32 lane (AVX-512 VBMI + VNNI).
 // The SIMD tiers require the hardware table shape (K == 16, codes < 16);
 // other K values dispatch to the scalar kernel. Tier selection happens at
 // runtime from CPUID (overridable via the SSMA_KERNEL environment
-// variable: scalar | ssse3 | avx2).
+// variable: scalar | ssse3 | avx2 | avx512).
 #pragma once
 
 #include <cstddef>
@@ -25,20 +28,23 @@
 
 namespace ssma::maddness {
 
-enum class KernelTier { kScalar = 0, kSsse3 = 1, kAvx2 = 2 };
+enum class KernelTier { kScalar = 0, kSsse3 = 1, kAvx2 = 2, kAvx512 = 3 };
 
 const char* kernel_tier_name(KernelTier tier);
 
 /// Highest tier both compiled in and supported by this CPU.
 KernelTier best_kernel_tier();
 
-/// best_kernel_tier(), downgraded by SSMA_KERNEL=scalar|ssse3|avx2 when
-/// set (an override above what the CPU supports is clamped down). Read
-/// once and cached.
+/// best_kernel_tier(), downgraded by SSMA_KERNEL=scalar|ssse3|avx2|avx512
+/// when set (an override above what the CPU supports is clamped down).
+/// Read once and cached.
 KernelTier select_kernel_tier();
 
 /// True when `tier` can run on this build + CPU.
 bool kernel_tier_available(KernelTier tier);
+
+/// Every tier that can run on this build + CPU, lowest first.
+std::vector<KernelTier> available_kernel_tiers();
 
 /// Encode cache: one batch's leaf codes, stored codebook-major
 /// (codes[c * rows + n]) so the accumulation kernel streams one codebook's
@@ -124,6 +130,9 @@ void apply_packed_ssse3(const LutBankPacked& lut, const EncodedBatch& enc,
 bool avx2_compiled_in();
 void apply_packed_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                        std::int16_t* out);
+bool avx512_compiled_in();
+void apply_packed_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
+                         std::int16_t* out);
 
 /// Scalar tail helper shared by the SIMD tiers: rows [row_lo, rows).
 void apply_packed_scalar_rows(const LutBankPacked& lut,
@@ -164,6 +173,13 @@ void apply_fused_ssse3(const LutBankPacked& lut, const EncodedBatch& enc,
                        const FusedEpilogue& ep, std::uint8_t* dst);
 void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                       const FusedEpilogue& ep, std::uint8_t* dst);
+void apply_fused_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
+                        const FusedEpilogue& ep, std::uint8_t* dst);
+
+/// Smallest next_scale the AVX-512 fused sink takes: its boundary signs
+/// are exact for s >= 2^-125 (see lut_kernel_avx512.cpp). The dispatcher
+/// sends smaller scales to the AVX2 tier.
+inline constexpr float kAvx512MinNextScale = 0x1p-125f;
 
 /// Scalar fused tail shared by the SIMD tiers: rows [row_lo, rows).
 void apply_fused_scalar_rows(const LutBankPacked& lut,

@@ -156,56 +156,81 @@ struct FusedSink {
   }
 };
 
+/// Adds codebooks c and c+1 of one (32-row, ob-output) tile into the
+/// int16 accumulators. The two gathered byte vectors interleave
+/// (unpack) and one pmaddubsw against an all-ones unsigned operand sums
+/// each (A_i, B_i) byte pair straight into the int16 lanes — two
+/// codebooks per sign-extension, vs the two-unpack + two-shift chain a
+/// lone codebook needs. The pairwise int16 product sum is at most
+/// |A| + |B| <= 256, so pmaddubsw's saturation can never engage and the
+/// result is exact. Codebook c's table for output o0+j is at
+/// tables + j * stride; c+1 shares its group, 16 bytes further on.
+inline void accumulate_pair(const EncodedBatch& enc, std::size_t n0, int c,
+                            const std::int8_t* tables, std::size_t stride,
+                            int ob, __m256i acc16[][2]) {
+  const __m256i ones = _mm256_set1_epi8(1);
+  const __m256i codes_a = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(enc.codebook(c) + n0));
+  const __m256i codes_b = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(enc.codebook(c + 1) + n0));
+  for (int j = 0; j < ob; ++j) {
+    const std::int8_t* t = tables + static_cast<std::size_t>(j) * stride;
+    const __m256i table_a = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t)));
+    const __m256i table_b = _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + 16)));
+    const __m256i va = _mm256_shuffle_epi8(table_a, codes_a);
+    const __m256i vb = _mm256_shuffle_epi8(table_b, codes_b);
+    acc16[j][0] = _mm256_add_epi16(
+        acc16[j][0], _mm256_maddubs_epi16(ones, _mm256_unpacklo_epi8(va, vb)));
+    acc16[j][1] = _mm256_add_epi16(
+        acc16[j][1], _mm256_maddubs_epi16(ones, _mm256_unpackhi_epi8(va, vb)));
+  }
+}
+
 /// Accumulates codebooks [c0, c_end) of one (32-row, ob-output) tile
-/// into int16 accumulators. Codebooks are processed in pairs: the two
-/// gathered byte vectors interleave (unpack) and one pmaddubsw against
-/// an all-ones unsigned operand sums each (A_i, B_i) byte pair straight
-/// into the int16 lanes — two codebooks per sign-extension, vs the
-/// two-unpack + two-shift chain a lone codebook needs. The pairwise
-/// int16 product sum is at most |A| + |B| <= 256, so pmaddubsw's
-/// saturation can never engage and the result is exact.
+/// into int16 accumulators, two codebooks at a time. c0 is group-aligned,
+/// so pairs never straddle a group of the packed bank. Pairs in full
+/// groups use the layout's closed form (see LutBankPacked::group_bytes;
+/// table_ptr per pair costs more than the shuffles it feeds); a ragged
+/// last group goes through table_ptr.
 inline void accumulate_chunk(const LutBankPacked& lut,
                              const EncodedBatch& enc, std::size_t n0,
                              int o0, int ob, int c0, int c_end,
                              __m256i acc16[][2]) {
-  const __m256i ones = _mm256_set1_epi8(1);
+  constexpr int kGroup = LutBankPacked::kGroup;
+  constexpr std::size_t kFullStride = kGroup * 16;  // full groups
+  const int full_end =
+      std::min(c_end, lut.ncodebooks - lut.ncodebooks % kGroup);
+  const std::int8_t* tables0 = lut.table_ptr(0, o0);
+  const std::size_t group_bytes = lut.group_bytes();
   int c = c0;
-  for (; c + 1 < c_end; c += 2) {
-    const __m256i codes_a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(enc.codebook(c) + n0));
-    const __m256i codes_b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(enc.codebook(c + 1) + n0));
-    for (int j = 0; j < ob; ++j) {
-      const __m256i table_a = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j))));
-      const __m256i table_b = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lut.table_ptr(c + 1, o0 + j))));
-      const __m256i va = _mm256_shuffle_epi8(table_a, codes_a);
-      const __m256i vb = _mm256_shuffle_epi8(table_b, codes_b);
-      acc16[j][0] = _mm256_add_epi16(
-          acc16[j][0],
-          _mm256_maddubs_epi16(ones, _mm256_unpacklo_epi8(va, vb)));
-      acc16[j][1] = _mm256_add_epi16(
-          acc16[j][1],
-          _mm256_maddubs_epi16(ones, _mm256_unpackhi_epi8(va, vb)));
-    }
-  }
+  for (; c + 1 < full_end; c += 2)
+    accumulate_pair(enc, n0, c,
+                    tables0 + static_cast<std::size_t>(c / kGroup) *
+                                  group_bytes +
+                        16 * (c % kGroup),
+                    kFullStride, ob, acc16);
+  for (; c + 1 < c_end; c += 2)
+    accumulate_pair(enc, n0, c, lut.table_ptr(c, o0), lut.out_stride(c), ob,
+                    acc16);
   if (c < c_end) {
     // Trailing unpaired codebook: classic unpack + arithmetic-shift
     // sign extension.
     const __m256i zero = _mm256_setzero_si256();
     const __m256i codes = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(enc.codebook(c) + n0));
+    const std::int8_t* tables = lut.table_ptr(c, o0);
+    const std::size_t stride = lut.out_stride(c);
     for (int j = 0; j < ob; ++j) {
-      const __m256i table = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j))));
+      const __m256i table = _mm256_broadcastsi128_si256(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+              tables + static_cast<std::size_t>(j) * stride)));
       const __m256i v8 = _mm256_shuffle_epi8(table, codes);
       acc16[j][0] = _mm256_add_epi16(
-          acc16[j][0],
-          _mm256_srai_epi16(_mm256_unpacklo_epi8(zero, v8), 8));
+          acc16[j][0], _mm256_srai_epi16(_mm256_unpacklo_epi8(zero, v8), 8));
       acc16[j][1] = _mm256_add_epi16(
-          acc16[j][1],
-          _mm256_srai_epi16(_mm256_unpackhi_epi8(zero, v8), 8));
+          acc16[j][1], _mm256_srai_epi16(_mm256_unpackhi_epi8(zero, v8), 8));
     }
   }
 }

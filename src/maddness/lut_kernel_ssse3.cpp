@@ -122,6 +122,32 @@ struct FusedSink {
   }
 };
 
+/// Codebook pair c, c+1: interleave the two gathered vectors and let
+/// pmaddubsw against all-ones sum each (A_i, B_i) byte pair into int16
+/// — exact, since |A| + |B| <= 256 never saturates (see the AVX2 tier
+/// for the full argument). Codebook c's table for output o0+j is at
+/// tables + j * stride; c+1 shares its group, 16 bytes further on.
+inline void accumulate_pair(const EncodedBatch& enc, std::size_t n0, int c,
+                            const std::int8_t* tables, std::size_t stride,
+                            int ob, __m128i acc16[][2]) {
+  const __m128i ones = _mm_set1_epi8(1);
+  const __m128i codes_a = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(enc.codebook(c) + n0));
+  const __m128i codes_b = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(enc.codebook(c + 1) + n0));
+  for (int j = 0; j < ob; ++j) {
+    const std::int8_t* t = tables + static_cast<std::size_t>(j) * stride;
+    const __m128i va = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t)), codes_a);
+    const __m128i vb = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + 16)), codes_b);
+    acc16[j][0] = _mm_add_epi16(
+        acc16[j][0], _mm_maddubs_epi16(ones, _mm_unpacklo_epi8(va, vb)));
+    acc16[j][1] = _mm_add_epi16(
+        acc16[j][1], _mm_maddubs_epi16(ones, _mm_unpackhi_epi8(va, vb)));
+  }
+}
+
 template <class Sink>
 void ssse3_impl(const LutBankPacked& lut, const EncodedBatch& enc,
                 std::size_t full, Sink sink) {
@@ -134,39 +160,33 @@ void ssse3_impl(const LutBankPacked& lut, const EncodedBatch& enc,
       const int ob = std::min(kOutBlock, nout - o0);
       const auto accumulate_chunk = [&](int c0, int c_end,
                                         __m128i acc16[][2]) {
-        // Codebook pairs: interleave the two gathered vectors and let
-        // pmaddubsw against all-ones sum each (A_i, B_i) byte pair into
-        // int16 — exact, since |A| + |B| <= 256 never saturates (see
-        // the AVX2 tier for the full argument).
-        const __m128i ones = _mm_set1_epi8(1);
+        // Pairs in full groups use the layout's closed form, as in the
+        // AVX2 tier; a ragged last group goes through table_ptr.
+        constexpr int kGroup = LutBankPacked::kGroup;
+        constexpr std::size_t kFullStride = kGroup * 16;  // full groups
+        const int full_end = std::min(c_end, ncb - ncb % kGroup);
+        const std::int8_t* tables0 = lut.table_ptr(0, o0);
+        const std::size_t group_bytes = lut.group_bytes();
         int c = c0;
-        for (; c + 1 < c_end; c += 2) {
-          const __m128i codes_a = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(enc.codebook(c) + n0));
-          const __m128i codes_b = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(enc.codebook(c + 1) + n0));
-          for (int j = 0; j < ob; ++j) {
-            const __m128i table_a = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j)));
-            const __m128i table_b = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(
-                    lut.table_ptr(c + 1, o0 + j)));
-            const __m128i va = _mm_shuffle_epi8(table_a, codes_a);
-            const __m128i vb = _mm_shuffle_epi8(table_b, codes_b);
-            acc16[j][0] = _mm_add_epi16(
-                acc16[j][0],
-                _mm_maddubs_epi16(ones, _mm_unpacklo_epi8(va, vb)));
-            acc16[j][1] = _mm_add_epi16(
-                acc16[j][1],
-                _mm_maddubs_epi16(ones, _mm_unpackhi_epi8(va, vb)));
-          }
-        }
+        for (; c + 1 < full_end; c += 2)
+          accumulate_pair(enc, n0, c,
+                          tables0 +
+                              static_cast<std::size_t>(c / kGroup) *
+                                  group_bytes +
+                              16 * (c % kGroup),
+                          kFullStride, ob, acc16);
+        for (; c + 1 < c_end; c += 2)
+          accumulate_pair(enc, n0, c, lut.table_ptr(c, o0),
+                          lut.out_stride(c), ob, acc16);
         if (c < c_end) {
           const __m128i codes = _mm_loadu_si128(
               reinterpret_cast<const __m128i*>(enc.codebook(c) + n0));
+          const std::int8_t* tables = lut.table_ptr(c, o0);
+          const std::size_t stride = lut.out_stride(c);
           for (int j = 0; j < ob; ++j) {
             const __m128i table = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(lut.table_ptr(c, o0 + j)));
+                reinterpret_cast<const __m128i*>(
+                    tables + static_cast<std::size_t>(j) * stride));
             const __m128i v8 = _mm_shuffle_epi8(table, codes);
             // unpack(zero, v) places v's bytes in each word's high half;
             // >>a 8 sign-extends, keeping lane order 0..7 / 8..15.

@@ -56,8 +56,6 @@ class LoadGenerator {
   /// Model ref request `id` targets.
   const std::string& model_ref(std::uint64_t id) const;
 
-  const LoadSpec& spec() const { return spec_; }
-
   /// Closed-loop: `concurrency` clients submitting back-to-back.
   LoadReport run_closed_loop(InferenceServer& server, int concurrency);
 

@@ -63,8 +63,10 @@ const char* kernel_tier_label(int tier) {
       return "scalar";
     case 1:
       return "ssse3";
-    default:
+    case 2:
       return "avx2";
+    default:
+      return "avx512";
   }
 }
 
@@ -97,14 +99,17 @@ void kernel_profile_reset() {
 double lut_peak_bytes_per_cycle(int tier) {
   // Scalar: one table byte per loop iteration. SSSE3: one pshufb
   // gathers a 16-byte lane per cycle on the shuffle port. AVX2: the
-  // 256-bit shuffle covers two lanes.
+  // 256-bit shuffle covers two lanes; AVX-512: one vpermb covers 64
+  // bytes (16 rows x 4 codebooks).
   switch (clamp_tier(tier)) {
     case 0:
       return 1.0;
     case 1:
       return 16.0;
-    default:
+    case 2:
       return 32.0;
+    default:
+      return 64.0;
   }
 }
 

@@ -31,15 +31,6 @@ using namespace ssma::maddness;
 
 namespace {
 
-std::vector<KernelTier> available_encoder_tiers() {
-  std::vector<KernelTier> tiers{KernelTier::kScalar};
-  if (encoder_tier_available(KernelTier::kSsse3))
-    tiers.push_back(KernelTier::kSsse3);
-  if (encoder_tier_available(KernelTier::kAvx2))
-    tiers.push_back(KernelTier::kAvx2);
-  return tiers;
-}
-
 /// Random tree over `subvec_dim` dims; with_rails sprinkles 0/255
 /// thresholds and duplicate split dims into the mix.
 HashTree random_tree(Rng& rng, int subvec_dim, bool with_rails) {
@@ -175,6 +166,26 @@ TEST(EncoderKernel, AllTiersBitExactOnRandomConfigMatrix) {
       expect_all_tiers_match(cfg, trees, q, "random matrix");
     }
   }
+}
+
+TEST(EncoderKernel, LutTopTierRequestClampsToTheEncoderTopTier) {
+  // The encoder's top tier is AVX2: an avx512 request (what the LUT
+  // kernel's SSMA_KERNEL value selects) runs the best encoder tier.
+  EXPECT_FALSE(encoder_tier_available(KernelTier::kAvx512));
+  EXPECT_EQ(available_encoder_tiers().back(), best_encoder_tier());
+  Rng rng(4007);
+  Config cfg;
+  cfg.ncodebooks = 3;
+  std::vector<HashTree> trees;
+  for (int c = 0; c < 3; ++c)
+    trees.push_back(random_tree(rng, cfg.subvec_dim, true));
+  const QuantizedActivations q = random_quantized(
+      rng, 40, static_cast<std::size_t>(cfg.total_dims()));
+  EncodeScratch scratch;
+  EncodedBatch out;
+  encode_batch_packed(build_encoder_bank(cfg, trees), q,
+                      KernelTier::kAvx512, scratch, out);
+  EXPECT_EQ(out.codes, reference_codes(cfg, trees, q));
 }
 
 TEST(EncoderKernel, EqualityEdgeGoesRightAtEveryLevel) {

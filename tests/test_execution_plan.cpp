@@ -3,12 +3,14 @@
 // bit-exactness vs pipeline_reference_apply on every available LUT tier
 // across ragged row counts and a >=3-stage chain, the zero-allocation
 // steady state of PlanScratch, and the fused epilogue's rounding
-// boundary under adversarial scales (exact half-integer ties, denormal
+// boundary under adversarial scales (exact half-integer ties, floats
+// either side of k +- 0.5 at the smallest AVX-512 scale, denormal
 // next_scale fallback, saturating extremes) driven through
 // apply_lut_fused directly.
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -127,9 +129,7 @@ TEST(ExecutionPlan, FusedMatchesReferenceEveryTierEveryRaggedRowCount) {
   // AVX2) and their scalar tails, plus the degenerate single row.
   const std::size_t kRows[] = {1, 2, 3, 5, 7, 8, 15, 16, 17,
                                31, 32, 33, 47, 48};
-  for (const KernelTier tier :
-       {KernelTier::kScalar, KernelTier::kSsse3, KernelTier::kAvx2}) {
-    if (!maddness::kernel_tier_available(tier)) continue;
+  for (const KernelTier tier : maddness::available_kernel_tiers()) {
     PlanScratch scratch;
     std::vector<std::int16_t> out;
     for (const std::size_t rows : kRows) {
@@ -226,14 +226,56 @@ struct AdversarialBank {
     return a;
   }
 
+  /// Column scales that put y / next_scale on the rounding boundaries
+  /// k +- 0.5 (k in {0, 1, 127, 254, 255}), and one float either side
+  /// of each, wherever a row's accumulator is 1. Codebook 0 gives every
+  /// row 1 and codebook 4, alone in the ragged last group, adds 0, 0, 1
+  /// or -2, so accumulators are 1, 2 or -1; the other tables are 0.
+  static AdversarialBank boundaries(float next_scale) {
+    constexpr int kNcb = 5;
+    constexpr int kNout = 30;  // 5 k x 2 sides x 3 positions
+    AdversarialBank a;
+    a.rows = 37;
+    a.lut.ncodebooks = kNcb;
+    a.lut.nprotos = 16;
+    a.lut.nout = kNout;
+    a.lut.per_column_scale = true;
+    a.lut.q.assign(static_cast<std::size_t>(kNcb) * kNout * 16, 0);
+    const std::int8_t extra[] = {0, 0, 1, -2};
+    for (int o = 0; o < kNout; ++o)
+      for (int k = 0; k < 16; ++k) {
+        a.lut.q[a.lut.table_index(0, o) + static_cast<std::size_t>(k)] = 1;
+        a.lut.q[a.lut.table_index(4, o) + static_cast<std::size_t>(k)] =
+            extra[k % 4];
+      }
+    const int ks[] = {0, 1, 127, 254, 255};
+    for (int o = 0; o < kNout; ++o) {
+      const float bound =
+          static_cast<float>(ks[o / 6]) + ((o / 3) % 2 == 0 ? -0.5f : 0.5f);
+      const float on = bound * next_scale;
+      const int pos = o % 3;
+      a.lut.scales.push_back(
+          pos == 1 ? on
+                   : std::nextafter(on, pos == 0 ? -INFINITY : INFINITY));
+    }
+    Rng rng(404);
+    a.enc.rows = a.rows;
+    a.enc.ncodebooks = kNcb;
+    a.enc.codes.resize(a.rows * kNcb);
+    for (auto& c : a.enc.codes)
+      c = static_cast<std::uint8_t>(rng.next_double(0, 16));
+    return a;
+  }
+
   std::vector<std::uint8_t> expected(float next_scale) const {
     const std::vector<std::int16_t> acc =
         apply_lut_packed(lut, enc, KernelTier::kScalar);
     std::vector<std::uint8_t> want(acc.size());
     for (std::size_t i = 0; i < acc.size(); ++i)
       want[i] = maddness::detail::fused_requantize(
-          acc[i], maddness::detail::packed_scale(
-                      lut, static_cast<int>(i % 20)),
+          acc[i],
+          maddness::detail::packed_scale(
+              lut, static_cast<int>(i % static_cast<std::size_t>(lut.nout))),
           next_scale);
     return want;
   }
@@ -258,15 +300,36 @@ TEST(FusedEpilogue, ExactHalfIntegerTiesMatchReferenceOnEveryTier) {
   for (const auto& c : kCases) {
     const std::vector<std::uint8_t> want = c.bank->expected(c.next_scale);
     const FusedEpilogue ep{c.next_scale};
-    for (const KernelTier tier :
-         {KernelTier::kScalar, KernelTier::kSsse3, KernelTier::kAvx2}) {
-      if (!maddness::kernel_tier_available(tier)) continue;
+    for (const KernelTier tier : maddness::available_kernel_tiers()) {
       std::vector<std::uint8_t> got(want.size(), 0xAB);
       apply_lut_fused(c.bank->lut, c.bank->enc, ep, tier, got.data());
       EXPECT_EQ(got, want)
           << maddness::kernel_tier_name(tier)
           << " next_scale=" << c.next_scale
           << " per_column=" << c.bank->lut.per_column_scale;
+    }
+  }
+}
+
+TEST(FusedEpilogue, RoundingBoundariesAtTheSmallestFmaScale) {
+  // The AVX-512 epilogue decides each boundary from the sign of
+  // fma(c +- 0.5, s, -y), exact for s >= kAvx512MinNextScale; one float
+  // below it the dispatcher sends the batch to the AVX2 tier. Non-
+  // power-of-two scales make (k +- 0.5) * s inexact in float, so a
+  // boundary test that rounded the product would misplace the floats
+  // either side of it.
+  const float smallest = maddness::detail::kAvx512MinNextScale;
+  const float kScales[] = {smallest, std::nextafter(smallest, 0.0f),
+                           std::nextafter(smallest, 1.0f), 3.0f, 0.37f};
+  for (const float next_scale : kScales) {
+    const AdversarialBank bank = AdversarialBank::boundaries(next_scale);
+    const std::vector<std::uint8_t> want = bank.expected(next_scale);
+    const FusedEpilogue ep{next_scale};
+    for (const KernelTier tier : maddness::available_kernel_tiers()) {
+      std::vector<std::uint8_t> got(want.size(), 0xAB);
+      apply_lut_fused(bank.lut, bank.enc, ep, tier, got.data());
+      EXPECT_EQ(got, want) << maddness::kernel_tier_name(tier)
+                           << " next_scale=" << next_scale;
     }
   }
 }
@@ -281,9 +344,7 @@ TEST(FusedEpilogue, DenormalNextScaleFallsBackToReferenceMath) {
   ASSERT_LT(denormal, std::numeric_limits<float>::min());
   const std::vector<std::uint8_t> want = bank.expected(denormal);
   const FusedEpilogue ep{denormal};
-  for (const KernelTier tier :
-       {KernelTier::kScalar, KernelTier::kSsse3, KernelTier::kAvx2}) {
-    if (!maddness::kernel_tier_available(tier)) continue;
+  for (const KernelTier tier : maddness::available_kernel_tiers()) {
     std::vector<std::uint8_t> got(want.size(), 0xAB);
     apply_lut_fused(bank.lut, bank.enc, ep, tier, got.data());
     EXPECT_EQ(got, want) << maddness::kernel_tier_name(tier);

@@ -24,15 +24,6 @@ using namespace ssma::maddness;
 
 namespace {
 
-std::vector<KernelTier> available_tiers() {
-  std::vector<KernelTier> tiers{KernelTier::kScalar};
-  if (kernel_tier_available(KernelTier::kSsse3))
-    tiers.push_back(KernelTier::kSsse3);
-  if (kernel_tier_available(KernelTier::kAvx2))
-    tiers.push_back(KernelTier::kAvx2);
-  return tiers;
-}
-
 /// Handcrafted random bank: entries uniform in [-127, 127].
 LutBank random_bank(Rng& rng, int ncodebooks, int nlevels, int nout) {
   LutBank bank;
@@ -105,18 +96,40 @@ TEST(LutPacked, TableIsContiguousPerCodebookOutput) {
     }
 }
 
+TEST(LutPacked, FourCodebookGroupsAreOneRunPerOutput) {
+  // The vpermb operand: a group's four tables for one output are 64
+  // contiguous bytes; a ragged last group (ncb = 6: width 2) keeps its
+  // real width, and the bank's size is unchanged.
+  Rng rng(105);
+  const LutBank bank = random_bank(rng, 6, 4, 5);
+  const LutBankPacked packed = pack_lut(bank);
+  ASSERT_EQ(packed.q.size(), bank.q.size());
+  for (int o = 0; o < 5; ++o) {
+    for (int c = 0; c < 4; ++c)
+      EXPECT_EQ(packed.table_ptr(c, o), packed.table_ptr(0, o) + 16 * c);
+    EXPECT_EQ(packed.table_ptr(0, o), packed.q.data() + 64 * o);
+    EXPECT_EQ(packed.table_ptr(4, o),
+              packed.q.data() + 4 * 5 * 16 + 2 * 16 * o);
+    EXPECT_EQ(packed.table_ptr(5, o), packed.table_ptr(4, o) + 16);
+  }
+  EXPECT_EQ(packed.out_stride(0), 64u);
+  EXPECT_EQ(packed.out_stride(5), 32u);
+}
+
 // -------------------------------------------------- kernel bit-exactness
 
 TEST(LutKernel, AllTiersBitExactOnRandomConfigMatrix) {
   Rng rng(2027);
-  const auto tiers = available_tiers();
+  const auto tiers = available_kernel_tiers();
   // Dimensions chosen to stress tails: rows not multiples of the 16/32
   // row blocks, nout not multiples of the output block (including < 1
-  // block), codebook counts around the SIMD chunk boundaries.
+  // block), codebook counts around the SIMD chunk boundaries and past
+  // the 512 codebooks whose AVX-512 index vectors fit its stack buffer.
   const int cases[][3] = {
       // {ncodebooks, nout, rows}
-      {1, 1, 1},    {1, 5, 7},     {3, 16, 31},  {7, 37, 33},
+      {1, 1, 1},    {1, 5, 7},     {3, 16, 31},   {7, 37, 33},
       {16, 64, 64}, {16, 130, 50}, {32, 128, 96}, {40, 23, 100},
+      {521, 18, 35},
   };
   for (const auto& cs : cases) {
     const int ncb = cs[0], nout = cs[1];
@@ -146,7 +159,7 @@ TEST(LutKernel, NonHardwarePrototypeCountFallsBackExactly) {
   const LutBankPacked packed = pack_lut(bank);
   ASSERT_EQ(packed.nprotos, 8);
   const EncodedBatch enc = make_encoded_batch(codes, 40, 5);
-  for (const KernelTier tier : available_tiers())
+  for (const KernelTier tier : available_kernel_tiers())
     EXPECT_EQ(apply_lut_packed(packed, enc, tier), ref)
         << kernel_tier_name(tier);
 }
@@ -189,7 +202,7 @@ TEST(LutKernel, AdversarialAllMaxLutsSaturateInsteadOfWrapping) {
 
   const LutBankPacked packed = pack_lut(bank);
   const EncodedBatch enc = make_encoded_batch(codes, rows, ncb);
-  for (const KernelTier tier : available_tiers())
+  for (const KernelTier tier : available_kernel_tiers())
     EXPECT_EQ(apply_lut_packed(packed, enc, tier), ref)
         << kernel_tier_name(tier);
 
@@ -198,7 +211,7 @@ TEST(LutKernel, AdversarialAllMaxLutsSaturateInsteadOfWrapping) {
   const auto ref_neg = apply_lut_reference(bank, codes, rows);
   for (const std::int16_t v : ref_neg) ASSERT_EQ(v, -32768);
   const LutBankPacked packed_neg = pack_lut(bank);
-  for (const KernelTier tier : available_tiers())
+  for (const KernelTier tier : available_kernel_tiers())
     EXPECT_EQ(apply_lut_packed(packed_neg, enc, tier), ref_neg)
         << kernel_tier_name(tier);
 }
@@ -223,7 +236,7 @@ TEST(LutKernel, MixedSignNearRailStaysExact) {
   for (const std::int16_t v : ref) ASSERT_EQ(v, 0);
   const LutBankPacked packed = pack_lut(bank);
   const EncodedBatch enc = make_encoded_batch(codes, 33, ncb);
-  for (const KernelTier tier : available_tiers())
+  for (const KernelTier tier : available_kernel_tiers())
     EXPECT_EQ(apply_lut_packed(packed, enc, tier), ref)
         << kernel_tier_name(tier);
 }
@@ -273,6 +286,11 @@ TEST(LutKernel, DispatchReportsAConsistentTier) {
   EXPECT_STREQ(kernel_tier_name(KernelTier::kScalar), "scalar");
   EXPECT_STREQ(kernel_tier_name(KernelTier::kSsse3), "ssse3");
   EXPECT_STREQ(kernel_tier_name(KernelTier::kAvx2), "avx2");
+  EXPECT_STREQ(kernel_tier_name(KernelTier::kAvx512), "avx512");
+  const auto tiers = available_kernel_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), KernelTier::kScalar);
+  EXPECT_EQ(tiers.back(), best);
 }
 
 // ------------------------------------------- serialization edge cases

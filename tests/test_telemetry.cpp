@@ -420,7 +420,9 @@ TEST(KernelProfileTest, DispatchCountersAccumulateAndReset) {
   telemetry::record_lut_dispatch(2, 128, 4096, 1000);
   telemetry::record_lut_dispatch(2, 64, 2048, 500);
   telemetry::record_encode_dispatch(0, 128, 512, 300);
+  telemetry::record_lut_dispatch(3, 16, 1024, 100);
   const auto snap = telemetry::kernel_profile_snapshot();
+  EXPECT_EQ(snap.lut[3].calls, 1u);  // avx512 has its own slot
   EXPECT_EQ(snap.lut[2].calls, 2u);
   EXPECT_EQ(snap.lut[2].rows, 192u);
   EXPECT_EQ(snap.lut[2].bytes, 6144u);
@@ -468,6 +470,8 @@ TEST(KernelProfileTest, TierPeaksOrderedAndClockPositive) {
             telemetry::lut_peak_bytes_per_cycle(0));
   EXPECT_GT(telemetry::lut_peak_bytes_per_cycle(2),
             telemetry::lut_peak_bytes_per_cycle(1));
+  EXPECT_EQ(telemetry::lut_peak_bytes_per_cycle(3), 64.0);
+  EXPECT_STREQ(telemetry::kernel_tier_label(3), "avx512");
   EXPECT_GT(telemetry::encoder_peak_bytes_per_cycle(2),
             telemetry::encoder_peak_bytes_per_cycle(0));
   EXPECT_GT(telemetry::estimate_cpu_ghz(), 0.0);
