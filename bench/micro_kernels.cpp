@@ -1,11 +1,12 @@
 // Google-benchmark microbenchmarks of the software kernels: exact GEMM vs
 // MADDNESS approximate matmul (encode + lookup-accumulate), hash-tree
-// encoding, and the event-driven simulator's token rate — the software
-// cost picture that motivates hardware acceleration in the first place
-// (GPUs lack PQ/lookup primitives; Sec. I).
+// encoding, the frame CRC-32, and the event-driven simulator's token
+// rate — the software cost picture that motivates hardware acceleration
+// in the first place (GPUs lack PQ/lookup primitives; Sec. I).
 #include <benchmark/benchmark.h>
 
 #include "maddness/amm.hpp"
+#include "maddness/framing.hpp"
 #include "sim/macro.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
@@ -154,6 +155,31 @@ void BM_BatchEncoder(benchmark::State& state) {
 BENCHMARK(BM_BatchEncoder)->Apply([](benchmark::internal::Benchmark* b) {
   for (const maddness::KernelTier tier : maddness::available_encoder_tiers())
     b->Arg(static_cast<int>(tier));
+});
+
+void BM_Crc32(benchmark::State& state) {
+  // Each CRC-32 path that can run here on one frame payload: rpc_small's
+  // request and response, mlp_fused's response and request, and a
+  // checkpoint-sized blob.
+  const bool clmul = state.range(0) != 0;
+  const auto crc32 = clmul ? &maddness::detail::crc32_clmul
+                           : &maddness::detail::crc32_tables;
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
+  Rng rng(7);
+  std::vector<std::uint8_t> data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_int(0, 255));
+  for (auto _ : state) {
+    const std::uint32_t crc = crc32(data.data(), n, 0);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * n);
+  state.SetLabel(clmul ? "clmul" : "tables");
+}
+BENCHMARK(BM_Crc32)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const int clmul : {0, 1}) {
+    if (clmul && !maddness::detail::crc32_clmul_available()) continue;
+    for (const int n : {76, 112, 16430, 18474, 262144}) b->Args({clmul, n});
+  }
 });
 
 void BM_EventSimTokens(benchmark::State& state) {

@@ -22,11 +22,33 @@ class Writer;
 
 namespace ssma::maddness {
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), computed eight
-/// bytes per step by slicing-by-8. `crc` chains incremental updates;
-/// pass 0 to start a fresh checksum.
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320). On x86-64 CPUs
+/// with PCLMULQDQ, an input of 64 bytes or more is folded 64 bytes per
+/// step with carry-less multiplies; shorter inputs, the last n % 16
+/// bytes of a folded one, and other CPUs take the slicing-by-8 tables,
+/// eight bytes per step. Both paths give the same value. `crc` chains
+/// incremental updates; pass 0 to start a fresh checksum.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 std::uint32_t crc32(const std::string& s);
+
+namespace detail {
+
+// The two paths behind crc32(), each with its contract, so tests and
+// benches can run both on one host.
+
+/// Slicing-by-8 tables: runs on every CPU.
+std::uint32_t crc32_tables(const void* data, std::size_t n,
+                           std::uint32_t crc);
+/// Carry-less-multiply fold of the whole 16-byte blocks of an input of
+/// 64 bytes or more; the tables for shorter inputs and the last n % 16
+/// bytes. Call only when crc32_clmul_available().
+std::uint32_t crc32_clmul(const void* data, std::size_t n,
+                          std::uint32_t crc);
+/// True when the fold is compiled in and this CPU has PCLMULQDQ and
+/// SSE4.1.
+bool crc32_clmul_available();
+
+}  // namespace detail
 
 /// Bytes of the frame header that precedes every payload.
 inline constexpr std::size_t kFrameHeaderBytes = 12;

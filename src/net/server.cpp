@@ -438,7 +438,12 @@ void NetServer::drain_outbox() {
     if (it == conns_.end()) continue;  // connection died mid-flight
     Conn& c = *it->second;
     if (c.inflight > 0) c.inflight--;
-    enqueue_response(c, comp.bytes);
+    // A connection with nothing unflushed takes the encoded response as
+    // its write buffer instead of a copy of it.
+    if (c.wbuf.empty())
+      c.wbuf = std::move(comp.bytes);
+    else
+      enqueue_response(c, comp.bytes);
     touched.push_back(comp.conn_id);
   }
   // Flush and re-arm once per touched connection, not per completion.

@@ -20,6 +20,7 @@
 #include <future>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/model_registry.hpp"
@@ -82,32 +83,52 @@ std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n,
   return ~crc;
 }
 
+using Crc32Path = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+
+/// Every crc32 path that can run here: the tables always, the
+/// carry-less-multiply fold where the CPU has it.
+std::vector<std::pair<const char*, Crc32Path>> crc32_paths() {
+  std::vector<std::pair<const char*, Crc32Path>> paths = {
+      {"tables", &maddness::detail::crc32_tables}};
+  if (maddness::detail::crc32_clmul_available())
+    paths.emplace_back("clmul", &maddness::detail::crc32_clmul);
+  return paths;
+}
+
 TEST(Framing, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  std::vector<std::uint8_t> buf((64u << 10) + 8);
+  std::vector<std::uint8_t> buf((64u << 10) + 16);
   std::uint32_t x = 0x9E3779B9u;
   for (auto& b : buf) {
     x = x * 1664525u + 1013904223u;
     b = static_cast<std::uint8_t>(x >> 24);
   }
-  // Unaligned starts and every tail length of the 8-byte stride.
-  for (std::size_t off = 0; off < 8; ++off)
-    for (std::size_t n = 0; n <= 200; ++n)
-      ASSERT_EQ(maddness::crc32(buf.data() + off, n),
-                crc32_bytewise(buf.data() + off, n))
-          << "offset " << off << " length " << n;
-  for (std::size_t n : {1000u, 4095u, 4096u, 18433u, 65535u, 65536u})
-    for (std::size_t off : {0u, 3u, 7u})
-      ASSERT_EQ(maddness::crc32(buf.data() + off, n),
-                crc32_bytewise(buf.data() + off, n))
-          << "offset " << off << " length " << n;
-  // Chained updates split at every point equal one pass.
-  constexpr std::size_t kShort = 37;
-  const std::uint32_t whole = crc32_bytewise(buf.data() + 1, kShort);
-  for (std::size_t split = 0; split <= kShort; ++split) {
-    const std::uint32_t head = maddness::crc32(buf.data() + 1, split);
-    EXPECT_EQ(maddness::crc32(buf.data() + 1 + split, kShort - split, head),
-              whole)
-        << "split at " << split;
+  for (const auto& [name, crc32] : crc32_paths()) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(crc32("123456789", 9, 0), 0xCBF43926u);
+    // Unaligned starts, every tail length of the tables' 8-byte and the
+    // fold's 16-byte stride, and both sides of the fold's 64-byte floor.
+    for (std::size_t off = 0; off < 16; ++off)
+      for (std::size_t n = 0; n <= 1100; ++n)
+        ASSERT_EQ(crc32(buf.data() + off, n, 0),
+                  crc32_bytewise(buf.data() + off, n))
+            << "offset " << off << " length " << n;
+    // mlp_fused's response and request payloads among them.
+    for (std::size_t n : {4095u, 4096u, 16430u, 18433u, 18474u, 65535u,
+                          65536u})
+      for (std::size_t off : {0u, 3u, 7u, 15u})
+        ASSERT_EQ(crc32(buf.data() + off, n, 0),
+                  crc32_bytewise(buf.data() + off, n))
+            << "offset " << off << " length " << n;
+    // Chained updates split at every point equal one pass. At 300
+    // bytes, most splits leave a second part long enough for a fold
+    // seeded with the first part's CRC.
+    constexpr std::size_t kChain = 300;
+    const std::uint32_t whole = crc32_bytewise(buf.data() + 1, kChain);
+    for (std::size_t split = 0; split <= kChain; ++split) {
+      const std::uint32_t head = crc32(buf.data() + 1, split, 0);
+      EXPECT_EQ(crc32(buf.data() + 1 + split, kChain - split, head), whole)
+          << "split at " << split;
+    }
   }
 }
 
