@@ -86,9 +86,6 @@ bool encoder_tier_available(KernelTier tier) {
   switch (tier) {
     case KernelTier::kScalar:
       return true;
-    case KernelTier::kSsse3:
-      return detail::encoder_ssse3_compiled_in() &&
-             detail::cpu_supports_tier(tier);
     case KernelTier::kAvx2:
       return detail::encoder_avx2_compiled_in() &&
              detail::cpu_supports_tier(tier);
@@ -115,7 +112,7 @@ KernelTier select_encoder_tier() {
 
 namespace detail {
 
-// Branchless scalar tournament (the portable tier and the SIMD tiers'
+// Branchless scalar tournament (the portable tier and the AVX2 tier's
 // tail handler): each level's compare result feeds straight into the
 // next level's threshold index, no branches for the compiler to guess.
 void encode_codebook_scalar(const std::uint8_t* stage, std::size_t stride,
@@ -166,9 +163,6 @@ inline void traverse_codebook(KernelTier tier, const std::uint8_t* stage,
     case KernelTier::kAvx512:  // clamped away by the callers
     case KernelTier::kAvx2:
       detail::encode_codebook_avx2(stage, stride, rows, thr, codes);
-      break;
-    case KernelTier::kSsse3:
-      detail::encode_codebook_ssse3(stage, stride, rows, thr, codes);
       break;
     case KernelTier::kScalar:
       detail::encode_codebook_scalar(stage, stride, 0, rows, thr, codes);
@@ -230,7 +224,7 @@ void encode_batch_shell(const EncoderBank& bank, std::size_t rows,
   for (std::size_t n = 0; n < rows; ++n) gather_row(n, stage, stride);
 
   // Traverse: per codebook, a branchless tournament over its 4 staged
-  // columns, 16/32 rows per iteration in the SIMD tiers.
+  // columns, 32 rows per iteration in the AVX2 tier.
   for (int c = 0; c < ncb; ++c)
     traverse_codebook(
         tier, stage + static_cast<std::size_t>(c) * cols_per_cb * stride,
@@ -278,26 +272,16 @@ void encode_batch_packed(const EncoderBank& bank,
       static_cast<std::uint64_t>(q.rows) *
           static_cast<std::uint64_t>(ncb) * EncoderBank::kLevels};
 #endif
-  if (bank.windowed && tier != KernelTier::kScalar && q.rows > 0) {
-    // SIMD tiers with an eligible bank skip the staging tile entirely:
-    // per codebook, 16-byte window loads + pshufb pick the split bytes
-    // straight out of the rows (see EncoderBank::windowed).
+  if (bank.windowed && tier == KernelTier::kAvx2 && q.rows > 0) {
+    // The AVX2 tier with an eligible bank skips the staging tile
+    // entirely: per codebook, 16-byte window loads + pshufb pick the
+    // split bytes straight out of the rows (see EncoderBank::windowed).
     size_output(bank, q.rows, out);
-    for (int c = 0; c < ncb; ++c) {
-      const std::uint8_t* win =
-          src + static_cast<std::size_t>(bank.window_off[c]);
-      std::uint8_t* codes =
-          out.codes.data() + static_cast<std::size_t>(c) * q.rows;
-      if (tier == KernelTier::kAvx2)
-        detail::encode_codebook_windowed_avx2(win, cols, q.rows,
-                                              bank.pick_mask(c),
-                                              bank.codebook_thresholds(c),
-                                              codes);
-      else
-        detail::encode_codebook_windowed_ssse3(
-            win, cols, q.rows, bank.pick_mask(c),
-            bank.codebook_thresholds(c), codes);
-    }
+    for (int c = 0; c < ncb; ++c)
+      detail::encode_codebook_windowed_avx2(
+          src + static_cast<std::size_t>(bank.window_off[c]), cols, q.rows,
+          bank.pick_mask(c), bank.codebook_thresholds(c),
+          out.codes.data() + static_cast<std::size_t>(c) * q.rows);
     return;
   }
   encode_batch_shell(

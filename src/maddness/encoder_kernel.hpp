@@ -11,9 +11,9 @@
 //   2. traverse — a branchless tournament per codebook over the tile:
 //      idx = 2*idx + (x >= t[idx]) per level, with all 15 node
 //      thresholds of a codebook packed into one 16-byte pshufb operand
-//      so the SIMD tiers resolve a whole level for 16 (SSSE3) or 32
-//      (AVX2) rows in three instructions (threshold gather, unsigned
-//      compare via max_epu8+cmpeq, index update).
+//      so the AVX2 tier resolves a whole level for 32 rows in three
+//      instructions (threshold gather, unsigned compare via
+//      max_epu8+cmpeq, index update).
 //
 // The flattened SoA EncoderBank (per-level absolute split dims and
 // per-codebook padded threshold blocks, each contiguous across
@@ -23,9 +23,10 @@
 // using them — and every tier here is tested bit-identical to them.
 //
 // Dispatch rides the same machinery as the LUT kernel: runtime CPUID
-// probing with per-TU -m compilation, clamped by the SSMA_KERNEL
-// environment override (scalar | ssse3 | avx2; avx512, the LUT kernel's
-// top tier, clamps down to the encoder's, avx2).
+// probing of functions that take their ISA from target attributes,
+// clamped by the SSMA_KERNEL environment override (scalar | avx2;
+// avx512, the LUT kernel's top tier, clamps down to the encoder's,
+// avx2).
 #pragma once
 
 #include <cstddef>
@@ -60,8 +61,8 @@ struct EncoderBank {
 
   /// Windowed-gather metadata: when every codebook's 4 split dims fit
   /// inside one 16-byte window of the activation row (always true for
-  /// the hardware's 9-dim subvectors once total_dims >= 16), the SIMD
-  /// tiers skip the staging tile entirely — one 16-byte load at
+  /// the hardware's 9-dim subvectors once total_dims >= 16), the AVX2
+  /// tier skips the staging tile entirely — one 16-byte load at
   /// window_off[c] plus one pshufb against pick_masks picks the split
   /// bytes straight out of the row.
   bool windowed = false;
@@ -133,22 +134,19 @@ namespace detail {
 // Per-tier traversal entry points over one codebook's staging columns
 // (kLevels columns of `rows` bytes at `stride` apart, starting at
 // `stage`). `thr` is the codebook's padded 16-byte threshold block;
-// codes[0, rows) receive the leaf indices. The SIMD TUs compile with
-// their -m flags when available; otherwise the *_compiled_in() probes
-// return false and the dispatcher never calls them.
+// codes[0, rows) receive the leaf indices. The AVX2 functions take
+// their ISA from target attributes; outside GCC-compatible x86-64
+// builds encoder_avx2_compiled_in() returns false and the dispatcher
+// never calls them.
 void encode_codebook_scalar(const std::uint8_t* stage, std::size_t stride,
                             std::size_t row_lo, std::size_t rows,
                             const std::uint8_t* thr, std::uint8_t* codes);
-bool encoder_ssse3_compiled_in();
-void encode_codebook_ssse3(const std::uint8_t* stage, std::size_t stride,
-                           std::size_t rows, const std::uint8_t* thr,
-                           std::uint8_t* codes);
 bool encoder_avx2_compiled_in();
 void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
                           std::size_t rows, const std::uint8_t* thr,
                           std::uint8_t* codes);
 
-// Windowed-gather entry points (SIMD tiers only; see EncoderBank): read
+// Windowed-gather entry points (AVX2 tier only; see EncoderBank): read
 // 16-byte windows straight from the activation rows — `src` is the row
 // base already offset by the codebook's window_off, `row_stride` the
 // activation row width, `pick` the codebook's 16-byte pick mask — and
@@ -160,12 +158,6 @@ void encode_codebook_windowed_scalar(const std::uint8_t* src,
                                      const std::uint8_t* pick,
                                      const std::uint8_t* thr,
                                      std::uint8_t* codes);
-void encode_codebook_windowed_ssse3(const std::uint8_t* src,
-                                    std::size_t row_stride,
-                                    std::size_t rows,
-                                    const std::uint8_t* pick,
-                                    const std::uint8_t* thr,
-                                    std::uint8_t* codes);
 void encode_codebook_windowed_avx2(const std::uint8_t* src,
                                    std::size_t row_stride,
                                    std::size_t rows,

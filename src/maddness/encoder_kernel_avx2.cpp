@@ -1,25 +1,35 @@
-// AVX2 tier of the batch encoder: the YMM-width sibling of the SSSE3
-// tier (see encoder_kernel_ssse3.cpp for the per-level scheme). The
-// codebook's 16-byte threshold block is broadcast to both 128-bit lanes,
-// so one vpshufb gathers 32 rows' node thresholds per level — vpshufb
-// shuffles within each lane, which is exactly right with the operand
-// duplicated. 32 rows resolve all four levels in ~12 vector ops; the
-// ragged tail falls through to the branchless scalar tournament.
+// AVX2 tier of the batch encoder: 32 rows per iteration. All 15 node
+// thresholds of a codebook live in one 16-byte block, broadcast to both
+// 128-bit lanes of a YMM register (vpshufb shuffles within each lane,
+// which is exactly right with the operand duplicated). Each level is
+// resolved with three instructions per 32 rows:
+//   * vpshufb gathers every row's node threshold (flat index =
+//     (1<<l)-1 + node, always < 15 so the shuffle high bit is clear);
+//   * the unsigned compare x >= t has no epu8 primitive, so it is
+//     max_epu8(x, t) == x (equality included — the hardware's >= rail);
+//   * the 0xFF/0x00 mask folds into the index with
+//     idx = (idx + idx) - mask, i.e. idx = 2*idx + (x >= t).
+// The functions take their ISA from a target attribute instead of a -m
+// flag on the TU; the dispatcher checks CPUID before calling in. The
+// ragged tail below one 32-row block falls through to the branchless
+// scalar tournament, which is bit-identical by construction.
 #include "maddness/encoder_kernel.hpp"
 
-#if defined(__AVX2__)
+#if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
+#define SSMA_AVX2 __attribute__((target("avx2")))
 #endif
 
 namespace ssma::maddness::detail {
 
-#if defined(__AVX2__)
+#if defined(SSMA_AVX2)
 
 bool encoder_avx2_compiled_in() { return true; }
 
-void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
-                          std::size_t rows, const std::uint8_t* thr,
-                          std::uint8_t* codes) {
+SSMA_AVX2 void encode_codebook_avx2(const std::uint8_t* stage,
+                                    std::size_t stride, std::size_t rows,
+                                    const std::uint8_t* thr,
+                                    std::uint8_t* codes) {
   constexpr std::size_t kRowBlock = 32;
   const std::size_t full = rows - rows % kRowBlock;
   const __m256i T = _mm256_broadcastsi128_si256(
@@ -38,8 +48,10 @@ void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
     const __m256i x3 = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(stage + 3 * stride + n));
 
+    // Level 0: one shared threshold, broadcast.
     __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x0, t0), x0);
     __m256i idx = _mm256_sub_epi8(_mm256_setzero_si256(), ge);
+    // Levels 1-3: per-row threshold gather from the packed block.
     __m256i t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off1));
     ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x1, t), x1);
     idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
@@ -57,13 +69,17 @@ void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
 
 namespace {
 
-/// Gathers and transposes one 16-row group: 16-byte window load + pick
-/// shuffle per row, packed 4 rows at a time, then a 4x4 dword transpose
-/// (see encoder_kernel_ssse3.cpp for the layout walkthrough). Returns
-/// the four level vectors for rows [n, n+16).
-inline void gather_window_16(const std::uint8_t* src,
-                             std::size_t row_stride, std::size_t n,
-                             __m128i pickv, __m128i relay, __m128i x[4]) {
+/// Gathers and transposes one 16-row group into the four level vectors
+/// for rows [n, n+16). Per row, one 16-byte window load + one pshufb
+/// against the pick mask puts the 4 split bytes in bytes 0..3; three
+/// unpacks pack 4 rows into one register, [r0: d0..d3 | r1 | r2 | r3],
+/// and the `relay` shuffle regroups it level-major, [d0: r0..r3 | d1 |
+/// d2 | d3]. A 4x4 dword transpose across the four groups then leaves
+/// each level's 16 rows in one register.
+SSMA_AVX2 inline void gather_window_16(const std::uint8_t* src,
+                                       std::size_t row_stride,
+                                       std::size_t n, __m128i pickv,
+                                       __m128i relay, __m128i x[4]) {
   __m128i g[4];
   for (int b = 0; b < 4; ++b) {
     const std::uint8_t* p =
@@ -98,12 +114,12 @@ inline void gather_window_16(const std::uint8_t* src,
 
 }  // namespace
 
-void encode_codebook_windowed_avx2(const std::uint8_t* src,
-                                   std::size_t row_stride,
-                                   std::size_t rows,
-                                   const std::uint8_t* pick,
-                                   const std::uint8_t* thr,
-                                   std::uint8_t* codes) {
+SSMA_AVX2 void encode_codebook_windowed_avx2(const std::uint8_t* src,
+                                             std::size_t row_stride,
+                                             std::size_t rows,
+                                             const std::uint8_t* pick,
+                                             const std::uint8_t* thr,
+                                             std::uint8_t* codes) {
   constexpr std::size_t kRowBlock = 32;  // two 16-row gather groups
   const std::size_t full = rows - rows % kRowBlock;
   const __m128i pickv =
@@ -143,7 +159,7 @@ void encode_codebook_windowed_avx2(const std::uint8_t* src,
                                   codes);
 }
 
-#else  // !defined(__AVX2__)
+#else  // !defined(SSMA_AVX2)
 
 bool encoder_avx2_compiled_in() { return false; }
 

@@ -23,10 +23,12 @@ namespace {
 
 KernelTier parse_tier_env(const char* s, KernelTier fallback) {
   if (!s) return fallback;
-  if (std::strcmp(s, "scalar") == 0) return KernelTier::kScalar;
-  if (std::strcmp(s, "ssse3") == 0) return KernelTier::kSsse3;
-  if (std::strcmp(s, "avx2") == 0) return KernelTier::kAvx2;
-  if (std::strcmp(s, "avx512") == 0) return KernelTier::kAvx512;
+  // "ssse3" named a retired tier: it pins the scalar kernel, which is
+  // what a CPU without AVX2 now runs.
+  if (std::strcmp(s, "ssse3") == 0) return KernelTier::kScalar;
+  for (int t = 0; t < telemetry::kNumKernelTiers; ++t)
+    if (std::strcmp(s, kernel_tier_name(static_cast<KernelTier>(t))) == 0)
+      return static_cast<KernelTier>(t);
   return fallback;
 }
 
@@ -42,12 +44,6 @@ bool cpu_supports_tier(KernelTier tier) {
   switch (tier) {
     case KernelTier::kScalar:
       return true;
-    case KernelTier::kSsse3:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("ssse3") != 0;
-#else
-      return false;
-#endif
     case KernelTier::kAvx2:
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
       return __builtin_cpu_supports("avx2") != 0;
@@ -76,25 +72,13 @@ KernelTier clamp_tier_by_env(KernelTier best) {
 }  // namespace detail
 
 const char* kernel_tier_name(KernelTier tier) {
-  switch (tier) {
-    case KernelTier::kScalar:
-      return "scalar";
-    case KernelTier::kSsse3:
-      return "ssse3";
-    case KernelTier::kAvx2:
-      return "avx2";
-    case KernelTier::kAvx512:
-      return "avx512";
-  }
-  return "unknown";
+  return telemetry::kernel_tier_label(static_cast<int>(tier));
 }
 
 bool kernel_tier_available(KernelTier tier) {
   switch (tier) {
     case KernelTier::kScalar:
       return true;
-    case KernelTier::kSsse3:
-      return detail::ssse3_compiled_in() && detail::cpu_supports_tier(tier);
     case KernelTier::kAvx2:
       return detail::avx2_compiled_in() && detail::cpu_supports_tier(tier);
     case KernelTier::kAvx512:
@@ -279,9 +263,6 @@ void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
     case KernelTier::kAvx2:
       detail::apply_packed_avx2(lut, enc, out.data());
       break;
-    case KernelTier::kSsse3:
-      detail::apply_packed_ssse3(lut, enc, out.data());
-      break;
     case KernelTier::kScalar:
       detail::apply_packed_scalar(lut, enc, out.data());
       break;
@@ -335,9 +316,6 @@ void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
       break;
     case KernelTier::kAvx2:
       detail::apply_fused_avx2(lut, enc, ep, dst);
-      break;
-    case KernelTier::kSsse3:
-      detail::apply_fused_ssse3(lut, enc, ep, dst);
       break;
     case KernelTier::kScalar:
       detail::apply_fused_scalar(lut, enc, ep, dst);

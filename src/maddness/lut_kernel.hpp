@@ -3,20 +3,19 @@
 // output in int32 and saturate once to int16 at the end — the software
 // mirror of the paper's pipeline-accumulate-then-clamp datapath.
 //
-// Four implementation tiers share one contract (bit-exact results):
+// Three implementation tiers share one contract (bit-exact results):
 //   * kScalar — portable blocked kernel: 32-row x 16-output tiles keep
 //     the codes, the 16-byte tables and the int32 accumulators L1-hot.
-//   * kSsse3  — pshufb gather: one 16-entry table lives in an XMM
-//     register; 16 rows of codes index it in a single shuffle.
-//   * kAvx2   — the same with the table broadcast to both 128-bit lanes,
-//     32 rows per shuffle.
+//   * kAvx2   — pshufb gather: one 16-entry table is broadcast to both
+//     128-bit lanes of a YMM register; 32 rows of codes index it in a
+//     single shuffle.
 //   * kAvx512 — one vpermb gathers four codebooks' tables (one 64-byte
 //     group of the packed bank) for 16 rows, and one vpdpbusd adds the
 //     four bytes into each row's int32 lane (AVX-512 VBMI + VNNI).
 // The SIMD tiers require the hardware table shape (K == 16, codes < 16);
 // other K values dispatch to the scalar kernel. Tier selection happens at
 // runtime from CPUID (overridable via the SSMA_KERNEL environment
-// variable: scalar | ssse3 | avx2 | avx512).
+// variable: scalar | avx2 | avx512).
 #pragma once
 
 #include <cstddef>
@@ -28,14 +27,14 @@
 
 namespace ssma::maddness {
 
-enum class KernelTier { kScalar = 0, kSsse3 = 1, kAvx2 = 2, kAvx512 = 3 };
+enum class KernelTier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 const char* kernel_tier_name(KernelTier tier);
 
 /// Highest tier both compiled in and supported by this CPU.
 KernelTier best_kernel_tier();
 
-/// best_kernel_tier(), downgraded by SSMA_KERNEL=scalar|ssse3|avx2|avx512
+/// best_kernel_tier(), downgraded by SSMA_KERNEL=scalar|avx2|avx512
 /// when set (an override above what the CPU supports is clamped down).
 /// Read once and cached.
 KernelTier select_kernel_tier();
@@ -118,15 +117,13 @@ bool cpu_supports_tier(KernelTier tier);
 KernelTier clamp_tier_by_env(KernelTier best);
 
 // Per-tier entry points. Each accumulates into `out` (rows x nout,
-// pre-sized) with identical int32-then-saturate semantics. The SIMD TUs
-// are compiled with the matching -m flags when the toolchain supports
-// them; otherwise their *_compiled_in() probe returns false and the
-// dispatcher never calls them.
+// pre-sized) with identical int32-then-saturate semantics. The SIMD
+// tiers' functions take their ISA from target attributes, so every TU
+// builds with the baseline flags; outside GCC-compatible x86-64 builds
+// their *_compiled_in() probe returns false and the dispatcher never
+// calls them.
 void apply_packed_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
                          std::int16_t* out);
-bool ssse3_compiled_in();
-void apply_packed_ssse3(const LutBankPacked& lut, const EncodedBatch& enc,
-                        std::int16_t* out);
 bool avx2_compiled_in();
 void apply_packed_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                        std::int16_t* out);
@@ -169,8 +166,6 @@ inline std::uint8_t fused_requantize(std::int16_t acc, float lut_scale,
 // walk, the epilogue applied to each finished tile.
 void apply_fused_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
                         const FusedEpilogue& ep, std::uint8_t* dst);
-void apply_fused_ssse3(const LutBankPacked& lut, const EncodedBatch& enc,
-                       const FusedEpilogue& ep, std::uint8_t* dst);
 void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                       const FusedEpilogue& ep, std::uint8_t* dst);
 void apply_fused_avx512(const LutBankPacked& lut, const EncodedBatch& enc,

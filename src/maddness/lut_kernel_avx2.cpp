@@ -1,8 +1,9 @@
-// AVX2 tier of the packed LUT kernel. Compiled with -mavx2 when the
-// toolchain supports it (CMake probes the flag); the __AVX2__ guard keeps
-// this TU a stub otherwise, and the runtime dispatcher additionally
-// checks CPUID before calling in — so a binary built here still runs on
-// machines without AVX2.
+// AVX2 tier of the packed LUT kernel. Its functions take their ISA from
+// a target attribute instead of a -m flag on the TU, so the inline
+// header code it instantiates outside them (fused_requantize,
+// round_half_away) stays baseline-ISA; the dispatcher checks CPUID
+// before calling in, so a binary built here still runs on machines
+// without AVX2.
 //
 // Shape: one (codebook, output) table is 16 int8 entries — exactly one
 // 128-bit pshufb operand. Broadcasting it to both lanes of a YMM register
@@ -29,13 +30,14 @@
 
 #include "maddness/lut_kernel.hpp"
 
-#if defined(__AVX2__)
+#if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
+#define SSMA_AVX2 __attribute__((target("avx2")))
 #endif
 
 namespace ssma::maddness::detail {
 
-#if defined(__AVX2__)
+#if defined(SSMA_AVX2)
 
 namespace {
 
@@ -54,16 +56,16 @@ struct StoreSink {
   std::size_t nout;
   /// `q` holds outputs o0..o0+3 of row `r` in its low 64 bits and of
   /// row `r+1` in its high 64 bits.
-  void quad2(std::size_t r, int o0, __m128i q) const {
+  SSMA_AVX2 void quad2(std::size_t r, int o0, __m128i q) const {
     std::int16_t* d = out + r * nout + static_cast<std::size_t>(o0);
     _mm_storel_epi64(reinterpret_cast<__m128i*>(d), q);
     _mm_storel_epi64(reinterpret_cast<__m128i*>(d + nout),
                      _mm_unpackhi_epi64(q, q));
   }
-  void one16(std::size_t r, int o, std::int16_t v) const {
+  SSMA_AVX2 void one16(std::size_t r, int o, std::int16_t v) const {
     out[r * nout + static_cast<std::size_t>(o)] = v;
   }
-  void one32(std::size_t r, int o, std::int32_t v) const {
+  SSMA_AVX2 void one32(std::size_t r, int o, std::int32_t v) const {
     one16(r, o, saturate_acc16(v));
   }
 };
@@ -101,7 +103,7 @@ struct FusedSink {
   /// [0, 255], y the dequantized values, sd double(next_scale). Moves
   /// each candidate to the true rounding k (one step suffices), giving
   /// values in [-1, 256] — integral, so cvttpd is exact.
-  static __m128i fixup(__m256d c, __m256d y, __m256d sd) {
+  SSMA_AVX2 static __m128i fixup(__m256d c, __m256d y, __m256d sd) {
     const __m256d half = _mm256_set1_pd(0.5);
     const __m256d one = _mm256_set1_pd(1.0);
     const __m256d hi = _mm256_mul_pd(_mm256_add_pd(c, half), sd);
@@ -116,7 +118,7 @@ struct FusedSink {
   /// Requantizes rows r and r+1 (outputs o0..o0+3 each, packed in q's
   /// two 64-bit halves) in one shot: the column scales, sign extension
   /// and pack chain are shared across the row pair.
-  void quad2(std::size_t r, int o0, __m128i q) const {
+  SSMA_AVX2 void quad2(std::size_t r, int o0, __m128i q) const {
     const __m128 scales =
         lut->per_column_scale
             ? _mm_loadu_ps(lut->scales.data() + o0)
@@ -147,11 +149,11 @@ struct FusedSink {
     std::memcpy(d, &b0, 4);
     std::memcpy(d + nout, &b1, 4);
   }
-  void one16(std::size_t r, int o, std::int16_t v) const {
+  SSMA_AVX2 void one16(std::size_t r, int o, std::int16_t v) const {
     dst[r * nout + static_cast<std::size_t>(o)] =
         fused_requantize(v, packed_scale(*lut, o), next_scale);
   }
-  void one32(std::size_t r, int o, std::int32_t v) const {
+  SSMA_AVX2 void one32(std::size_t r, int o, std::int32_t v) const {
     one16(r, o, saturate_acc16(v));
   }
 };
@@ -165,9 +167,11 @@ struct FusedSink {
 /// |A| + |B| <= 256, so pmaddubsw's saturation can never engage and the
 /// result is exact. Codebook c's table for output o0+j is at
 /// tables + j * stride; c+1 shares its group, 16 bytes further on.
-inline void accumulate_pair(const EncodedBatch& enc, std::size_t n0, int c,
-                            const std::int8_t* tables, std::size_t stride,
-                            int ob, __m256i acc16[][2]) {
+SSMA_AVX2 inline void accumulate_pair(const EncodedBatch& enc,
+                                      std::size_t n0, int c,
+                                      const std::int8_t* tables,
+                                      std::size_t stride, int ob,
+                                      __m256i acc16[][2]) {
   const __m256i ones = _mm256_set1_epi8(1);
   const __m256i codes_a = _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(enc.codebook(c) + n0));
@@ -194,10 +198,11 @@ inline void accumulate_pair(const EncodedBatch& enc, std::size_t n0, int c,
 /// groups use the layout's closed form (see LutBankPacked::group_bytes;
 /// table_ptr per pair costs more than the shuffles it feeds); a ragged
 /// last group goes through table_ptr.
-inline void accumulate_chunk(const LutBankPacked& lut,
-                             const EncodedBatch& enc, std::size_t n0,
-                             int o0, int ob, int c0, int c_end,
-                             __m256i acc16[][2]) {
+SSMA_AVX2 inline void accumulate_chunk(const LutBankPacked& lut,
+                                       const EncodedBatch& enc,
+                                       std::size_t n0, int o0, int ob,
+                                       int c0, int c_end,
+                                       __m256i acc16[][2]) {
   constexpr int kGroup = LutBankPacked::kGroup;
   constexpr std::size_t kFullStride = kGroup * 16;  // full groups
   const int full_end =
@@ -236,8 +241,8 @@ inline void accumulate_chunk(const LutBankPacked& lut,
 }
 
 template <class Sink>
-void avx2_impl(const LutBankPacked& lut, const EncodedBatch& enc,
-               std::size_t full, Sink sink) {
+SSMA_AVX2 void avx2_impl(const LutBankPacked& lut, const EncodedBatch& enc,
+                         std::size_t full, Sink sink) {
   const int nout = lut.nout;
   const int ncb = lut.ncodebooks;
   alignas(32) std::int16_t lanes[kRowBlock];
@@ -321,16 +326,17 @@ void avx2_impl(const LutBankPacked& lut, const EncodedBatch& enc,
 
 bool avx2_compiled_in() { return true; }
 
-void apply_packed_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
-                       std::int16_t* out) {
+SSMA_AVX2 void apply_packed_avx2(const LutBankPacked& lut,
+                                 const EncodedBatch& enc, std::int16_t* out) {
   const std::size_t full = enc.rows - enc.rows % kRowBlock;
   avx2_impl(lut, enc, full,
             StoreSink{out, static_cast<std::size_t>(lut.nout)});
   apply_packed_scalar_rows(lut, enc, full, out);
 }
 
-void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
-                      const FusedEpilogue& ep, std::uint8_t* dst) {
+SSMA_AVX2 void apply_fused_avx2(const LutBankPacked& lut,
+                                const EncodedBatch& enc,
+                                const FusedEpilogue& ep, std::uint8_t* dst) {
   const std::size_t full = enc.rows - enc.rows % kRowBlock;
   avx2_impl(lut, enc, full,
             FusedSink{&lut, dst, ep.next_scale, 1.0f / ep.next_scale,
@@ -338,7 +344,7 @@ void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
   apply_fused_scalar_rows(lut, enc, ep, full, dst);
 }
 
-#else  // !defined(__AVX2__)
+#else  // !defined(SSMA_AVX2)
 
 bool avx2_compiled_in() { return false; }
 

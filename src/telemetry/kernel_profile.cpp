@@ -62,8 +62,6 @@ const char* kernel_tier_label(int tier) {
     case 0:
       return "scalar";
     case 1:
-      return "ssse3";
-    case 2:
       return "avx2";
     default:
       return "avx512";
@@ -97,16 +95,13 @@ void kernel_profile_reset() {
 }
 
 double lut_peak_bytes_per_cycle(int tier) {
-  // Scalar: one table byte per loop iteration. SSSE3: one pshufb
-  // gathers a 16-byte lane per cycle on the shuffle port. AVX2: the
-  // 256-bit shuffle covers two lanes; AVX-512: one vpermb covers 64
-  // bytes (16 rows x 4 codebooks).
+  // Scalar: one table byte per loop iteration. AVX2: one vpshufb
+  // gathers two 16-byte lanes per cycle on the shuffle port; AVX-512:
+  // one vpermb covers 64 bytes (16 rows x 4 codebooks).
   switch (clamp_tier(tier)) {
     case 0:
       return 1.0;
     case 1:
-      return 16.0;
-    case 2:
       return 32.0;
     default:
       return 64.0;
@@ -116,15 +111,9 @@ double lut_peak_bytes_per_cycle(int tier) {
 double encoder_peak_bytes_per_cycle(int tier) {
   // The encoder walks a 4-level hash tree: per row x codebook it
   // touches 4 threshold bytes but must serialize on the level
-  // dependency, so its ceiling sits well under the LUT gather's.
-  switch (clamp_tier(tier)) {
-    case 0:
-      return 0.25;
-    case 1:
-      return 4.0;
-    default:
-      return 8.0;
-  }
+  // dependency, so its ceiling sits well under the LUT gather's. Its
+  // top tier is AVX2.
+  return clamp_tier(tier) == 0 ? 0.25 : 8.0;
 }
 
 double estimate_cpu_ghz(double fallback_ghz) {

@@ -23,10 +23,11 @@
 
 namespace ssma::telemetry {
 
-/// Mirrors maddness::KernelTier (scalar=0, ssse3=1, avx2=2, avx512=3)
-/// without including the kernel headers — keeps telemetry
-/// dependency-free. lut_kernel.cpp static_asserts the two agree.
-inline constexpr int kNumKernelTiers = 4;
+/// Mirrors maddness::KernelTier (scalar=0, avx2=1, avx512=2) without
+/// including the kernel headers — keeps telemetry dependency-free.
+/// lut_kernel.cpp static_asserts the two agree, and
+/// maddness::kernel_tier_name returns these labels.
+inline constexpr int kNumKernelTiers = 3;
 const char* kernel_tier_label(int tier);
 
 struct KernelCounters {
@@ -53,8 +54,8 @@ void kernel_profile_reset();
 
 /// Peak table-bytes-per-cycle model per tier: what the inner loop
 /// could move if load/shuffle ports were the only limit. LUT gather:
-/// scalar one byte per iteration; SSSE3 pshufb covers a 16-byte lane;
-/// AVX2 covers two; AVX-512 vpermb covers four. Encoder compares are
+/// scalar one byte per iteration; AVX2 vpshufb covers two 16-byte
+/// lanes; AVX-512 vpermb covers four. Encoder compares are
 /// narrower (one split decision per level vs. a full row of output
 /// columns); the encoder's top tier is AVX2.
 double lut_peak_bytes_per_cycle(int tier);

@@ -1,9 +1,9 @@
 // Correctness hardening of the vectorized batch encoder: every dispatch
-// tier (scalar staging-tile walk, SSSE3/AVX2 staged traversal AND the
+// tier (scalar staging-tile walk, AVX2 staged traversal AND the
 // windowed direct-gather fast path) must produce bit-identical leaf
 // codes to the per-row HashTree::encode reference on randomized
-// configurations — including ragged row tails around the 16/32-row SIMD
-// blocks, duplicate split dims inside a codebook, thresholds pinned at
+// configurations — including ragged row tails around the 32-row SIMD
+// block, duplicate split dims inside a codebook, thresholds pinned at
 // the 0/255 rails, and the x == t equality edge at every level. The
 // fused quantize+encode path must match quantize-then-encode to the
 // bit, steady-state encoding must not allocate, and serve-side journal
@@ -139,9 +139,9 @@ TEST(EncoderBank, SingleCodebookBankIsNotWindowed) {
 
 TEST(EncoderKernel, AllTiersBitExactOnRandomConfigMatrix) {
   Rng rng(4005);
-  // Row counts bracket the 16-row (SSSE3) and 32-row (AVX2) blocks on
-  // both sides; ncodebooks = 1 exercises the non-windowed staged path
-  // in every tier.
+  // Row counts bracket the AVX2 tier's 32-row block and its 16-row
+  // window gathers on both sides; ncodebooks = 1 exercises the
+  // non-windowed staged path in every tier.
   const int ncodebooks[] = {1, 2, 3, 5, 16, 32};
   const std::size_t row_counts[] = {1, 7, 15, 16, 17, 31, 32, 33, 64, 100};
   for (const int ncb : ncodebooks) {

@@ -125,7 +125,7 @@ TEST(ExecutionPlan, BytesAvoidedCountsInteriorBoundariesOnly) {
 
 TEST(ExecutionPlan, FusedMatchesReferenceEveryTierEveryRaggedRowCount) {
   const ChainFixture f = ChainFixture::make();
-  // Row counts straddling both SIMD row tiles (16 for SSSE3, 32 for
+  // Row counts straddling both SIMD row tiles (16 for AVX-512, 32 for
   // AVX2) and their scalar tails, plus the degenerate single row.
   const std::size_t kRows[] = {1, 2, 3, 5, 7, 8, 15, 16, 17,
                                31, 32, 33, 47, 48};

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -284,13 +286,43 @@ TEST(LutKernel, DispatchReportsAConsistentTier) {
   EXPECT_LE(static_cast<int>(select_kernel_tier()),
             static_cast<int>(best));
   EXPECT_STREQ(kernel_tier_name(KernelTier::kScalar), "scalar");
-  EXPECT_STREQ(kernel_tier_name(KernelTier::kSsse3), "ssse3");
   EXPECT_STREQ(kernel_tier_name(KernelTier::kAvx2), "avx2");
   EXPECT_STREQ(kernel_tier_name(KernelTier::kAvx512), "avx512");
   const auto tiers = available_kernel_tiers();
   ASSERT_FALSE(tiers.empty());
   EXPECT_EQ(tiers.front(), KernelTier::kScalar);
   EXPECT_EQ(tiers.back(), best);
+}
+
+TEST(LutKernel, EnvOverrideOnlyLowersTheTier) {
+  // select_kernel_tier() caches its first answer, so the override is
+  // checked through clamp_tier_by_env, for every tier a CPU could top
+  // out at.
+  const char* prev = std::getenv("SSMA_KERNEL");
+  const std::optional<std::string> saved =
+      prev ? std::optional<std::string>(prev) : std::nullopt;
+  const auto clamp = [](const char* value, KernelTier best) {
+    if (value)
+      ::setenv("SSMA_KERNEL", value, 1);
+    else
+      ::unsetenv("SSMA_KERNEL");
+    return maddness::detail::clamp_tier_by_env(best);
+  };
+  for (const KernelTier best :
+       {KernelTier::kScalar, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    SCOPED_TRACE(kernel_tier_name(best));
+    EXPECT_EQ(clamp(nullptr, best), best);
+    EXPECT_EQ(clamp("scalar", best), KernelTier::kScalar);
+    EXPECT_EQ(clamp("ssse3", best), KernelTier::kScalar);
+    EXPECT_EQ(clamp("avx2", best),
+              best == KernelTier::kScalar ? best : KernelTier::kAvx2);
+    EXPECT_EQ(clamp("avx512", best), best);
+    EXPECT_EQ(clamp("sse9", best), best);
+  }
+  if (saved)
+    ::setenv("SSMA_KERNEL", saved->c_str(), 1);
+  else
+    ::unsetenv("SSMA_KERNEL");
 }
 
 // ------------------------------------------- serialization edge cases

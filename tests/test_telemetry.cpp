@@ -417,20 +417,20 @@ TEST(TraceSessionTest, TaggedSpansRoundTripAndRenderPerStageNames) {
 
 TEST(KernelProfileTest, DispatchCountersAccumulateAndReset) {
   telemetry::kernel_profile_reset();
-  telemetry::record_lut_dispatch(2, 128, 4096, 1000);
-  telemetry::record_lut_dispatch(2, 64, 2048, 500);
+  telemetry::record_lut_dispatch(1, 128, 4096, 1000);
+  telemetry::record_lut_dispatch(1, 64, 2048, 500);
   telemetry::record_encode_dispatch(0, 128, 512, 300);
-  telemetry::record_lut_dispatch(3, 16, 1024, 100);
+  telemetry::record_lut_dispatch(2, 16, 1024, 100);
   const auto snap = telemetry::kernel_profile_snapshot();
-  EXPECT_EQ(snap.lut[3].calls, 1u);  // avx512 has its own slot
-  EXPECT_EQ(snap.lut[2].calls, 2u);
-  EXPECT_EQ(snap.lut[2].rows, 192u);
-  EXPECT_EQ(snap.lut[2].bytes, 6144u);
-  EXPECT_EQ(snap.lut[2].ns, 1500u);
+  EXPECT_EQ(snap.lut[2].calls, 1u);  // avx512 has its own slot
+  EXPECT_EQ(snap.lut[1].calls, 2u);
+  EXPECT_EQ(snap.lut[1].rows, 192u);
+  EXPECT_EQ(snap.lut[1].bytes, 6144u);
+  EXPECT_EQ(snap.lut[1].ns, 1500u);
   EXPECT_EQ(snap.encode[0].calls, 1u);
   EXPECT_EQ(snap.lut[0].calls, 0u);
   telemetry::kernel_profile_reset();
-  EXPECT_EQ(telemetry::kernel_profile_snapshot().lut[2].calls, 0u);
+  EXPECT_EQ(telemetry::kernel_profile_snapshot().lut[1].calls, 0u);
 }
 
 TEST(KernelProfileTest, RooflineEntryMath) {
@@ -470,9 +470,9 @@ TEST(KernelProfileTest, TierPeaksOrderedAndClockPositive) {
             telemetry::lut_peak_bytes_per_cycle(0));
   EXPECT_GT(telemetry::lut_peak_bytes_per_cycle(2),
             telemetry::lut_peak_bytes_per_cycle(1));
-  EXPECT_EQ(telemetry::lut_peak_bytes_per_cycle(3), 64.0);
-  EXPECT_STREQ(telemetry::kernel_tier_label(3), "avx512");
-  EXPECT_GT(telemetry::encoder_peak_bytes_per_cycle(2),
+  EXPECT_EQ(telemetry::lut_peak_bytes_per_cycle(2), 64.0);
+  EXPECT_STREQ(telemetry::kernel_tier_label(2), "avx512");
+  EXPECT_GT(telemetry::encoder_peak_bytes_per_cycle(1),
             telemetry::encoder_peak_bytes_per_cycle(0));
   EXPECT_GT(telemetry::estimate_cpu_ghz(), 0.0);
 }
@@ -587,7 +587,7 @@ TEST(PrometheusTest, ExpositionShape) {
   EXPECT_TRUE(
       contains(text, "ssma_kernel_lut_calls_total{tier=\"avx2\"} 0"));
   EXPECT_TRUE(
-      contains(text, "ssma_kernel_encode_bytes_total{tier=\"ssse3\"} 0"));
+      contains(text, "ssma_kernel_encode_bytes_total{tier=\"avx512\"} 0"));
 }
 
 TEST(PrometheusTest, ShadowSlicesRoundTripThroughRestore) {
