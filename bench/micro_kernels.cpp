@@ -1,10 +1,16 @@
 // Google-benchmark microbenchmarks of the software kernels: exact GEMM vs
-// MADDNESS approximate matmul (encode + lookup-accumulate), hash-tree
-// encoding, the frame CRC-32, and the event-driven simulator's token
-// rate — the software cost picture that motivates hardware acceleration
-// in the first place (GPUs lack PQ/lookup primitives; Sec. I).
+// MADDNESS approximate matmul (encode + lookup-accumulate), the fused
+// stage handoff, hash-tree encoding, the frame CRC-32, and the
+// event-driven simulator's token rate — the software cost picture that
+// motivates hardware acceleration in the first place (GPUs lack
+// PQ/lookup primitives; Sec. I).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
+#include "engine/execution_plan.hpp"
+#include "engine/pipeline.hpp"
 #include "maddness/amm.hpp"
 #include "maddness/framing.hpp"
 #include "sim/macro.hpp"
@@ -104,6 +110,60 @@ void BM_PackedLutKernel(benchmark::State& state) {
 BENCHMARK(BM_PackedLutKernel)->Apply([](benchmark::internal::Benchmark* b) {
   for (const maddness::KernelTier tier : maddness::available_kernel_tiers())
     b->Arg(static_cast<int>(tier));
+});
+
+/// One interior stage of a trained 32-codebook 288 -> 288 -> 288 chain,
+/// its compiled plan, and 192 encoded rows for it.
+struct FusedStageFixture {
+  std::vector<maddness::Amm> stages;
+  engine::ExecutionPlan plan;
+  maddness::EncodedBatch enc;
+
+  FusedStageFixture() {
+    Rng rng(8);
+    maddness::Config cfg;
+    cfg.ncodebooks = 32;
+    const Matrix calib = random_activations(rng, 512, 32 * 9);
+    Matrix mid;
+    stages.push_back(engine::train_chained_stage(
+        cfg, calib, random_weights(rng, 32 * 9, 288), &mid));
+    stages.push_back(engine::train_chained_stage(
+        cfg, mid, random_weights(rng, 288, 288), nullptr));
+    plan = engine::ExecutionPlan::compile(stages);
+    enc = stages[0].encode_batch(maddness::quantize_activations(
+        random_activations(rng, 192, 32 * 9), stages[0].activation_scale()));
+  }
+};
+
+void BM_PackedLutFused(benchmark::State& state) {
+  // The fused stage handoff (accumulate + requantize into the next
+  // stage's uint8 rows, with the compiled plan's epilogue) against the
+  // store kernel on the same bank and rows, at each available tier.
+  static const FusedStageFixture f;
+  const auto tier = static_cast<maddness::KernelTier>(state.range(0));
+  const bool fused = state.range(1) != 0;
+  const maddness::LutBankPacked& lut = f.stages[0].packed_lut();
+  std::vector<std::uint8_t> dst(f.enc.rows *
+                                static_cast<std::size_t>(lut.nout));
+  std::vector<std::int16_t> out;
+  for (auto _ : state) {
+    if (fused) {
+      maddness::apply_lut_fused(lut, f.enc, f.plan.stage(0).epilogue, tier,
+                                dst.data());
+      benchmark::DoNotOptimize(dst.data());
+    } else {
+      maddness::apply_lut_packed(lut, f.enc, tier, out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.enc.rows));
+  state.SetLabel(std::string(maddness::kernel_tier_name(tier)) +
+                 (fused ? " fused" : " store"));
+}
+BENCHMARK(BM_PackedLutFused)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const maddness::KernelTier tier : maddness::available_kernel_tiers())
+    for (const int fused : {0, 1}) b->Args({static_cast<int>(tier), fused});
 });
 
 void BM_TreeEncode(benchmark::State& state) {

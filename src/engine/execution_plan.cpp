@@ -14,7 +14,8 @@ ExecutionPlan ExecutionPlan::compile(
     PlanStage ps;
     ps.amm = &stages[s];
     if (s + 1 < stages.size()) {
-      ps.epilogue.next_scale = stages[s + 1].activation_scale();
+      ps.epilogue = maddness::make_fused_epilogue(
+          stages[s].packed_lut(), stages[s + 1].activation_scale());
       // Materializing-walk traffic per row at this boundary: int16
       // accumulators (2B) written + read back, dequantized floats (4B)
       // written + read back. The uint8 activations are paid either way.

@@ -4,7 +4,8 @@
 // An ExecutionPlan is compiled once at model construction and caches,
 // per stage boundary, the fused-epilogue constants (producing stage's
 // LUT scales live in its packed bank; the consuming stage's activation
-// scale rides in FusedEpilogue) so run_plan() can chain stages through
+// scale and the verified per-column requantization table derived from
+// both ride in FusedEpilogue) so run_plan() can chain stages through
 // maddness::apply_lut_fused: each finished accumulator tile dequantizes,
 // rectifies and requantizes in-register and lands directly in the next
 // stage's uint8 activation buffer. The int16 accumulators and the
@@ -31,8 +32,9 @@ namespace ssma::engine {
 /// plan by construction).
 struct PlanStage {
   const maddness::Amm* amm = nullptr;
-  /// Interior stages only (unused on the final stage): requantization
-  /// constants folded into the LUT kernel epilogue.
+  /// Interior stages only (empty on the final stage): requantization
+  /// constants folded into the LUT kernel epilogue, from
+  /// maddness::make_fused_epilogue.
   maddness::FusedEpilogue epilogue;
 };
 

@@ -1,9 +1,9 @@
 #include "maddness/lut_kernel.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #if defined(SSMA_TRACE_ENABLED)
 #include <chrono>
@@ -46,7 +46,8 @@ bool cpu_supports_tier(KernelTier tier) {
       return true;
     case KernelTier::kAvx2:
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx2") != 0;
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("fma");
 #else
       return false;
 #endif
@@ -238,6 +239,107 @@ void apply_fused_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
 
 }  // namespace detail
 
+namespace {
+
+/// Ulps searched on each side of the first candidate's mul and add.
+constexpr int kFitUlps = 4;
+
+/// One accumulator through the SIMD tiers' table: fma, x86's truncation
+/// (NaN or a value outside int32 becomes INT_MIN) and the saturating
+/// int32 -> int16 -> uint8 packs, i.e. a clamp to [0, 255].
+std::uint8_t table_requantize(std::int32_t acc, float mul, float add) {
+  const float x = std::fma(static_cast<float>(acc), mul, add);
+  if (!(x >= 1.0f && x < 0x1p31f)) return 0;
+  return static_cast<std::uint8_t>(
+      std::min<std::int32_t>(static_cast<std::int32_t>(x), 255));
+}
+
+/// One column of a fused handoff: its reachable accumulators [lo, hi]
+/// and the two scales of its reference element math.
+struct FusedColumn {
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+  float scale = 0.0f;
+  float next_scale = 1.0f;
+
+  /// True when (mul, add) reproduces fused_requantize on all of [lo, hi].
+  /// When both sides are monotone non-decreasing (non-negative scale and
+  /// mul, add < 1, no fma overflow at hi), every acc <= 0 maps to 0 on
+  /// both sides and is skipped, and the walk stops where both reach 255.
+  bool fits(float mul, float add) const {
+    const bool monotone =
+        scale >= 0.0f && mul >= 0.0f && add < 1.0f &&
+        std::fma(static_cast<float>(hi), mul, add) < 0x1p31f;
+    for (std::int32_t acc = monotone ? std::max(lo, 1) : lo; acc <= hi;
+         ++acc) {
+      const std::uint8_t want = detail::fused_requantize(
+          detail::saturate_acc16(acc), scale, next_scale);
+      if (table_requantize(acc, mul, add) != want) return false;
+      if (monotone && want == 255) break;
+    }
+    return true;
+  }
+};
+
+float ulp_step(float x, int ulps) {
+  for (int i = 0; i < ulps; ++i) x = std::nextafter(x, INFINITY);
+  for (int i = 0; i > ulps; --i) x = std::nextafter(x, -INFINITY);
+  return x;
+}
+
+/// The first pair of the +-kFitUlps neighbourhood of (fl(scale /
+/// next_scale), 0.5), nearest first, that fits `col`.
+bool fit_column(const FusedColumn& col, float* mul, float* add) {
+  const float mul0 = col.scale / col.next_scale;
+  for (int i = 0; i <= 2 * kFitUlps; ++i)
+    for (int j = 0; j <= 2 * kFitUlps; ++j) {
+      // 0, +1, -1, +2, -2, ... ulps.
+      const float m = ulp_step(mul0, (i + 1) / 2 * (i % 2 ? 1 : -1));
+      const float a = ulp_step(0.5f, (j + 1) / 2 * (j % 2 ? 1 : -1));
+      if (col.fits(m, a)) {
+        *mul = m;
+        *add = a;
+        return true;
+      }
+    }
+  return false;
+}
+
+}  // namespace
+
+FusedEpilogue make_fused_epilogue(const LutBankPacked& lut,
+                                  float next_scale) {
+  SSMA_CHECK_MSG(next_scale > 0.0f,
+                 "fused epilogue needs a positive activation scale");
+  SSMA_CHECK(lut.q.size() == static_cast<std::size_t>(lut.ncodebooks) *
+                                 lut.nout * lut.nprotos);
+  SSMA_CHECK(lut.scales.size() >=
+             static_cast<std::size_t>(lut.per_column_scale ? lut.nout : 1));
+  // float(acc) must be exact for the table: |acc| <= 128 * ncodebooks.
+  SSMA_CHECK(lut.ncodebooks < (1 << 17));
+  const auto nout = static_cast<std::size_t>(lut.nout);
+  std::vector<FusedColumn> cols(nout);
+  for (int c = 0; c < lut.ncodebooks; ++c)
+    for (int o = 0; o < lut.nout; ++o) {
+      const std::int8_t* t = lut.table_ptr(c, o);
+      const auto [mn, mx] = std::minmax_element(t, t + lut.nprotos);
+      cols[static_cast<std::size_t>(o)].lo += *mn;
+      cols[static_cast<std::size_t>(o)].hi += *mx;
+    }
+  FusedEpilogue ep;
+  ep.next_scale = next_scale;
+  ep.mul.assign(nout, 0.0f);
+  ep.add.assign(nout, 0.0f);
+  ep.exact.assign((nout + 63) / 64, 0);
+  for (std::size_t o = 0; o < nout; ++o) {
+    cols[o].scale = detail::packed_scale(lut, static_cast<int>(o));
+    cols[o].next_scale = next_scale;
+    if (!fit_column(cols[o], &ep.mul[o], &ep.add[o]))
+      ep.exact[o / 64] |= std::uint64_t{1} << (o % 64);
+  }
+  return ep;
+}
+
 void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
                       KernelTier tier, std::vector<std::int16_t>& out) {
   SSMA_CHECK(enc.ncodebooks == lut.ncodebooks);
@@ -294,19 +396,14 @@ void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
              static_cast<std::size_t>(lut.per_column_scale ? lut.nout : 1));
   SSMA_CHECK_MSG(ep.next_scale > 0.0f,
                  "fused epilogue needs a positive activation scale");
+  const auto nout = static_cast<std::size_t>(lut.nout);
+  SSMA_CHECK_MSG(ep.mul.size() == nout && ep.add.size() == nout &&
+                     ep.exact.size() == (nout + 63) / 64,
+                 "fused epilogue was not made for this bank");
   if (enc.rows == 0 || lut.nout == 0) return;
-  if (tier == KernelTier::kAvx512 &&
-      ep.next_scale < detail::kAvx512MinNextScale)
-    tier = KernelTier::kAvx2;
   while (!kernel_tier_available(tier))
     tier = static_cast<KernelTier>(static_cast<int>(tier) - 1);
   if (lut.nprotos != ppa::kProtosPerCodebook) tier = KernelTier::kScalar;
-  // The SIMD fused sinks bound their reciprocal-candidate error by one
-  // requantization step only when fl(1/next_scale) carries full float
-  // precision, i.e. next_scale is normal. Denormal scales (never produced
-  // by training on real data) take the divide-based reference path.
-  if (ep.next_scale < std::numeric_limits<float>::min())
-    tier = KernelTier::kScalar;
 #if defined(SSMA_TRACE_ENABLED)
   const auto t0 = std::chrono::steady_clock::now();
 #endif

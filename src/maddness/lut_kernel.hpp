@@ -8,7 +8,7 @@
 //     the codes, the 16-byte tables and the int32 accumulators L1-hot.
 //   * kAvx2   — pshufb gather: one 16-entry table is broadcast to both
 //     128-bit lanes of a YMM register; 32 rows of codes index it in a
-//     single shuffle.
+//     single shuffle (AVX2 + FMA; the fused epilogue's table uses FMA).
 //   * kAvx512 — one vpermb gathers four codebooks' tables (one 64-byte
 //     group of the packed bank) for 16 rows, and one vpdpbusd adds the
 //     four bytes into each row's int32 lane (AVX-512 VBMI + VNNI).
@@ -91,19 +91,50 @@ void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
 /// packed bank itself), and requantizes with the consuming stage's
 /// calibrated activation scale. The [0, 255] saturation of the uint8
 /// requantization is the inter-layer ReLU + clip.
+///
+/// The SIMD tiers run the handoff from a per-column table: output o of a
+/// row with int32 total acc becomes clamp(trunc(fma(float(acc), mul[o],
+/// add[o])), 0, 255), where trunc is x86's (a value outside int32 becomes
+/// INT_MIN) and the clamp is the int32 -> int16 -> uint8 saturating
+/// packs. make_fused_epilogue checks every pair against fused_requantize
+/// on every accumulator its column can reach. A column that no pair fits
+/// is marked in `exact`, and the kernels run fused_requantize on its
+/// lanes.
 struct FusedEpilogue {
   float next_scale = 1.0f;
+  std::vector<float> mul;  ///< one per output column
+  std::vector<float> add;  ///< one per output column
+  /// Bit o % 64 of exact[o / 64] marks column o for the exact path.
+  std::vector<std::uint64_t> exact;
+
+  /// Marks of columns [o0, o0 + n) as the low n bits (n <= 16, and the
+  /// columns inside one word: o0 % 64 + n <= 64).
+  unsigned exact_bits(int o0, int n) const {
+    return static_cast<unsigned>(exact[static_cast<std::size_t>(o0) / 64] >>
+                                 (o0 % 64)) &
+           ((1u << n) - 1);
+  }
 };
+
+/// Derives the handoff of `lut` into a stage whose activation scale is
+/// `next_scale` (> 0): for each column, the reachable accumulator range
+/// [sum of its tables' minima, sum of their maxima] is read from the
+/// bank, and (fl(scale / next_scale), 0.5) — or the first pair of their
+/// +-4-ulp neighbourhood — that reproduces fused_requantize on the whole
+/// range is kept; a column none fits is marked exact. Derived state, like
+/// the packed bank itself: nothing of it reaches disk or the wire.
+FusedEpilogue make_fused_epilogue(const LutBankPacked& lut, float next_scale);
 
 /// Fused kernel: identical int32-accumulate-then-saturate datapath, but
 /// instead of storing int16 accumulators each finished tile runs the
 /// stage handoff in-register — dequantize (this bank's scales), clamp at
 /// 0, requantize with `ep.next_scale` — and stores the next stage's
-/// uint8 activation rows to `dst` (rows x nout, row-major). Bit-exact vs
-/// apply_lut_packed + engine::stage_handoff: the per-element float math
-/// is the scalar reference sequence, applied while the tile is still hot
-/// (the int16 accumulators and the dequantized floats never touch
-/// memory).
+/// uint8 activation rows to `dst` (rows x nout, row-major). `ep` comes
+/// from make_fused_epilogue(lut, next_scale). Bit-exact vs
+/// apply_lut_packed + engine::stage_handoff: the scalar tier applies
+/// fused_requantize per element, the SIMD tiers the verified table,
+/// while the tile is still hot (the int16 accumulators and the
+/// dequantized floats never touch memory).
 void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
                      const FusedEpilogue& ep, KernelTier tier,
                      std::uint8_t* dst);
@@ -131,7 +162,8 @@ bool avx512_compiled_in();
 void apply_packed_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
                          std::int16_t* out);
 
-/// Scalar tail helper shared by the SIMD tiers: rows [row_lo, rows).
+/// Scalar tail of the AVX2 tier (rows past its last 32-row block):
+/// rows [row_lo, rows).
 void apply_packed_scalar_rows(const LutBankPacked& lut,
                               const EncodedBatch& enc, std::size_t row_lo,
                               std::int16_t* out);
@@ -151,10 +183,10 @@ inline float packed_scale(const LutBankPacked& lut, int out) {
 
 /// One element of the fused epilogue — EXACTLY the reference handoff:
 /// Amm::dequantize_result's float multiply, then quantize_activations'
-/// double divide + round-half-away + uint8 saturation. The math stays
-/// scalar on purpose: SIMD float rounding (round-to-even cvtps) would
-/// break the bit-exactness contract, and the fusion win is the removed
-/// memory traffic, not vectorized float arithmetic.
+/// double divide + round-half-away + uint8 saturation. The scalar tier,
+/// the AVX2 tier's elementwise paths and every tier's exact-path columns
+/// run it as is; the SIMD tiers' table (FusedEpilogue) is verified
+/// against it.
 inline std::uint8_t fused_requantize(std::int16_t acc, float lut_scale,
                                      float next_scale) {
   const float y = static_cast<float>(acc) * lut_scale;
@@ -171,12 +203,7 @@ void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
 void apply_fused_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
                         const FusedEpilogue& ep, std::uint8_t* dst);
 
-/// Smallest next_scale the AVX-512 fused sink takes: its boundary signs
-/// are exact for s >= 2^-125 (see lut_kernel_avx512.cpp). The dispatcher
-/// sends smaller scales to the AVX2 tier.
-inline constexpr float kAvx512MinNextScale = 0x1p-125f;
-
-/// Scalar fused tail shared by the SIMD tiers: rows [row_lo, rows).
+/// Scalar fused tail of the AVX2 tier: rows [row_lo, rows).
 void apply_fused_scalar_rows(const LutBankPacked& lut,
                              const EncodedBatch& enc,
                              const FusedEpilogue& ep, std::size_t row_lo,

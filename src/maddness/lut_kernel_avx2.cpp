@@ -1,9 +1,9 @@
-// AVX2 tier of the packed LUT kernel. Its functions take their ISA from
-// a target attribute instead of a -m flag on the TU, so the inline
-// header code it instantiates outside them (fused_requantize,
-// round_half_away) stays baseline-ISA; the dispatcher checks CPUID
-// before calling in, so a binary built here still runs on machines
-// without AVX2.
+// AVX2 tier of the packed LUT kernel. Its functions take their ISA
+// (AVX2 and FMA, which the fused epilogue's table needs) from a target
+// attribute instead of a -m flag on the TU, so the inline header code it
+// instantiates outside them (fused_requantize, round_half_away) stays
+// baseline-ISA; the dispatcher checks CPUID before calling in, so a
+// binary built here still runs on machines without AVX2.
 //
 // Shape: one (codebook, output) table is 16 int8 entries — exactly one
 // 128-bit pshufb operand. Broadcasting it to both lanes of a YMM register
@@ -24,7 +24,7 @@
 // accumulators (classic accumulate), the fused sink runs the stage
 // handoff (dequantize -> ReLU -> requantize) on each finished tile and
 // writes the next stage's uint8 activations — the accumulators never
-// reach memory.
+// reach memory. Rows past the last 32-row block take the scalar tail.
 #include <algorithm>
 #include <cstring>
 
@@ -32,7 +32,7 @@
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
-#define SSMA_AVX2 __attribute__((target("avx2")))
+#define SSMA_AVX2 __attribute__((target("avx2,fma")))
 #endif
 
 namespace ssma::maddness::detail {
@@ -70,78 +70,46 @@ struct StoreSink {
   }
 };
 
-/// Fused stage handoff: each finished int16 quad dequantizes, rectifies
-/// and requantizes in-register into the next stage's uint8 activation
-/// row — bit-identical to fused_requantize, without its double divide.
-///
-/// The reference computes r = clamp(round_half_away(fl64(y / s)), 0, 255)
-/// with y = float(acc) * col_scale (float) and s = next_scale (float).
-/// A gap lemma makes the divide avoidable: fl64(y/s) equals a half-
-/// integer m/2 (|m| <= 513, the only rounding boundaries the clamp can
-/// see) iff y/s equals it EXACTLY. Writing y = a*2^alpha, s = b*2^beta
-/// (a, b 24-bit significands), y/s - m/2 has a common denominator
-/// 2*b*2^beta and an integer numerator on the 2^min(alpha+1,beta) grid,
-/// so when nonzero |y/s - m/2| >= (m/2)*2^-49 — three orders beyond
-/// double's half-ulp (m/2)*2^-53. Hence rounding fl64(y/s) half-away
-/// is decided by EXACT real comparisons: r = k iff (k-0.5)*s <= y <
-/// (k+0.5)*s (for y >= 0; y < 0 clamps to 0 either way). Both bounds
-/// are exact doubles — (2k+-1)/2 needs 10 significand bits, s needs 24,
-/// their product 34 < 53.
-///
-/// So: one reciprocal multiply gives a candidate k within +-1 of the
-/// answer (|y*fl(1/s) - y/s| <= |y/s| * 2^-23 * 1.01 << 0.5 when 1/s is
-/// a normal float — the dispatcher downgrades denormal scales to the
-/// scalar tier), and one exact-boundary correction step lands it.
+/// Fused stage handoff: each finished int16 quad of a full 4-output
+/// block requantizes in-register from the epilogue's verified table —
+/// widen, convert, one FMA with the columns' (mul, add), truncate — and
+/// the saturating packs clamp to [0, 255], as the table was checked to
+/// do. Columns marked exact, ragged output blocks and banks over 256
+/// codebooks take fused_requantize per element.
 struct FusedSink {
   const LutBankPacked* lut;
+  const FusedEpilogue* ep;
   std::uint8_t* dst;
-  float next_scale;
-  float inv_next;  ///< fl(1/next_scale); next_scale is a normal float
   std::size_t nout;
 
-  /// Exact-boundary correction: c holds integral candidates in
-  /// [0, 255], y the dequantized values, sd double(next_scale). Moves
-  /// each candidate to the true rounding k (one step suffices), giving
-  /// values in [-1, 256] — integral, so cvttpd is exact.
-  SSMA_AVX2 static __m128i fixup(__m256d c, __m256d y, __m256d sd) {
-    const __m256d half = _mm256_set1_pd(0.5);
-    const __m256d one = _mm256_set1_pd(1.0);
-    const __m256d hi = _mm256_mul_pd(_mm256_add_pd(c, half), sd);
-    const __m256d lo = _mm256_mul_pd(_mm256_sub_pd(c, half), sd);
-    c = _mm256_add_pd(
-        c, _mm256_and_pd(_mm256_cmp_pd(y, hi, _CMP_GE_OQ), one));
-    c = _mm256_sub_pd(
-        c, _mm256_and_pd(_mm256_cmp_pd(y, lo, _CMP_LT_OQ), one));
-    return _mm256_cvttpd_epi32(c);
+  /// The exact path: the marked columns' lanes of `v` (rows r and r+1,
+  /// as in quad2) through fused_requantize.
+  SSMA_AVX2 __attribute__((noinline)) __m256i exact_lanes(
+      __m128i q, int o0, unsigned marked, __m256i v) const {
+    alignas(16) std::int16_t acc[8];
+    alignas(32) std::int32_t lanes[8];
+    _mm_store_si128(reinterpret_cast<__m128i*>(acc), q);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
+    for (int i = 0; i < 8; ++i)
+      if (marked >> (i % 4) & 1u)
+        lanes[i] = fused_requantize(acc[i], packed_scale(*lut, o0 + i % 4),
+                                    ep->next_scale);
+    return _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
   }
 
   /// Requantizes rows r and r+1 (outputs o0..o0+3 each, packed in q's
-  /// two 64-bit halves) in one shot: the column scales, sign extension
-  /// and pack chain are shared across the row pair.
+  /// two 64-bit halves) in one shot: the column constants, widening and
+  /// pack chain are shared across the row pair.
   SSMA_AVX2 void quad2(std::size_t r, int o0, __m128i q) const {
-    const __m128 scales =
-        lut->per_column_scale
-            ? _mm_loadu_ps(lut->scales.data() + o0)
-            : _mm_set1_ps(lut->scales[0]);
-    const __m256 y = _mm256_mul_ps(
-        _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(q)),
-        _mm256_set_m128(scales, scales));
-    // Candidate quotients, clamped into [0, 255]. The clamp absorbs
-    // negatives and +-inf overflows (y finite, inv_next finite => no
-    // NaN); max-then-min also normalizes -0.0 to +0.0.
-    const __m256 qf = _mm256_min_ps(
-        _mm256_max_ps(_mm256_mul_ps(y, _mm256_set1_ps(inv_next)),
-                      _mm256_setzero_ps()),
-        _mm256_set1_ps(255.0f));
-    const __m256i c = _mm256_cvtps_epi32(qf);
-    const __m256d sd = _mm256_set1_pd(static_cast<double>(next_scale));
-    const __m128i r0 =
-        fixup(_mm256_cvtepi32_pd(_mm256_castsi256_si128(c)),
-              _mm256_cvtps_pd(_mm256_castps256_ps128(y)), sd);
-    const __m128i r1 =
-        fixup(_mm256_cvtepi32_pd(_mm256_extracti128_si256(c, 1)),
-              _mm256_cvtps_pd(_mm256_extractf128_ps(y, 1)), sd);
-    const __m128i p16 = _mm_packs_epi32(r0, r1);    // in [-1, 256]: exact
+    const __m128 mul = _mm_loadu_ps(ep->mul.data() + o0);
+    const __m128 add = _mm_loadu_ps(ep->add.data() + o0);
+    __m256i v = _mm256_cvttps_epi32(
+        _mm256_fmadd_ps(_mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(q)),
+                        _mm256_set_m128(mul, mul), _mm256_set_m128(add, add)));
+    if (const unsigned marked = ep->exact_bits(o0, 4))
+      v = exact_lanes(q, o0, marked, v);
+    const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                        _mm256_extracti128_si256(v, 1));
     const __m128i p8 = _mm_packus_epi16(p16, p16);  // the [0, 255] clamp
     std::uint8_t* d = dst + r * nout + static_cast<std::size_t>(o0);
     const int b0 = _mm_cvtsi128_si32(p8);
@@ -151,7 +119,7 @@ struct FusedSink {
   }
   SSMA_AVX2 void one16(std::size_t r, int o, std::int16_t v) const {
     dst[r * nout + static_cast<std::size_t>(o)] =
-        fused_requantize(v, packed_scale(*lut, o), next_scale);
+        fused_requantize(v, packed_scale(*lut, o), ep->next_scale);
   }
   SSMA_AVX2 void one32(std::size_t r, int o, std::int32_t v) const {
     one16(r, o, saturate_acc16(v));
@@ -339,8 +307,7 @@ SSMA_AVX2 void apply_fused_avx2(const LutBankPacked& lut,
                                 const FusedEpilogue& ep, std::uint8_t* dst) {
   const std::size_t full = enc.rows - enc.rows % kRowBlock;
   avx2_impl(lut, enc, full,
-            FusedSink{&lut, dst, ep.next_scale, 1.0f / ep.next_scale,
-                      static_cast<std::size_t>(lut.nout)});
+            FusedSink{&lut, &ep, dst, static_cast<std::size_t>(lut.nout)});
   apply_fused_scalar_rows(lut, enc, ep, full, dst);
 }
 

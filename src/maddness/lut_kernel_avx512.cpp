@@ -17,8 +17,9 @@
 // built once; each output block then walks the chunk's rows while its
 // slice of the bank stays L1-resident. A finished tile is packed and
 // transposed in-register (two vpermt2b stages) into row-major int16 rows
-// (store sink) or uint8 rows (fused sink). Rows past the last full
-// 16-row block take the scalar tail.
+// (store sink) or uint8 rows (fused sink). A ragged last row block runs
+// the same tile code: its codes load under a byte mask, and only its
+// valid rows are stored.
 #include <algorithm>
 #include <vector>
 
@@ -139,19 +140,22 @@ SSMA_AVX512 inline void transpose16x16(const __m512i s[4],
   d[3] = _mm512_permutex2var_epi8(t1, b, t3);
 }
 
-/// Stores a transposed tile's 16 rows (row 4k+L is lane L of d[k]) to
-/// base + row * row_bytes, the first `nbytes` bytes of each.
+/// Stores a transposed tile's first `nrows` rows (row 4k+L is lane L of
+/// d[k]) to base + row * row_bytes, the first `nbytes` bytes of each.
 SSMA_AVX512 inline void store_rows(const __m512i d[4], std::uint8_t* base,
-                                   std::size_t row_bytes, int nbytes) {
+                                   std::size_t row_bytes, int nrows,
+                                   int nbytes) {
   const __mmask16 mask = static_cast<__mmask16>((1u << nbytes) - 1);
 #pragma GCC unroll 4
   for (int k = 0; k < 4; ++k) {
+    if (4 * k >= nrows) break;
     const __m128i rows[4] = {_mm512_maskz_extracti32x4_epi32(0xF, d[k], 0),
                              _mm512_maskz_extracti32x4_epi32(0xF, d[k], 1),
                              _mm512_maskz_extracti32x4_epi32(0xF, d[k], 2),
                              _mm512_maskz_extracti32x4_epi32(0xF, d[k], 3)};
 #pragma GCC unroll 4
     for (int l = 0; l < 4; ++l) {
+      if (4 * k + l >= nrows) break;
       std::uint8_t* p =
           base + static_cast<std::size_t>(4 * k + l) * row_bytes;
       if (nbytes == 16)
@@ -167,7 +171,7 @@ struct StoreSink {
   std::int16_t* out;
   std::size_t nout;
 
-  SSMA_AVX512 void tile(std::size_t n0, int o0, int ob,
+  SSMA_AVX512 void tile(std::size_t n0, int nrows, int o0, int ob,
                         const __m512i acc[kOutBlock]) const {
     __m512i packed[8];
 #pragma GCC unroll 8
@@ -181,74 +185,50 @@ struct StoreSink {
       store_rows(d,
                  reinterpret_cast<std::uint8_t*>(
                      out + n0 * nout + static_cast<std::size_t>(o0 + 8 * h)),
-                 nout * sizeof(std::int16_t), 2 * valid);
+                 nout * sizeof(std::int16_t), nrows, 2 * valid);
     }
   }
 };
 
-/// Fused stage handoff, bit-identical to fused_requantize. The reference
-/// is r = clamp(round_half_away(fl64(y / s)), 0, 255) with y =
-/// float(acc) * col_scale and s = next_scale; the AVX2 tier's gap lemma
-/// shows that for y >= 0 it equals the k with (k-0.5)*s <= y < (k+0.5)*s
-/// (y < 0 clamps to 0 either way). A reciprocal multiply gives a
-/// candidate c within +-1 of k, and fma(c+-0.5, s, -y) has the exact
-/// sign of (c+-0.5)*s - y: the product is exact inside the fma, and a
-/// nonzero difference cannot round to zero because (c+-0.5)*s is a
-/// multiple of 2^(e_s - 24) and y a multiple of 2^-149, so for s >=
-/// 2^-125 (kAvx512MinNextScale; the dispatcher sends smaller scales to
-/// the AVX2 tier) it is at least the smallest denormal. One correction
-/// step on those signs lands k, in 16 float lanes at once.
+/// Fused stage handoff from the epilogue's verified table: per output,
+/// convert the int32 totals, one FMA with the column's (mul, add), and
+/// truncate; the saturating packs clamp to [0, 255], as the table was
+/// checked to do. Columns marked exact take fused_requantize on their
+/// lanes instead.
 struct FusedSink {
   const LutBankPacked* lut;
+  const FusedEpilogue* ep;
   std::uint8_t* dst;
-  float next_scale;
-  float inv_next;  ///< fl(1/next_scale)
   std::size_t nout;
 
-  /// One output's 16 rows: int32 totals -> requantized values in
-  /// [-1, 256] (the [0, 255] clamp is the caller's vpackuswb).
-  SSMA_AVX512 static __m512i requantize(__m512i acc, __m512 col_scale,
-                                        __m512 s, __m512 inv) {
-    const __m512i sat = _mm512_maskz_min_epi32(
-        kAll16, _mm512_maskz_max_epi32(kAll16, acc, _mm512_set1_epi32(-32768)),
-        _mm512_set1_epi32(32767));
-    const __m512 y =
-        _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(kAll16, sat), col_scale);
-    // Candidates clamped into [0, 255]: the clamp absorbs negatives and
-    // +-inf (inv and y are never NaN); max-then-min also turns -0.0
-    // into +0.0.
-    const __m512 q = _mm512_maskz_min_ps(
-        kAll16,
-        _mm512_maskz_max_ps(kAll16, _mm512_mul_ps(y, inv),
-                            _mm512_setzero_ps()),
-        _mm512_set1_ps(255.0f));
-    __m512 c = _mm512_maskz_roundscale_ps(
-        kAll16, q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    const __m512 half = _mm512_set1_ps(0.5f);
-    const __m512 one = _mm512_set1_ps(1.0f);
-    const __mmask16 up = _mm512_cmp_ps_mask(
-        _mm512_fmsub_ps(_mm512_add_ps(c, half), s, y), _mm512_setzero_ps(),
-        _CMP_LE_OQ);
-    const __mmask16 down = _mm512_cmp_ps_mask(
-        _mm512_fmsub_ps(_mm512_sub_ps(c, half), s, y), _mm512_setzero_ps(),
-        _CMP_GT_OQ);
-    c = _mm512_mask_add_ps(c, up, c, one);
-    c = _mm512_mask_sub_ps(c, down, c, one);
-    return _mm512_maskz_cvttps_epi32(kAll16, c);
+  /// The exact path: column o's 16 lanes through fused_requantize.
+  SSMA_AVX512 __attribute__((noinline)) __m512i exact_column(__m512i acc,
+                                                             int o) const {
+    alignas(64) std::int32_t lanes[kRowBlock];
+    _mm512_store_si512(lanes, acc);
+    for (std::int32_t& v : lanes)
+      v = fused_requantize(saturate_acc16(v), packed_scale(*lut, o),
+                           ep->next_scale);
+    return _mm512_load_si512(lanes);
   }
 
-  SSMA_AVX512 void tile(std::size_t n0, int o0, int ob,
+  SSMA_AVX512 void tile(std::size_t n0, int nrows, int o0, int ob,
                         const __m512i acc[kOutBlock]) const {
-    const __m512 s = _mm512_set1_ps(next_scale);
-    const __m512 inv = _mm512_set1_ps(inv_next);
     __m512i r[kOutBlock];
 #pragma GCC unroll 16
     for (int j = 0; j < kOutBlock; ++j) {
       // Columns past a ragged block's end repeat its last column; their
       // bytes are never stored.
-      const int o = o0 + std::min(j, ob - 1);
-      r[j] = requantize(acc[j], _mm512_set1_ps(packed_scale(*lut, o)), s,
-                        inv);
+      const auto o = static_cast<std::size_t>(o0 + std::min(j, ob - 1));
+      r[j] = _mm512_maskz_cvttps_epi32(
+          kAll16, _mm512_fmadd_ps(_mm512_maskz_cvtepi32_ps(kAll16, acc[j]),
+                                  _mm512_set1_ps(ep->mul[o]),
+                                  _mm512_set1_ps(ep->add[o])));
+    }
+    if (const unsigned marked = ep->exact_bits(o0, ob)) {
+#pragma GCC unroll 16
+      for (int j = 0; j < kOutBlock; ++j)
+        if (marked >> j & 1u) r[j] = exact_column(acc[j], o0 + j);
     }
     __m512i bytes[4];
 #pragma GCC unroll 4
@@ -258,25 +238,28 @@ struct FusedSink {
           _mm512_packs_epi32(r[4 * n + 2], r[4 * n + 3]));
     __m512i d[4];
     transpose16x16(bytes, kStage1Uint8, d);
-    store_rows(d, dst + n0 * nout + static_cast<std::size_t>(o0), nout, ob);
+    store_rows(d, dst + n0 * nout + static_cast<std::size_t>(o0), nout,
+               nrows, ob);
   }
 };
 
 /// Index vectors of every group for rows n0..n0+15 into idx: lane j of
 /// group g's codes is codebook 4g+j's 16 codes (zero past a ragged last
-/// group, which then reads its table's zeroed bytes).
+/// group, which then reads its table's zeroed bytes). A ragged last row
+/// block loads its `nrows` codes under a byte mask, so it never reads
+/// past a codebook's codes; its missing rows read code 0.
 SSMA_AVX512 void build_indices(const EncodedBatch& enc, std::size_t n0,
-                               std::uint8_t* idx) {
+                               int nrows, std::uint8_t* idx) {
   const __m512i interleave = load64(kInterleave);
   const __m512i offsets = load64(kOffsets);
+  const __mmask16 row_mask = static_cast<__mmask16>((1u << nrows) - 1);
   const int ngroups = (enc.ncodebooks + kGroup - 1) / kGroup;
   for (int g = 0; g < ngroups; ++g) {
     __m128i lanes[kGroup];
     for (int j = 0; j < kGroup; ++j) {
       const int c = kGroup * g + j;
       lanes[j] = c < enc.ncodebooks
-                     ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                           enc.codebook(c) + n0))
+                     ? _mm_maskz_loadu_epi8(row_mask, enc.codebook(c) + n0)
                      : _mm_setzero_si128();
     }
     __m512i v = _mm512_zextsi128_si512(lanes[0]);
@@ -299,7 +282,7 @@ SSMA_AVX512 void build_indices(const EncodedBatch& enc, std::size_t n0,
 /// around the hot loop.
 template <bool kFullBlock, bool kRaggedGroup, class Sink>
 SSMA_AVX512 __attribute__((noinline)) void run_tile(
-    const LutBankPacked& lut, std::size_t n0, int o0, int ob,
+    const LutBankPacked& lut, std::size_t n0, int nrows, int o0, int ob,
     const std::uint8_t* idx, const Sink& sink) {
   const int nfull = lut.ncodebooks / kGroup;
   const __m512i ones = _mm512_set1_epi8(1);
@@ -334,14 +317,14 @@ SSMA_AVX512 __attribute__((noinline)) void run_tile(
               kAll64, gi, _mm512_loadu_si512(tables + kGroupBytes * col)));
     }
   }
-  sink.tile(n0, o0, ob, acc);
+  sink.tile(n0, nrows, o0, ob, acc);
 }
 
 template <class Sink>
 SSMA_AVX512 void avx512_impl(const LutBankPacked& lut,
-                             const EncodedBatch& enc, std::size_t full,
-                             const Sink& sink) {
+                             const EncodedBatch& enc, const Sink& sink) {
   const int nout = lut.nout;
+  const std::size_t rows = enc.rows;
   const bool ragged_group = lut.ncodebooks % kGroup != 0;
   // One row block's index vectors, and the row blocks of one chunk.
   const std::size_t block_bytes =
@@ -356,23 +339,25 @@ SSMA_AVX512 void avx512_impl(const LutBankPacked& lut,
     heap_idx.resize(block_bytes);
     idx = heap_idx.data();
   }
-  for (std::size_t r0 = 0; r0 < full; r0 += chunk_blocks * kRowBlock) {
-    const std::size_t r1 = std::min(full, r0 + chunk_blocks * kRowBlock);
+  for (std::size_t r0 = 0; r0 < rows; r0 += chunk_blocks * kRowBlock) {
+    const std::size_t r1 = std::min(rows, r0 + chunk_blocks * kRowBlock);
     for (std::size_t n0 = r0; n0 < r1; n0 += kRowBlock)
-      build_indices(enc, n0, idx + (n0 - r0) / kRowBlock * block_bytes);
+      build_indices(enc, n0, static_cast<int>(std::min(kRowBlock, r1 - n0)),
+                    idx + (n0 - r0) / kRowBlock * block_bytes);
     for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
       const int ob = std::min(kOutBlock, nout - o0);
       for (std::size_t n0 = r0; n0 < r1; n0 += kRowBlock) {
+        const int nrows = static_cast<int>(std::min(kRowBlock, r1 - n0));
         const std::uint8_t* block_idx =
             idx + (n0 - r0) / kRowBlock * block_bytes;
         if (ob == kOutBlock && !ragged_group)
-          run_tile<true, false>(lut, n0, o0, ob, block_idx, sink);
+          run_tile<true, false>(lut, n0, nrows, o0, ob, block_idx, sink);
         else if (ob == kOutBlock)
-          run_tile<true, true>(lut, n0, o0, ob, block_idx, sink);
+          run_tile<true, true>(lut, n0, nrows, o0, ob, block_idx, sink);
         else if (!ragged_group)
-          run_tile<false, false>(lut, n0, o0, ob, block_idx, sink);
+          run_tile<false, false>(lut, n0, nrows, o0, ob, block_idx, sink);
         else
-          run_tile<false, true>(lut, n0, o0, ob, block_idx, sink);
+          run_tile<false, true>(lut, n0, nrows, o0, ob, block_idx, sink);
       }
     }
   }
@@ -384,19 +369,13 @@ bool avx512_compiled_in() { return true; }
 
 void apply_packed_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
                          std::int16_t* out) {
-  const std::size_t full = enc.rows - enc.rows % kRowBlock;
-  avx512_impl(lut, enc, full,
-              StoreSink{out, static_cast<std::size_t>(lut.nout)});
-  apply_packed_scalar_rows(lut, enc, full, out);
+  avx512_impl(lut, enc, StoreSink{out, static_cast<std::size_t>(lut.nout)});
 }
 
 void apply_fused_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
                         const FusedEpilogue& ep, std::uint8_t* dst) {
-  const std::size_t full = enc.rows - enc.rows % kRowBlock;
-  avx512_impl(lut, enc, full,
-              FusedSink{&lut, dst, ep.next_scale, 1.0f / ep.next_scale,
-                        static_cast<std::size_t>(lut.nout)});
-  apply_fused_scalar_rows(lut, enc, ep, full, dst);
+  avx512_impl(lut, enc,
+              FusedSink{&lut, &ep, dst, static_cast<std::size_t>(lut.nout)});
 }
 
 #else  // !defined(SSMA_AVX512)
