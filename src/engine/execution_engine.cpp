@@ -135,6 +135,9 @@ class PacedEngine : public ExecutionEngine {
                        std::chrono::duration<double, std::nano>(
                            tokens * pace_ns_));
     SSMA_TRACE_SPAN(kDeviceWait);
+    // On a shard thread this ends at device_free_: WorkerPool gives its
+    // threads a 1 ns timer slack, where Linux's default would let the
+    // sleep run up to 50 us over.
     std::this_thread::sleep_until(device_free_);
   }
 

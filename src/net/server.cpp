@@ -193,7 +193,7 @@ void NetServer::conn_readable(std::uint64_t id, Conn& c) {
       stats_.bytes_read += static_cast<std::uint64_t>(n);
     }
     c.decoder.feed(buf, static_cast<std::size_t>(n));
-    std::string payload;
+    std::string_view payload;
     for (;;) {
       const FrameDecoder::Result r = c.decoder.next(&payload);
       if (r == FrameDecoder::Result::kNeedMore) break;
@@ -229,7 +229,7 @@ void NetServer::send_reject(Conn& c, std::uint64_t corr,
   stats_.rejects[static_cast<std::size_t>(reason)]++;
 }
 
-void NetServer::handle_admin(Conn& c, const std::string& payload) {
+void NetServer::handle_admin(Conn& c, std::string_view payload) {
   AdminRequest req;
   AdminResponse resp;
   if (!parse_admin_request(payload, &req)) {
@@ -282,7 +282,7 @@ void NetServer::handle_admin(Conn& c, const std::string& payload) {
 }
 
 void NetServer::handle_frame(std::uint64_t id, Conn& c,
-                             const std::string& payload) {
+                             std::string_view payload) {
   // Admin frames share the front door but never touch admission or the
   // inference queue; dispatch on the prelude type byte before
   // committing to the request parse.
@@ -352,12 +352,16 @@ void NetServer::handle_frame(std::uint64_t id, Conn& c,
     SSMA_TRACE_SPAN(kNetWrite);
     RpcResponse resp;
     resp.correlation_id = corr;
+    // The frame is encoded straight from the result's outputs.
+    const std::int16_t* outputs = nullptr;
+    std::size_t n_outputs = 0;
     if (res != nullptr) {
       resp.status = kStatusOk;
       resp.model = res->model;
       resp.model_version = res->model_version;
       resp.rows = res->rows;
-      resp.outputs = res->outputs;
+      outputs = res->outputs.data();
+      n_outputs = res->outputs.size();
     } else {
       resp.status = kStatusInternalError;
       try {
@@ -371,15 +375,21 @@ void NetServer::handle_frame(std::uint64_t id, Conn& c,
         resp.message = e.what();
       }
     }
+    Completion done{id, resp.encode(outputs, n_outputs)};
+    bool first;
     {
       std::lock_guard<std::mutex> lock(out_mu_);
-      outbox_.push_back(Completion{id, resp.encode()});
+      first = outbox_.empty();
+      outbox_.push_back(std::move(done));
     }
     // Order matters for graceful stop: the completion is visible in the
     // outbox before pending_ drops, so "pending == 0 and outbox empty"
     // proves every response reached a write buffer.
     pending_.fetch_sub(1, std::memory_order_acq_rel);
-    wake_loop();
+    // One wake per burst: only the push that finds the outbox empty
+    // wakes the loop. A later push either lands before the drain that
+    // wake brings on, or finds the outbox empty again and wakes it.
+    if (first) wake_loop();
   };
 
   {
@@ -563,8 +573,7 @@ void NetClient::send_bytes(const std::string& bytes) {
                             << ": " << std::strerror(err));
 }
 
-bool NetClient::recv_payload(std::string* payload) {
-  std::lock_guard<std::mutex> lock(recv_mu_);
+bool NetClient::recv_payload(std::string_view* payload) {
   SSMA_CHECK_MSG(fd_ >= 0, "NetClient not connected");
   SSMA_CHECK_MSG(!broken_.load(std::memory_order_acquire),
                  "NetClient stream poisoned by an earlier partial "
@@ -581,7 +590,9 @@ bool NetClient::recv_payload(std::string* payload) {
 }
 
 bool NetClient::recv_response(RpcResponse* out) {
-  std::string payload;
+  // The payload views the decoder's buffer: parse it under the lock.
+  std::lock_guard<std::mutex> lock(recv_mu_);
+  std::string_view payload;
   if (!recv_payload(&payload)) return false;
   SSMA_CHECK_MSG(parse_response(payload, out),
                  "malformed response payload");
@@ -589,7 +600,8 @@ bool NetClient::recv_response(RpcResponse* out) {
 }
 
 bool NetClient::recv_admin(AdminResponse* out) {
-  std::string payload;
+  std::lock_guard<std::mutex> lock(recv_mu_);
+  std::string_view payload;
   if (!recv_payload(&payload)) return false;
   SSMA_CHECK_MSG(parse_admin_response(payload, out),
                  "malformed admin response payload");

@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -130,11 +131,13 @@ class NetServer {
   void loop_main();
   void accept_ready();
   void conn_readable(std::uint64_t id, Conn& c);
-  void handle_frame(std::uint64_t id, Conn& c, const std::string& payload);
+  /// `payload` views c.decoder's buffer; nothing may keep it past the
+  /// call.
+  void handle_frame(std::uint64_t id, Conn& c, std::string_view payload);
   /// Admin-plane dispatch (rollout status/overrides, compaction). Runs
   /// synchronously on the loop thread — admin ops are rare and cheap
   /// relative to the inference path.
-  void handle_admin(Conn& c, const std::string& payload);
+  void handle_admin(Conn& c, std::string_view payload);
   /// Serialize + enqueue a typed rejection on the loop thread.
   void send_reject(Conn& c, std::uint64_t corr,
                    serve::RejectReason reason, const std::string& msg);
@@ -232,8 +235,9 @@ class NetClient {
  private:
   void send_bytes(const std::string& bytes);
   /// Reads socket bytes into the decoder until one frame payload is
-  /// complete; false on a clean close at a frame boundary.
-  bool recv_payload(std::string* payload);
+  /// complete; false on a clean close at a frame boundary. Call with
+  /// recv_mu_ held, and parse the view before releasing it.
+  bool recv_payload(std::string_view* payload);
 
   int fd_ = -1;
   std::mutex send_mu_;

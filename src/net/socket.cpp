@@ -90,7 +90,8 @@ bool write_all(int fd, std::string_view bytes, std::size_t* written) {
   return ok;
 }
 
-FrameRead read_frame(int fd, FrameDecoder& dec, std::string* payload) {
+FrameRead read_frame(int fd, FrameDecoder& dec,
+                     std::string_view* payload) {
   char buf[64 * 1024];
   for (;;) {
     switch (dec.next(payload)) {

@@ -48,8 +48,9 @@ enum class FrameRead {
 };
 
 /// Blocks until `dec` yields one frame, refilling it from `fd` as
-/// needed (retrying EINTR).
-FrameRead read_frame(int fd, FrameDecoder& dec, std::string* payload);
+/// needed (retrying EINTR). On kFrame, *payload views the payload in
+/// `dec`'s buffer, valid until dec's next feed() or next().
+FrameRead read_frame(int fd, FrameDecoder& dec, std::string_view* payload);
 
 /// Delay before retry number `attempt` (0-based): base * 2^attempt
 /// capped at `cap`, plus seeded jitter of up to half that step, which

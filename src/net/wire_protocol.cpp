@@ -56,16 +56,16 @@ std::string RpcRequest::encode() const {
   return seal(w);
 }
 
-std::string RpcResponse::encode() const {
+std::string RpcResponse::encode(const std::int16_t* outputs,
+                                std::size_t n) const {
   wire::Writer w = open_frame(MsgType::kInferResponse, correlation_id,
-                              model.size() + 2 * outputs.size() +
-                                  message.size());
+                              model.size() + 2 * n + message.size());
   w.u8(status);
   w.str(model);
   w.u64(model_version);
   w.u64(rows);
-  w.u64(outputs.size());
-  w.i16s(outputs.data(), outputs.size());
+  w.u64(n);
+  w.i16s(outputs, n);
   w.str(message);
   return seal(w);
 }
@@ -79,7 +79,7 @@ std::string ReplMessage::encode() const {
   return seal(w);
 }
 
-bool parse_repl(const std::string& payload, ReplMessage* out) {
+bool parse_repl(std::string_view payload, ReplMessage* out) {
   wire::Reader r(payload);
   const std::uint8_t version = r.u8();
   const std::uint8_t type = r.u8();
@@ -111,7 +111,7 @@ std::string AdminResponse::encode() const {
   return seal(w);
 }
 
-bool parse_admin_request(const std::string& payload, AdminRequest* out) {
+bool parse_admin_request(std::string_view payload, AdminRequest* out) {
   wire::Reader r(payload);
   if (!parse_prelude(r, MsgType::kAdminRequest, &out->correlation_id))
     return false;
@@ -120,7 +120,7 @@ bool parse_admin_request(const std::string& payload, AdminRequest* out) {
   return r.done();
 }
 
-bool parse_admin_response(const std::string& payload,
+bool parse_admin_response(std::string_view payload,
                           AdminResponse* out) {
   wire::Reader r(payload);
   if (!parse_prelude(r, MsgType::kAdminResponse, &out->correlation_id))
@@ -131,7 +131,7 @@ bool parse_admin_response(const std::string& payload,
   return r.done();
 }
 
-bool parse_request(const std::string& payload, RpcRequest* out) {
+bool parse_request(std::string_view payload, RpcRequest* out) {
   wire::Reader r(payload);
   if (!parse_prelude(r, MsgType::kInferRequest, &out->correlation_id))
     return false;
@@ -144,7 +144,7 @@ bool parse_request(const std::string& payload, RpcRequest* out) {
   return r.done();
 }
 
-bool parse_response(const std::string& payload, RpcResponse* out) {
+bool parse_response(std::string_view payload, RpcResponse* out) {
   wire::Reader r(payload);
   if (!parse_prelude(r, MsgType::kInferResponse, &out->correlation_id))
     return false;
@@ -164,7 +164,7 @@ void FrameDecoder::feed(const void* data, std::size_t n) {
   buf_.append(static_cast<const char*>(data), n);
 }
 
-FrameDecoder::Result FrameDecoder::next(std::string* payload) {
+FrameDecoder::Result FrameDecoder::next(std::string_view* payload) {
   // Compact once the consumed prefix dominates, so a long-lived
   // connection does not grow its buffer without bound.
   if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
@@ -184,7 +184,7 @@ FrameDecoder::Result FrameDecoder::next(std::string* payload) {
   if (avail < kHdr + len) return Result::kNeedMore;
   if (maddness::crc32(p + kHdr, static_cast<std::size_t>(len)) != crc)
     return Result::kBad;
-  payload->assign(p + kHdr, static_cast<std::size_t>(len));
+  *payload = std::string_view(p + kHdr, static_cast<std::size_t>(len));
   pos_ += kHdr + static_cast<std::size_t>(len);
   return Result::kFrame;
 }

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/request_queue.hpp"
@@ -84,7 +85,13 @@ struct RpcResponse {
   std::vector<std::int16_t> outputs;  ///< rows x nout (ok only)
   std::string message;  ///< human-readable detail on non-ok
 
-  std::string encode() const;
+  std::string encode() const {
+    return encode(outputs.data(), outputs.size());
+  }
+  /// The same bytes as encode() with `n` outputs read from `outputs`
+  /// instead of the member, so a server frames a served result's
+  /// buffer without copying it into a response first.
+  std::string encode(const std::int16_t* outputs, std::size_t n) const;
 };
 
 /// One message of the replication stream. The prelude's correlation-id
@@ -136,18 +143,19 @@ struct AdminResponse {
 
 /// Parse a frame payload (already CRC-validated). Returns false on any
 /// malformation — wrong version, wrong type, truncated or oversized
-/// fields — leaving *out in an unspecified state.
-bool parse_request(const std::string& payload, RpcRequest* out);
-bool parse_response(const std::string& payload, RpcResponse* out);
+/// fields — leaving *out in an unspecified state. *out owns its fields:
+/// nothing in it points into `payload`.
+bool parse_request(std::string_view payload, RpcRequest* out);
+bool parse_response(std::string_view payload, RpcResponse* out);
 /// Accepts any kRepl* type; rejects infer request/response preludes.
-bool parse_repl(const std::string& payload, ReplMessage* out);
-bool parse_admin_request(const std::string& payload, AdminRequest* out);
-bool parse_admin_response(const std::string& payload, AdminResponse* out);
+bool parse_repl(std::string_view payload, ReplMessage* out);
+bool parse_admin_request(std::string_view payload, AdminRequest* out);
+bool parse_admin_response(std::string_view payload, AdminResponse* out);
 
 /// The message type byte of a framed payload (the prelude's second
 /// byte), or 0 when the payload is too short — lets a server dispatch
 /// on type before committing to a full per-type parse.
-inline std::uint8_t peek_msg_type(const std::string& payload) {
+inline std::uint8_t peek_msg_type(std::string_view payload) {
   return payload.size() >= 2 ? static_cast<std::uint8_t>(payload[1]) : 0;
 }
 
@@ -166,7 +174,18 @@ class FrameDecoder {
   explicit FrameDecoder(std::size_t max_frame_bytes);
 
   void feed(const void* data, std::size_t n);
-  Result next(std::string* payload);
+  /// On kFrame, *payload views the frame's payload inside the decoder's
+  /// buffer. The view stays valid until the next feed() or next(),
+  /// either of which may move or compact the buffer.
+  Result next(std::string_view* payload);
+  /// next(), with the payload copied out, for a caller that keeps it
+  /// past the next feed() or next().
+  Result next(std::string* payload) {
+    std::string_view view;
+    const Result r = next(&view);
+    if (r == Result::kFrame) payload->assign(view);
+    return r;
+  }
 
   std::size_t buffered_bytes() const { return buf_.size() - pos_; }
 

@@ -22,6 +22,10 @@ struct BatcherOptions {
   /// budget still get served — alone, as a batch of one.
   std::size_t max_batch_tokens = 64;
   /// How long a non-full batch waits for more requests before dispatch.
+  /// A batch that does not fill closes at max_wait after its first
+  /// request was picked up, give or take the wake-up latency of the
+  /// shard thread (a few us): shards run with a 1 ns timer slack, so
+  /// the deadline is not padded by Linux's default 50 us.
   std::chrono::microseconds max_wait{200};
   /// Rounds the token budget down to a multiple of this (e.g. the number
   /// of tokens the macro's tile plan pipelines per pass); 1 = no rounding.

@@ -182,32 +182,20 @@ bool ReplicaApplier::take_record(ReplMessage& m, Run* run) {
 
 bool ReplicaApplier::flush_run(Run* run, int fd) {
   if (!run->payloads.empty()) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      applying_ = true;
+    }
     const std::uint64_t want =
         journal_->durable_seq() + run->payloads.size();
     SSMA_CHECK_MSG(journal_->append_raw(run->payloads) == want,
                    "replication: follower journal diverged from stream");
-    for (const std::string& payload : run->payloads) {
-      recovery::ParsedRecord pr;
-      if (!recovery::RequestJournal::parse_record(payload, &pr)) continue;
-      if (!pr.is_accepted) {
-        std::lock_guard<std::mutex> lk(mu_);
-        note_completion(pr.completed_id, pr.completed_crc);
-        ++completed_records_;
-      } else if (standby_) {
-        SSMA_TRACE_SPAN_IDS(kReplApply, pr.accepted.id, pr.accepted.id);
-        auto futs = standby_->replay({pr.accepted});
-        std::lock_guard<std::mutex> lk(mu_);
-        track_replay(pr.accepted.id, std::move(futs[0]));
-        ++applied_records_;
-        max_applied_id_ = std::max(max_applied_id_, pr.accepted.id);
-        const auto now = std::chrono::steady_clock::now();
-        if (first_apply_at_.time_since_epoch().count() == 0)
-          first_apply_at_ = now;
-        last_apply_at_ = now;
-      }
-    }
-    cv_.notify_all();
   }
+  // Ack as soon as the run is persisted: the leader's sync ack waits on
+  // this message, not on the replay below. The order stays persist ->
+  // ack. Promotion still applies every acked record: promote() calls
+  // stop(), which joins this session thread, and the thread finishes
+  // this flush_run, replay included, before it exits.
   bool ok = true;
   if (run->acks > 0) {
     ReplMessage ack;
@@ -215,6 +203,35 @@ bool ReplicaApplier::flush_run(Run* run, int fd) {
     ack.arg = journal_->durable_seq();
     const std::string frame = ack.encode();
     for (int i = 0; i < run->acks && ok; ++i) ok = write_all(fd, frame);
+  }
+  // A failed ack write still applies the run: the records are durable,
+  // and a resumed stream starts past them.
+  for (const std::string& payload : run->payloads) {
+    recovery::ParsedRecord pr;
+    if (!recovery::RequestJournal::parse_record(payload, &pr)) continue;
+    if (!pr.is_accepted) {
+      std::lock_guard<std::mutex> lk(mu_);
+      note_completion(pr.completed_id, pr.completed_crc);
+      ++completed_records_;
+    } else if (standby_) {
+      SSMA_TRACE_SPAN_IDS(kReplApply, pr.accepted.id, pr.accepted.id);
+      auto futs = standby_->replay({pr.accepted});
+      std::lock_guard<std::mutex> lk(mu_);
+      track_replay(pr.accepted.id, std::move(futs[0]));
+      ++applied_records_;
+      max_applied_id_ = std::max(max_applied_id_, pr.accepted.id);
+      const auto now = std::chrono::steady_clock::now();
+      if (first_apply_at_.time_since_epoch().count() == 0)
+        first_apply_at_ = now;
+      last_apply_at_ = now;
+    }
+  }
+  if (!run->payloads.empty()) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      applying_ = false;
+    }
+    cv_.notify_all();
   }
   run->payloads.clear();
   run->acks = 0;
@@ -285,7 +302,7 @@ void ReplicaApplier::session(int fd) {
   }
   if (write_all(fd, hello.encode())) {
     FrameDecoder dec(opts_.max_frame_bytes);
-    std::string payload;
+    std::string_view payload;  // into dec's buffer; parsed before reuse
     ReplMessage m;
     Run run;
     for (;;) {
@@ -393,9 +410,12 @@ bool ReplicaApplier::wait_caught_up(std::uint64_t seq,
                                     std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_until(lk, deadline, [&] {
-    return stopping_ || journal_->durable_seq() >= seq;
-  }) && journal_->durable_seq() >= seq;
+  const auto caught_up = [&] {
+    return !applying_ && journal_->durable_seq() >= seq;
+  };
+  return cv_.wait_until(lk, deadline,
+                        [&] { return stopping_ || caught_up(); }) &&
+         caught_up();
 }
 
 bool ReplicaApplier::wait_standby(std::chrono::milliseconds timeout) {

@@ -17,9 +17,10 @@
 //     into the standby's registry (live pins untouched), which is how
 //     a promoted follower resolves "@latest" exactly as the leader
 //     would — including across hot-swap boundaries;
-//   - acks its high-water mark once per socket read, advancing the
-//     leader's replication watermark (what sync/window acked-writes
-//     wait on).
+//   - acks its high-water mark once per socket read, as soon as the
+//     read's records are persisted and before they are replayed,
+//     advancing the leader's replication watermark (what sync/window
+//     acked-writes wait on).
 //
 // Duplicate records (seq <= durable) are acked and skipped; a sequence
 // gap or torn stream tears the connection down (after persisting and
@@ -136,7 +137,9 @@ class ReplicaApplier {
   std::string journal_path() const { return journal_path_; }
   std::string checkpoint_dir() const { return ckpt_dir_; }
 
-  /// Blocks until the follower journal covers `seq` (true) or timeout.
+  /// Blocks until the follower journal covers `seq` and every record in
+  /// it went to the standby's replay (true), or timeout. A run is acked
+  /// before its replay, so a leader can see `seq` acked first.
   bool wait_caught_up(std::uint64_t seq, std::chrono::milliseconds timeout);
   /// Blocks until the warm standby exists (first checkpoint applied).
   bool wait_standby(std::chrono::milliseconds timeout);
@@ -171,9 +174,9 @@ class ReplicaApplier {
   /// fault. Returns false when the session must be torn down (gap or
   /// tear); the caller still persists and acks the run.
   bool take_record(net::ReplMessage& m, Run* run);
-  /// Persists `run` as one journal group, applies its records in order,
-  /// acks the high-water mark once (twice after a dup fault) and clears
-  /// it. Returns false when the ack could not be sent.
+  /// Persists `run` as one journal group, acks the high-water mark once
+  /// (twice after a dup fault), then applies its records in order and
+  /// clears it. Returns false when the ack could not be sent.
   bool flush_run(Run* run, int fd);
   void build_standby();
   /// Newest on-disk checkpoint version that validates (0 = none).
@@ -211,6 +214,8 @@ class ReplicaApplier {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
+  /// flush_run is between persisting a run and finishing its replay.
+  bool applying_ = false;
   bool promoted_ = false;
   int fd_ = -1;
 

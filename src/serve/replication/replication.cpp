@@ -287,11 +287,12 @@ bool ReplicationLog::ship_checkpoints(Follower* f) {
 
 void ReplicationLog::session_main(Follower* f) {
   FrameDecoder dec(opts_.max_frame_bytes);
-  std::string payload;
+  std::string_view hello_frame;
   ReplMessage hello;
-  bool ok = net::read_frame(f->fd, dec, &payload) == FrameRead::kFrame &&
-            net::parse_repl(payload, &hello) &&
-            hello.type == MsgType::kReplHello;
+  bool ok =
+      net::read_frame(f->fd, dec, &hello_frame) == FrameRead::kFrame &&
+      net::parse_repl(hello_frame, &hello) &&
+      hello.type == MsgType::kReplHello;
   if (ok && hello.arg > journal_.durable_seq()) {
     // The follower claims records this leader never wrote: it has
     // diverged (e.g. promoted, or paired with a different leader) and
@@ -327,6 +328,7 @@ void ReplicationLog::session_main(Follower* f) {
 
   std::uint64_t next_seq = hello.arg + 1;
   std::uint64_t pos = 8;  // VIRTUAL offset past the journal magic
+  std::string payload;    // journal frames read from the tail
   if (ok) {
     f->shipped_ckpt = hello.arg2;
     if (!ship_checkpoints(f)) ok = false;
@@ -506,7 +508,7 @@ void ReplicationLog::session_main(Follower* f) {
 
 void ReplicationLog::reader_main(Follower* f) {
   FrameDecoder dec(opts_.max_frame_bytes);
-  std::string payload;
+  std::string_view payload;
   ReplMessage m;
   while (net::read_frame(f->fd, dec, &payload) == FrameRead::kFrame) {
     if (!net::parse_repl(payload, &m) || m.type != MsgType::kReplAck)

@@ -27,6 +27,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -102,20 +103,99 @@ TEST(FrameDecoderTest, CrcMismatchIsBad) {
 
   FrameDecoder dec(1 << 20);
   dec.feed(bytes.data(), bytes.size());
-  std::string payload;
+  std::string_view payload;
   EXPECT_EQ(dec.next(&payload), FrameDecoder::Result::kBad);
 }
 
-TEST(FrameDecoderTest, OversizedLengthWordIsBadImmediately) {
-  // 12 header bytes claiming a larger-than-allowed frame: kBad without
-  // waiting for (or buffering) the impossible payload.
+/// 12 header bytes claiming a frame one byte over a 1 MiB limit.
+std::string oversized_header() {
   std::string hdr(12, '\0');
   const std::uint64_t huge = (1u << 20) + 1;
   std::memcpy(&hdr[0], &huge, 8);  // test host is little-endian x86
+  return hdr;
+}
+
+TEST(FrameDecoderTest, OversizedLengthWordIsBadImmediately) {
+  // kBad without waiting for (or buffering) the impossible payload.
+  const std::string hdr = oversized_header();
   FrameDecoder dec(1 << 20);
   dec.feed(hdr.data(), hdr.size());
-  std::string payload;
+  std::string_view payload;
   EXPECT_EQ(dec.next(&payload), FrameDecoder::Result::kBad);
+}
+
+std::string framed(const std::string& payload) {
+  std::ostringstream os;
+  maddness::write_framed_blob(os, payload);
+  return os.str();
+}
+
+/// A payload of `n` bytes that differs from its neighbours in every
+/// byte, so a view left pointing at moved or freed bytes reads wrong
+/// ones (and is a heap-use-after-free under ASan).
+std::string distinct_payload(std::size_t n, int seed) {
+  std::string p(n, '\0');
+  for (std::size_t i = 0; i < n; ++i)
+    p[i] = static_cast<char>((i * 131 + static_cast<std::size_t>(seed) * 7) &
+                             0xFF);
+  return p;
+}
+
+TEST(FrameDecoderTest, ViewsStayCorrectAcrossReallocationAndCompaction) {
+  FrameDecoder dec(1 << 20);
+  std::string_view view;
+
+  // Reallocation: a small frame and the first half of a 200 KB one,
+  // then the second half, which outgrows the buffer and moves it.
+  const std::string small = distinct_payload(100, 1);
+  const std::string big = distinct_payload(200'000, 2);
+  const std::string big_frame = framed(big);
+  const std::size_t half = big_frame.size() / 2;
+  const std::string first = framed(small) + big_frame.substr(0, half);
+  dec.feed(first.data(), first.size());
+  ASSERT_EQ(dec.next(&view), FrameDecoder::Result::kFrame);
+  EXPECT_TRUE(view == small);
+  ASSERT_EQ(dec.next(&view), FrameDecoder::Result::kNeedMore);
+  dec.feed(big_frame.data() + half, big_frame.size() - half);
+  ASSERT_EQ(dec.next(&view), FrameDecoder::Result::kFrame);
+  EXPECT_TRUE(view == big) << "after the reallocation";
+  EXPECT_EQ(dec.buffered_bytes(), 0u);
+
+  // Compaction: a 5000-byte frame, then four 1000-byte ones, in one
+  // feed. Once the first is consumed, more than 4096 consumed bytes are
+  // over half the buffer, so a compaction moves the other four to the
+  // front, over the first frame's bytes. It must wait for the next
+  // next(): the first view is still being read.
+  std::vector<std::string> sent{distinct_payload(5000, 10)};
+  for (int i = 0; i < 4; ++i) sent.push_back(distinct_payload(1000, 11 + i));
+  std::string burst;
+  for (const std::string& p : sent) burst += framed(p);
+  dec.feed(burst.data(), burst.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    ASSERT_EQ(dec.next(&view), FrameDecoder::Result::kFrame);
+    EXPECT_TRUE(view == sent[i]) << "frame " << i;
+  }
+  ASSERT_EQ(dec.next(&view), FrameDecoder::Result::kNeedMore);
+
+  // Framing errors are still kBad after a compaction: a flipped CRC
+  // byte, and on a second stream an oversized length word.
+  std::string corrupt = framed(distinct_payload(5000, 30));
+  corrupt[9] ^= 0x01;  // bytes 8-11 are the CRC word
+  const std::string good = framed(distinct_payload(5000, 31));
+  const std::string tail = good + corrupt;
+  dec.feed(tail.data(), tail.size());
+  ASSERT_EQ(dec.next(&view), FrameDecoder::Result::kFrame);
+  EXPECT_TRUE(view == distinct_payload(5000, 31));
+  EXPECT_EQ(dec.next(&view), FrameDecoder::Result::kBad);
+
+  FrameDecoder dec2(1 << 20);
+  const std::string then_oversized = burst + oversized_header();
+  dec2.feed(then_oversized.data(), then_oversized.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    ASSERT_EQ(dec2.next(&view), FrameDecoder::Result::kFrame);
+    EXPECT_TRUE(view == sent[i]) << "frame " << i;
+  }
+  EXPECT_EQ(dec2.next(&view), FrameDecoder::Result::kBad);
 }
 
 // ----------------------------------------------------- message codecs
@@ -317,7 +397,7 @@ class RawConn {
  public:
   void connect(std::uint16_t port) { fd_ = connect_tcp("127.0.0.1", port); }
   void send_bytes(const std::string& b) { ASSERT_TRUE(write_all(fd_, b)); }
-  FrameRead read(FrameDecoder& dec, std::string* payload) {
+  FrameRead read(FrameDecoder& dec, std::string_view* payload) {
     return read_frame(fd_, dec, payload);
   }
   /// Ends the request stream; responses can still arrive.
@@ -540,7 +620,7 @@ TEST(NetServerTest, WellFramedGarbageAnsweredMalformedAndConnSurvives) {
   // Read both responses through a bare decoder on the raw socket.
   FrameDecoder dec(1 << 20);
   std::map<std::uint64_t, std::uint8_t> status;
-  std::string payload;
+  std::string_view payload;
   for (int got = 0; got < 2; ++got) {
     ASSERT_EQ(raw.read(dec, &payload), FrameRead::kFrame);
     RpcResponse resp;
@@ -594,7 +674,7 @@ void send_three_and_half_close(Loopback& lb, RawConn& raw) {
 /// Reads the three responses, bit-exact, then expects EOF.
 void expect_three_responses_then_eof(Loopback& lb, RawConn& raw) {
   FrameDecoder dec(1 << 20);
-  std::string payload;
+  std::string_view payload;
   std::map<std::uint64_t, RpcResponse> got;
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(raw.read(dec, &payload), FrameRead::kFrame)

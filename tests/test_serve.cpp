@@ -3,14 +3,18 @@
 // central bit-exactness contract (threaded InferenceServer results ==
 // single-threaded Amm::apply_int16 for every request, under 4+ workers
 // and randomized multi-client arrival order), the engine-backend matrix
-// (kernel / simulate+PPA / device-paced), multi-model serving with
-// per-model metrics, operator save/load round trips, backpressure,
-// typed shutdown rejection, and the load generator's two arrival
-// models.
+// (kernel / simulate+PPA / device-paced), batches that close at
+// max_wait on shard threads with a small timer slack, multi-model
+// serving with per-model metrics, operator save/load round trips,
+// backpressure, typed shutdown rejection, and the load generator's two
+// arrival models.
 #include <gtest/gtest.h>
+
+#include <sys/prctl.h>
 
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -21,6 +25,7 @@
 #include "serve/batcher.hpp"
 #include "serve/load_generator.hpp"
 #include "serve/metrics.hpp"
+#include "serve/recovery/fault_injector.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 #include "util/check.hpp"
@@ -447,6 +452,121 @@ TEST(InferenceServer, PacingForcesWorkAcrossMultipleShards) {
     EXPECT_EQ(res.outputs, f.expected(id % f.pool.rows, 1));
   }
   EXPECT_GE(workers_seen.size(), 2u);
+}
+
+/// Queue-wait p50 of `n` sequential 1-row requests to a fresh 1-worker
+/// server. Each request arrives to an idle shard and alone, so its
+/// batch closes on max_wait, never on the token budget.
+double sequential_queue_p50_us(const Fixture& f,
+                               std::chrono::microseconds max_wait,
+                               std::size_t n) {
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.batcher.max_wait = max_wait;
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
+  for (std::size_t id = 0; id < n; ++id) {
+    const std::size_t row = id % f.pool.rows;
+    std::future<InferenceResult> fut = server.submit(
+        "m",
+        std::vector<std::uint8_t>(f.pool.row(row),
+                                  f.pool.row(row) + f.pool.cols),
+        1);
+    EXPECT_EQ(fut.get().outputs, f.expected(row, 1));
+  }
+  server.shutdown();
+  return server.metrics().queue_p50_us;
+}
+
+TEST(InferenceServer, LoneRequestBatchClosesAtMaxWait) {
+  // The baseline (max_wait = 0) is the hand-off from submit to the
+  // shard, with whatever a sanitizer or a loaded host adds to it. At
+  // max_wait = 100 us a lone request waits that hand-off plus 100 us
+  // plus the shard's late wake-up. With Linux's default 50 us timer
+  // slack on the shard the wake-up alone ran ~45 us late.
+  const Fixture f = Fixture::make();
+  constexpr std::size_t kRequests = 300;
+  constexpr double kMaxWaitUs = 100.0;
+  constexpr double kLateUs = 25.0;
+  const double base_us = sequential_queue_p50_us(
+      f, std::chrono::microseconds(0), kRequests);
+  const double p50_us = sequential_queue_p50_us(
+      f, std::chrono::microseconds(100), kRequests);
+  RecordProperty("queue_p50_us_at_max_wait_0", std::to_string(base_us));
+  RecordProperty("queue_p50_us_at_max_wait_100", std::to_string(p50_us));
+  // A lone request's batch never closes before max_wait (the 0.9
+  // allows for the histogram's bucket midpoints).
+  EXPECT_GE(p50_us, 0.9 * kMaxWaitUs);
+  EXPECT_LE(p50_us, kMaxWaitUs + base_us + kLateUs)
+      << "batches close late: queue-wait p50 " << p50_us
+      << " us at max_wait " << kMaxWaitUs << " us, " << base_us
+      << " us at max_wait 0";
+}
+
+/// Records the timer slack of the shard thread that ran each batch.
+class SlackProbe : public BatchObserver {
+ public:
+  void on_batch(const engine::ModelHandle&,
+                const maddness::QuantizedActivations&,
+                const std::vector<std::int16_t>&, double) override {
+    const int slack_ns = ::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+    std::lock_guard<std::mutex> lock(mu_);
+    slack_ns_.push_back(slack_ns);
+  }
+
+  std::vector<int> slack_ns() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return slack_ns_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<int> slack_ns_;
+};
+
+TEST(InferenceServer, EveryShardThreadRunsWithATimerSlackOfAtMost1Us) {
+  const Fixture f = Fixture::make();
+  recovery::FaultInjector fault(1);
+  recovery::FaultPlan kill;
+  kill.site = recovery::FaultSite::kExecute;
+  kill.kind = recovery::FaultKind::kKillShard;
+  kill.fire_at = 2;  // the second batch kills the shard after running
+  fault.arm(kill);
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.batcher.max_wait = std::chrono::microseconds(0);
+  opts.recovery.fault = &fault;
+  opts.recovery.supervise = true;
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
+  SlackProbe probe;
+  server.set_batch_observer(&probe);
+
+  // One request at a time, so each is its own batch. The kill fires
+  // before the second batch's observer call, so the first batch is
+  // observed on the original shard thread and the other three only on
+  // the thread respawned after the kill, which re-executes the second.
+  constexpr std::size_t kRequests = 4;
+  for (std::size_t id = 0; id < kRequests; ++id) {
+    std::future<InferenceResult> fut = server.submit(
+        "m",
+        std::vector<std::uint8_t>(f.pool.row(id),
+                                  f.pool.row(id) + f.pool.cols),
+        1);
+    EXPECT_EQ(fut.get().outputs, f.expected(id, 1));
+  }
+  server.shutdown();
+  server.set_batch_observer(nullptr);
+  EXPECT_EQ(server.respawn_count(), 1);
+
+  const std::vector<int> slack_ns = probe.slack_ns();
+  ASSERT_EQ(slack_ns.size(), kRequests);
+  for (std::size_t b = 0; b < slack_ns.size(); ++b) {
+    EXPECT_GT(slack_ns[b], 0) << "batch " << b;
+    EXPECT_LE(slack_ns[b], 1000)
+        << "batch " << b << " on the "
+        << (b == 0 ? "original" : "respawned") << " shard thread";
+  }
 }
 
 // ------------------------------------------- replica construction path
