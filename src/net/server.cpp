@@ -157,8 +157,9 @@ void NetServer::accept_ready() {
     const std::uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Conn>(opts_.max_frame_bytes);
     conn->fd = fd;
+    conn->armed = EPOLLIN | EPOLLRDHUP;
     epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLRDHUP;
+    ev.events = conn->armed;
     ev.data.u64 = id;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
       ::close(fd);
@@ -193,21 +194,25 @@ void NetServer::conn_readable(std::uint64_t id, Conn& c) {
       stats_.bytes_read += static_cast<std::uint64_t>(n);
     }
     c.decoder.feed(buf, static_cast<std::size_t>(n));
+    // This read's requests enter the queue as one group. It is open
+    // from here, so a batch forming meanwhile waits for its commit.
+    serve::SubmitGroup group = server_.open_group(/*nonblocking=*/true);
     std::string_view payload;
-    for (;;) {
-      const FrameDecoder::Result r = c.decoder.next(&payload);
-      if (r == FrameDecoder::Result::kNeedMore) break;
-      if (r == FrameDecoder::Result::kBad) {
-        // The byte stream is unrecoverable (framing lost); close.
-        close_conn(id, /*protocol_error=*/true);
-        return;
-      }
+    FrameDecoder::Result r;
+    while ((r = c.decoder.next(&payload)) == FrameDecoder::Result::kFrame) {
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         stats_.frames_received++;
       }
-      handle_frame(id, c, payload);
-      if (!conns_.count(id)) return;  // handle_frame closed it
+      handle_frame(id, c, payload, group);
+    }
+    // After the read's last complete frame: requests admitted before a
+    // bad frame are served as they were before grouping.
+    group.commit();
+    if (r == FrameDecoder::Result::kBad) {
+      // The byte stream is unrecoverable (framing lost); close.
+      close_conn(id, /*protocol_error=*/true);
+      return;
     }
     // Backpressure check between socket reads: stop pulling more bytes
     // once this connection is saturated.
@@ -282,7 +287,8 @@ void NetServer::handle_admin(Conn& c, std::string_view payload) {
 }
 
 void NetServer::handle_frame(std::uint64_t id, Conn& c,
-                             std::string_view payload) {
+                             std::string_view payload,
+                             serve::SubmitGroup& group) {
   // Admin frames share the front door but never touch admission or the
   // inference queue; dispatch on the prelude type byte before
   // committing to the request parse.
@@ -323,9 +329,11 @@ void NetServer::handle_frame(std::uint64_t id, Conn& c,
       req.deadline_ms == 0
           ? serve::Clock::time_point::max()
           : now + std::chrono::milliseconds(req.deadline_ms);
+  // The read's admitted requests are not queued yet, but they will be:
+  // count them, or one large read could admit past a shed watermark.
   const serve::AdmissionController::Outcome adm = admission_.admit(
       req.tenant, static_cast<std::size_t>(req.rows), now, deadline,
-      server_.queue_depth(), server_.queue_capacity());
+      server_.queue_depth() + group.size(), server_.queue_capacity());
   if (!adm.admitted) {
     SSMA_TRACE_SPAN(kAdmitReject);
     send_reject(c, req.correlation_id, adm.reason,
@@ -344,7 +352,6 @@ void NetServer::handle_frame(std::uint64_t id, Conn& c,
   extras.priority = std::max(adm.priority, wire_pri);
   extras.deadline = deadline;
   extras.tenant = req.tenant;
-  extras.nonblocking = true;  // never park the event loop in submit
   const std::uint64_t corr = req.correlation_id;
   pending_.fetch_add(1, std::memory_order_acq_rel);
   extras.on_done = [this, id, corr](const serve::InferenceResult* res,
@@ -400,9 +407,8 @@ void NetServer::handle_frame(std::uint64_t id, Conn& c,
   // The future is intentionally dropped: the on_done hook is the
   // delivery path, and it fires on every outcome (fulfill, shed,
   // shutdown, crash-fail) — no response can be lost.
-  (void)server_.submit(std::move(model), std::move(req.codes),
-                       static_cast<std::size_t>(req.rows),
-                       std::move(extras));
+  (void)group.add(std::move(model), std::move(req.codes),
+                  static_cast<std::size_t>(req.rows), std::move(extras));
 }
 
 void NetServer::enqueue_response(Conn& c, const std::string& bytes) {
@@ -487,15 +493,21 @@ void NetServer::update_interest(std::uint64_t id, Conn& c) {
   }
   c.read_paused = paused;
 
-  epoll_event ev{};
-  ev.data.u64 = id;
+  std::uint32_t events = 0;
   // EPOLLRDHUP is level-triggered and only a read consumes it, so it is
   // armed only with EPOLLIN: a paused, half-closed peer must not wake
   // the loop on every wait.
   if (!paused && !c.read_eof && !stopping_.load(std::memory_order_acquire))
-    ev.events |= EPOLLIN | EPOLLRDHUP;
-  if (unflushed > 0) ev.events |= EPOLLOUT;
+    events |= EPOLLIN | EPOLLRDHUP;
+  if (unflushed > 0) events |= EPOLLOUT;
+  // The loop is level-triggered, so re-arming an unchanged mask does
+  // nothing but cost a syscall.
+  if (events == c.armed) return;
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = id;
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+  c.armed = events;
 }
 
 void NetServer::close_conn(std::uint64_t id, bool protocol_error) {

@@ -8,6 +8,12 @@
 //   - the epoll thread does all socket reads/writes, frame decoding,
 //     admission and submission; per-connection state is never touched
 //     off-thread, so it needs no locks;
+//   - the requests admitted from one recv() form one submit group
+//     (serve::SubmitGroup): the group is open from the read until the
+//     last complete frame of it is decoded, then commits — one journal
+//     flush and one queue push with one wake-up. A batch that a worker
+//     is forming meanwhile waits for that commit instead of closing
+//     without the read's requests;
 //   - worker threads (and submit's synchronous rejection paths) deliver
 //     completions through InferenceRequest::on_done, which serializes
 //     the response, pushes {conn id, bytes} into a mutex-guarded
@@ -123,6 +129,7 @@ class NetServer {
     std::string wbuf;       ///< unflushed response bytes
     std::size_t wpos = 0;   ///< flushed prefix of wbuf
     std::size_t inflight = 0;
+    std::uint32_t armed = 0;  ///< epoll events registered for fd
     bool read_paused = false;
     bool read_eof = false;  ///< peer half-closed; close once answered
     explicit Conn(std::size_t max_frame) : decoder(max_frame) {}
@@ -132,8 +139,9 @@ class NetServer {
   void accept_ready();
   void conn_readable(std::uint64_t id, Conn& c);
   /// `payload` views c.decoder's buffer; nothing may keep it past the
-  /// call.
-  void handle_frame(std::uint64_t id, Conn& c, std::string_view payload);
+  /// call. An admitted request joins `group`, the current read's.
+  void handle_frame(std::uint64_t id, Conn& c, std::string_view payload,
+                    serve::SubmitGroup& group);
   /// Admin-plane dispatch (rollout status/overrides, compaction). Runs
   /// synchronously on the loop thread — admin ops are rare and cheap
   /// relative to the inference path.

@@ -1,7 +1,11 @@
-// Dynamic batcher: coalesces queued requests into token batches. A batch
-// closes when it reaches `max_batch_tokens` (rounded down to the tile
-// alignment) or when `max_wait` has elapsed since its first request —
-// the classic throughput/latency dial of serving runtimes. Batches are
+// Dynamic batcher: coalesces queued requests into token batches. The
+// close is self-timed, like the paper's self-synchronous accumulator
+// stages, which fire when their input is complete rather than after a
+// clock margin sized for the worst case. A batch takes every compatible
+// request queued and closes when it reaches `max_batch_tokens` (rounded
+// down to the tile alignment), or when no compatible request is queued
+// and no producer holds a group open (see RequestQueue). Only a batch
+// that finds a group open waits, and for at most `max_wait`. Batches are
 // model-affine: a batch only coalesces requests pinned to its first
 // request's model handle (never mixing models or bank versions), pulling
 // them past other models' queued requests — per-model FIFO is preserved,
@@ -21,11 +25,13 @@ struct BatcherOptions {
   /// Token (activation-row) budget per batch. Requests larger than the
   /// budget still get served — alone, as a batch of one.
   std::size_t max_batch_tokens = 64;
-  /// How long a non-full batch waits for more requests before dispatch.
-  /// A batch that does not fill closes at max_wait after its first
-  /// request was picked up, give or take the wake-up latency of the
-  /// shard thread (a few us): shards run with a 1 ns timer slack, so
-  /// the deadline is not padded by Linux's default 50 us.
+  /// Bounds how long a batch waits on a group that is still open (a
+  /// socket read whose frames are being decoded). A batch never waits
+  /// when no group is open. One whose group does not commit in time
+  /// closes at max_wait after its first request was picked up, give or
+  /// take the shard thread's wake-up latency (a few us): shards run with
+  /// a 1 ns timer slack, so the deadline is not padded by Linux's
+  /// default 50 us.
   std::chrono::microseconds max_wait{200};
   /// Rounds the token budget down to a multiple of this (e.g. the number
   /// of tokens the macro's tile plan pipelines per pass); 1 = no rounding.
@@ -57,7 +63,8 @@ class Batcher {
   std::size_t budget_tokens() const { return budget_; }
 
   /// Blocks for the first request, then drains compatible requests until
-  /// the budget or the wait deadline is hit. An empty batch means the
+  /// the budget is hit or none is queued or on its way (an open group,
+  /// waited on until the max_wait deadline). An empty batch means the
   /// queue is closed and fully drained — the worker should exit.
   Batch next_batch(RequestQueue& queue) const;
 

@@ -280,19 +280,30 @@ std::uint64_t RequestJournal::append_accepted(
     std::uint64_t id, const std::string& model,
     std::uint64_t model_version, std::size_t rows,
     const std::vector<std::uint8_t>& codes) {
-  wire::Writer w(maddness::kFrameHeaderBytes + 41 + model.size() +
-                 codes.size());
-  const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
-  w.u8(kAcceptedV2);
-  w.u64(id);
-  w.u64(model.size());
-  w.bytes(model.data(), model.size());
-  w.u64(model_version);
-  w.u64(rows);
-  w.u64(codes.size());
-  w.bytes(codes.data(), codes.size());
-  maddness::seal_frame(w, frame);
-  return append_group(w.take(), 1);
+  return append_accepted(
+      {{id, model, model_version, rows, codes.data(), codes.size()}});
+}
+
+std::uint64_t RequestJournal::append_accepted(
+    const std::vector<AcceptedView>& group) {
+  std::size_t total = 0;
+  for (const AcceptedView& a : group)
+    total += maddness::kFrameHeaderBytes + 41 + a.model.size() +
+             a.code_bytes;
+  wire::Writer w(total);
+  for (const AcceptedView& a : group) {
+    const std::size_t frame = w.skip(maddness::kFrameHeaderBytes);
+    w.u8(kAcceptedV2);
+    w.u64(a.id);
+    w.u64(a.model.size());
+    w.bytes(a.model.data(), a.model.size());
+    w.u64(a.model_version);
+    w.u64(a.rows);
+    w.u64(a.code_bytes);
+    w.bytes(a.codes, a.code_bytes);
+    maddness::seal_frame(w, frame);
+  }
+  return append_group(w.take(), group.size());
 }
 
 std::uint64_t RequestJournal::append_completed(std::uint64_t id,

@@ -1,7 +1,8 @@
 // Write-ahead request journal for the serving runtime.
 //
-// The server appends an `accepted` record (id + payload) before a
-// request enters the queue, and the worker that serves it appends a
+// The server appends an `accepted` record (id + payload) for each
+// request before it enters the queue, a whole submit group's records
+// with one flush, and the worker that serves it appends a
 // `completed` record (id + CRC-32 of the int16 outputs) after the
 // response future is fulfilled — one group per batch, written with one
 // flush. After a crash, replaying the journal yields every
@@ -25,6 +26,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -62,6 +64,17 @@ struct JournalReplay {
   /// Records pruned by compaction: the file's first surviving record
   /// has sequence number compacted_through + 1 (0 = never compacted).
   std::uint64_t compacted_through = 0;
+};
+
+/// An accept record's fields by reference: the server journals a
+/// group's requests without copying their payloads.
+struct AcceptedView {
+  std::uint64_t id = 0;
+  std::string_view model;
+  std::uint64_t model_version = 0;
+  std::size_t rows = 0;
+  const std::uint8_t* codes = nullptr;
+  std::size_t code_bytes = 0;
 };
 
 /// One request's completion, as a worker journals it.
@@ -105,6 +118,11 @@ class RequestJournal {
                                 std::uint64_t model_version,
                                 std::size_t rows,
                                 const std::vector<std::uint8_t>& codes);
+  /// One v2 accept record per entry of `group`, in order, written with
+  /// one flush and one commit-hook call: the server journals a whole
+  /// group of requests at once. Returns the last record's sequence
+  /// number; entry i's record is that minus (group.size() - 1 - i).
+  std::uint64_t append_accepted(const std::vector<AcceptedView>& group);
   /// Ack record — call after the response future is fulfilled.
   std::uint64_t append_completed(std::uint64_t id, int worker_id,
                                  std::uint32_t output_crc);

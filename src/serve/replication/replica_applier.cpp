@@ -205,26 +205,47 @@ bool ReplicaApplier::flush_run(Run* run, int fd) {
     for (int i = 0; i < run->acks && ok; ++i) ok = write_all(fd, frame);
   }
   // A failed ack write still applies the run: the records are durable,
-  // and a resumed stream starts past them.
+  // and a resumed stream starts past them. The run's accept records are
+  // replayed as one group; its completions are noted after them, so a
+  // completion whose accept is in the same run finds it tracked.
+  std::vector<recovery::AcceptedRecord> accepted;
+  std::vector<recovery::ParsedRecord> completed;
   for (const std::string& payload : run->payloads) {
     recovery::ParsedRecord pr;
     if (!recovery::RequestJournal::parse_record(payload, &pr)) continue;
-    if (!pr.is_accepted) {
-      std::lock_guard<std::mutex> lk(mu_);
-      note_completion(pr.completed_id, pr.completed_crc);
-      ++completed_records_;
-    } else if (standby_) {
-      SSMA_TRACE_SPAN_IDS(kReplApply, pr.accepted.id, pr.accepted.id);
-      auto futs = standby_->replay({pr.accepted});
-      std::lock_guard<std::mutex> lk(mu_);
-      track_replay(pr.accepted.id, std::move(futs[0]));
-      ++applied_records_;
-      max_applied_id_ = std::max(max_applied_id_, pr.accepted.id);
-      const auto now = std::chrono::steady_clock::now();
-      if (first_apply_at_.time_since_epoch().count() == 0)
-        first_apply_at_ = now;
-      last_apply_at_ = now;
+    if (pr.is_accepted) {
+      if (standby_) accepted.push_back(std::move(pr.accepted));
+    } else {
+      completed.push_back(std::move(pr));
     }
+  }
+  if (!accepted.empty()) {
+    std::uint64_t id_lo = accepted.front().id;
+    std::uint64_t id_hi = id_lo;
+    for (const recovery::AcceptedRecord& rec : accepted) {
+      id_lo = std::min(id_lo, rec.id);
+      id_hi = std::max(id_hi, rec.id);
+    }
+    SSMA_TRACE_SPAN_IDS(kReplApply, id_lo, id_hi);
+    // The apply window runs from the start of the first replay to the
+    // end of the last, so one run of many records has a rate too.
+    const auto t_start = std::chrono::steady_clock::now();
+    auto futs = standby_->replay(accepted);
+    const auto t_end = std::chrono::steady_clock::now();
+    std::lock_guard<std::mutex> lk(mu_);
+    for (std::size_t i = 0; i < accepted.size(); ++i)
+      track_replay(accepted[i].id, std::move(futs[i]));
+    applied_records_ += accepted.size();
+    max_applied_id_ = std::max(max_applied_id_, id_hi);
+    if (first_apply_at_.time_since_epoch().count() == 0)
+      first_apply_at_ = t_start;
+    last_apply_at_ = t_end;
+  }
+  if (!completed.empty()) {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const recovery::ParsedRecord& pr : completed)
+      note_completion(pr.completed_id, pr.completed_crc);
+    completed_records_ += completed.size();
   }
   if (!run->payloads.empty()) {
     {

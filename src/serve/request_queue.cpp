@@ -8,15 +8,6 @@
 
 namespace ssma::serve {
 
-const char* priority_name(Priority p) {
-  switch (p) {
-    case Priority::kHigh: return "high";
-    case Priority::kNormal: return "normal";
-    case Priority::kLow: return "low";
-  }
-  return "unknown";
-}
-
 const char* reject_reason_name(RejectReason r) {
   switch (r) {
     case RejectReason::kShutdown: return "shutdown";
@@ -41,33 +32,65 @@ void RequestQueue::set_fault_injector(recovery::FaultInjector* fault) {
 }
 
 bool RequestQueue::push(InferenceRequest&& req) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (fault_) {
-    const recovery::FaultAction act =
-        fault_->poll(recovery::FaultSite::kQueuePush);
-    if (act.kind == recovery::FaultKind::kDelay) {
-      lock.unlock();
-      std::this_thread::sleep_for(act.delay);
-      lock.lock();
-    }
-  }
-  not_full_.wait(lock,
-                 [&] { return closed_ || items_.size() < capacity_; });
-  if (closed_) return false;
-  items_.push_back(std::move(req));
-  lock.unlock();
-  not_empty_.notify_one();
-  return true;
+  std::vector<InferenceRequest> one;
+  one.push_back(std::move(req));
+  if (push_group(one, /*blocking=*/true, /*closes_group=*/false) == 1)
+    return true;
+  req = std::move(one.front());
+  return false;
 }
 
 bool RequestQueue::try_push(InferenceRequest&& req) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(req));
+  std::vector<InferenceRequest> one;
+  one.push_back(std::move(req));
+  if (push_group(one, /*blocking=*/false, /*closes_group=*/false) == 1)
+    return true;
+  req = std::move(one.front());
+  return false;
+}
+
+void RequestQueue::open_group() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++open_groups_;
+}
+
+std::size_t RequestQueue::push_group(std::vector<InferenceRequest>& reqs,
+                                     bool blocking, bool closes_group) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (blocking && fault_) {
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const recovery::FaultAction act =
+          fault_->poll(recovery::FaultSite::kQueuePush);
+      if (act.kind == recovery::FaultKind::kDelay) {
+        lock.unlock();
+        std::this_thread::sleep_for(act.delay);
+        lock.lock();
+      }
+    }
   }
-  not_empty_.notify_one();
-  return true;
+  std::size_t n = 0;
+  for (; n < reqs.size(); ++n) {
+    if (blocking && !closed_ && items_.size() >= capacity_) {
+      // Full mid-group: wake the consumers for what is in, then wait
+      // for room.
+      not_empty_.notify_all();
+      not_full_.wait(lock,
+                     [&] { return closed_ || items_.size() < capacity_; });
+    }
+    if (closed_ || items_.size() >= capacity_) break;
+    items_.push_back(std::move(reqs[n]));
+  }
+  if (closes_group) --open_groups_;
+  // One request wants one consumer. Anything else may concern every
+  // waiter: a batch waiting on a group must see the group close (or be
+  // handed its requests) even when an idle worker could take them.
+  const bool wake_all = n > 1 || closes_group || open_groups_ > 0;
+  lock.unlock();
+  if (wake_all)
+    not_empty_.notify_all();
+  else if (n == 1)
+    not_empty_.notify_one();
+  return n;
 }
 
 PopStatus RequestQueue::pop_compatible(
@@ -106,7 +129,11 @@ PopStatus RequestQueue::pop_compatible(
       return PopStatus::kOk;
     }
     if (closed_) return PopStatus::kClosed;
-    if (Clock::now() >= deadline) return PopStatus::kTimeout;
+    // Self-timed close: nothing compatible is queued, so wait only for
+    // requests known to be on their way (an open group), and never past
+    // the deadline.
+    if (open_groups_ == 0 || Clock::now() >= deadline)
+      return PopStatus::kTimeout;
     not_empty_.wait_until(lock, deadline);
   }
 }

@@ -3,6 +3,14 @@
 // full (backpressure instead of unbounded memory growth); consumers
 // (worker threads) drain requests singly or under a token budget so the
 // batcher can coalesce without reordering.
+//
+// Producers hand over their arrivals as groups: a group's requests are
+// pushed under one lock with one wake-up. A producer that is still
+// building a group (the event loop decoding one socket read's frames)
+// holds it *open*, and the queue counts open groups. That count is the
+// batch-close handshake: a forming batch that finds no compatible
+// request queued waits only while some group is open, and never past
+// its deadline; with none open it closes at once.
 #pragma once
 
 #include <chrono>
@@ -39,7 +47,6 @@ enum class Priority : std::uint8_t {
   kLow = 2,
 };
 inline constexpr std::size_t kNumPriorities = 3;
-const char* priority_name(Priority p);
 
 /// Why an admission-side component refused a request. Every refusal in
 /// the serving stack is typed with one of these — the future (and the
@@ -137,7 +144,8 @@ enum class PopStatus {
   kOk,           ///< *out holds a request
   kWouldExceed,  ///< head is larger than the remaining budget, or pinned
                  ///< to a different model than the forming batch
-  kTimeout,      ///< deadline passed with no compatible request
+  kTimeout,      ///< no compatible request queued, and no group open
+                 ///< or the deadline passed
   kClosed,       ///< queue closed and fully drained
 };
 
@@ -152,9 +160,26 @@ class RequestQueue {
   /// Non-blocking push; false when full or closed.
   bool try_push(InferenceRequest&& req);
 
+  /// Opens a group: its producer is about to push requests with
+  /// push_group(). Until that call closes it, a forming batch that finds
+  /// nothing compatible waits for it (see pop_compatible).
+  void open_group();
+
+  /// Pushes `reqs` in order under one lock and wakes the consumers once.
+  /// Blocking, it waits for room (backpressure); non-blocking, it pushes
+  /// as many as fit. Returns the number pushed: that prefix of `reqs` is
+  /// moved from, the rest (queue full or closed) is left untouched.
+  /// `closes_group` closes a group opened with open_group() in the same
+  /// step, whether or not anything was pushed.
+  std::size_t push_group(std::vector<InferenceRequest>& reqs, bool blocking,
+                         bool closes_group);
+
   /// Pops the first request pinned to `model_key` (any request when
-  /// null) once it fits within `max_rows`; waits until the deadline
-  /// passes or the queue is closed and drained otherwise. Model-affine:
+  /// null) once it fits within `max_rows`. When none is queued it waits
+  /// only while a group is open and the deadline has not passed, and
+  /// returns kTimeout otherwise (kClosed once the queue is closed and
+  /// drained): a batch closes as soon as nothing compatible is queued or
+  /// on its way. Model-affine:
   /// requests for other models are skipped in place (their own batches
   /// pick them up), so per-model FIFO is preserved while multi-model
   /// interleave never fragments batches. An oversized first candidate
@@ -204,6 +229,7 @@ class RequestQueue {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<InferenceRequest> items_;
+  std::size_t open_groups_ = 0;
   bool closed_ = false;
 };
 

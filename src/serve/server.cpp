@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -44,8 +45,7 @@ InferenceServer::InferenceServer(
   // Startup checkpoint: guarantees the restore path always has a
   // version to rebuild the registry from (even an empty one — new
   // models checkpoint again at registration).
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
   pool_->start();
 }
 
@@ -76,8 +76,7 @@ std::unique_ptr<InferenceServer> InferenceServer::restore(
   // The constructor's startup checkpoint ran before the counters above
   // were installed; write another so the newest version on disk carries
   // the recovered lifetime totals, not zeros.
-  server->maybe_checkpoint(rs.checkpoint.accepted_requests,
-                           /*force=*/true);
+  server->checkpoint(rs.checkpoint.accepted_requests);
   return server;
 }
 
@@ -99,11 +98,9 @@ std::uint64_t InferenceServer::register_model(const std::string& name,
   // swap simply didn't commit.
   const std::uint64_t version =
       registry_->register_model(name, std::move(blob), /*publish=*/false);
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
   registry_->publish(name, version);
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
   return version;
 }
 
@@ -114,8 +111,7 @@ std::uint64_t InferenceServer::stage_model(const std::string& name,
   // Durable (and replicated, via checkpoint shipping) before any shadow
   // batch can reference the staged bank — same invariant as the first
   // half of register_model's stage->checkpoint->publish->checkpoint.
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
   return version;
 }
 
@@ -126,15 +122,13 @@ void InferenceServer::promote_model(const std::string& name,
   // The promotion decision is a durability event: force a checkpoint so
   // the bumped latest pointer survives a crash and replicates through
   // the checkpoint-shipping stream.
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
 }
 
 void InferenceServer::discard_model(const std::string& name,
                                     std::uint64_t version) {
   registry_->discard_staged(name, version);
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
 }
 
 std::uint64_t InferenceServer::register_pipeline(
@@ -146,16 +140,11 @@ std::uint64_t InferenceServer::register_pipeline(
 void InferenceServer::retire_model(const std::string& name,
                                    std::uint64_t version) {
   registry_->retire(name, version);
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
 }
 
-void InferenceServer::maybe_checkpoint(std::uint64_t accepted,
-                                       bool force) {
+void InferenceServer::checkpoint(std::uint64_t accepted) {
   if (!recovery_.checkpoints) return;
-  if (!force && (recovery_.checkpoint_every == 0 ||
-                 accepted % recovery_.checkpoint_every != 0))
-    return;
   SSMA_TRACE_SPAN(kCheckpoint);
   const MetricsSnapshot snap = metrics_.snapshot();
   recovery::CheckpointState st;
@@ -170,22 +159,42 @@ void InferenceServer::maybe_checkpoint(std::uint64_t accepted,
   recovery_.checkpoints->write(st);
 }
 
-std::future<InferenceResult> InferenceServer::submit_with_id(
+SubmitGroup::~SubmitGroup() {
+  if (committed_) return;
+  // Dropped without a commit: nothing was journaled or queued, so the
+  // requests fail here, and the group stops holding batches open.
+  for (InferenceRequest& req : reqs_)
+    server_.reject(req, RejectReason::kShutdown,
+                   "submit group dropped before commit");
+  reqs_.clear();
+  if (held_open_)
+    (void)server_.queue_->push_group(reqs_, /*blocking=*/false,
+                                     /*closes_group=*/true);
+}
+
+std::future<InferenceResult> SubmitGroup::add(
+    engine::ModelRef model, std::vector<std::uint8_t> codes,
+    std::size_t rows, SubmitExtras extras) {
+  return add_with_id(
+      server_.next_id_.fetch_add(1, std::memory_order_relaxed),
+      std::move(model), std::move(codes), rows, std::move(extras));
+}
+
+std::future<InferenceResult> SubmitGroup::add_with_id(
     std::uint64_t id, engine::ModelRef model,
     std::vector<std::uint8_t> codes, std::size_t rows,
-    bool journal_accept, SubmitExtras extras) {
+    SubmitExtras extras) {
+  SSMA_CHECK_MSG(!committed_, "add to a committed submit group");
   SSMA_CHECK(rows >= 1);
   SSMA_CHECK(model != nullptr);
   SSMA_CHECK_MSG(codes.size() == rows * model->cols(),
                  "submit payload must be rows x model cols ("
                      << model->ref() << " expects " << model->cols()
                      << " cols)");
-  SSMA_TRACE_SPAN_IDS(kAdmit, id, id);
-
-  // The request is built before any admission check so every rejection
-  // path resolves through req.fail() — on_done always fires exactly
-  // once, which is what lets the network layer promise "no lost acks".
-  InferenceRequest req;
+  // Every refusal from here on resolves through req.fail(), so on_done
+  // fires exactly once: what lets the network layer promise "no lost
+  // acks".
+  InferenceRequest& req = reqs_.emplace_back();
   req.id = id;
   req.rows = rows;
   req.codes = std::move(codes);
@@ -194,49 +203,105 @@ std::future<InferenceResult> InferenceServer::submit_with_id(
   req.deadline = extras.deadline;
   req.tenant = std::move(extras.tenant);
   req.on_done = std::move(extras.on_done);
-  std::future<InferenceResult> fut = req.result.get_future();
+  return req.result.get_future();
+}
 
-  const auto reject = [&](RejectReason reason,
-                          const std::string& why) {
-    metrics_.record_reject(reason);
-    req.fail(reason == RejectReason::kShutdown
-                 ? std::make_exception_ptr(ShutdownError(why))
-                 : std::make_exception_ptr(RejectedError(reason, why)));
-    return std::move(fut);
+void SubmitGroup::commit() {
+  SSMA_CHECK_MSG(!committed_, "submit group committed twice");
+  // commit_group marks the group committed once the queue has closed
+  // it; a throw before that (a journal write failure) leaves the rest
+  // to the destructor.
+  server_.commit_group(*this);
+}
+
+void InferenceServer::reject(InferenceRequest& req, RejectReason reason,
+                             const std::string& why) {
+  metrics_.record_reject(reason);
+  req.fail(reason == RejectReason::kShutdown
+               ? std::make_exception_ptr(ShutdownError(why))
+               : std::make_exception_ptr(RejectedError(reason, why)));
+}
+
+void InferenceServer::commit_group(SubmitGroup& group) {
+  std::vector<InferenceRequest>& reqs = group.reqs_;
+  if (reqs.empty()) {
+    // A read with no complete frame: nothing to journal or enqueue.
+    if (group.held_open_)
+      (void)queue_->push_group(reqs, /*blocking=*/false,
+                               /*closes_group=*/true);
+    group.committed_ = true;
+    return;
+  }
+  std::uint64_t id_lo = reqs.front().id;
+  std::uint64_t id_hi = id_lo;
+  for (const InferenceRequest& req : reqs) {
+    id_lo = std::min(id_lo, req.id);
+    id_hi = std::max(id_hi, req.id);
+  }
+  SSMA_TRACE_SPAN_IDS(kAdmit, id_lo, id_hi);
+
+  // Keeps the requests `keep` accepts, in order, dropping the rest.
+  const auto filter = [&reqs](const auto& keep) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (!keep(reqs[i])) continue;
+      if (kept != i) reqs[kept] = std::move(reqs[i]);
+      ++kept;
+    }
+    reqs.resize(kept);
   };
 
-  // Typed rejection instead of journaling into (or blocking on) a
-  // queue that is being torn down. A submit that races shutdown() past
-  // this check is still safe: the closed queue refuses the push below.
-  if (draining_.load(std::memory_order_acquire))
-    return reject(RejectReason::kShutdown,
-                  "InferenceServer is shut down");
-  // Dead on arrival: refuse before the journal sees it — a replay
-  // would re-serve a request whose caller stopped waiting long ago.
-  if (req.deadline <= Clock::now())
-    return reject(RejectReason::kDeadlineExpired,
-                  "request deadline expired before admission");
-  // Write-ahead: the accept record lands before the request can be
-  // served, so a crash anywhere downstream can replay it — on exactly
-  // the (name, version) pinned here.
-  if (journal_accept && recovery_.journal) {
+  // 1. Refuse before the journal sees them: a draining server (a commit
+  // racing shutdown() past this check is still safe: the closed queue
+  // refuses the push), and requests dead on arrival, which a replay
+  // would re-serve long after their caller stopped waiting.
+  const bool draining = draining_.load(std::memory_order_acquire);
+  const Clock::time_point now = Clock::now();
+  filter([&](InferenceRequest& req) {
+    if (draining) {
+      reject(req, RejectReason::kShutdown, "InferenceServer is shut down");
+      return false;
+    }
+    if (req.deadline <= now) {
+      reject(req, RejectReason::kDeadlineExpired,
+             "request deadline expired before admission");
+      return false;
+    }
+    return true;
+  });
+
+  // 2. Write-ahead: every accept record lands, with one flush, before
+  // any request of the group can be served, so a crash anywhere
+  // downstream can replay each on exactly the (name, version) it
+  // pinned. Each request carries its own record's sequence number: the
+  // worker ack path gates on it when replication enforces sync/window
+  // acked-write semantics.
+  std::vector<recovery::AcceptedView> records;
+  if (group.journal_accept_ && recovery_.journal) {
+    records.reserve(reqs.size());
+    for (const InferenceRequest& req : reqs)
+      records.push_back({req.id, req.model->name(), req.model->version(),
+                         req.rows, req.codes.data(), req.codes.size()});
+  }
+  if (!records.empty()) {
     const auto t0 = Clock::now();
+    std::uint64_t last_seq;
     {
-      SSMA_TRACE_SPAN_IDS(kJournalAppend, id, id);
-      // The record's sequence number rides on the request: the worker
-      // ack path gates on it when replication enforces sync/window
-      // acked-write semantics.
-      req.wal_seq = recovery_.journal->append_accepted(
-          id, req.model->name(), req.model->version(), rows, req.codes);
+      SSMA_TRACE_SPAN_IDS(kJournalAppend, id_lo, id_hi);
+      last_seq = recovery_.journal->append_accepted(records);
     }
     metrics_.record_journal_append(
         std::chrono::duration<double, std::nano>(Clock::now() - t0)
             .count());
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+      reqs[i].wal_seq = last_seq - (reqs.size() - 1 - i);
   }
 
-  req.enqueued_at = Clock::now();
-
-  if (recovery_.fault) {
+  // 3. The enqueue fault site, once per request.
+  const Clock::time_point enqueued_at = Clock::now();
+  filter([&](InferenceRequest& req) {
+    req.enqueued_at = enqueued_at;
+    if (!recovery_.fault) return true;
     const recovery::FaultAction act =
         recovery_.fault->poll(recovery::FaultSite::kEnqueue);
     if (act.kind == recovery::FaultKind::kDelay) {
@@ -246,48 +311,47 @@ std::future<InferenceResult> InferenceServer::submit_with_id(
       // the journal but never reaches a worker. Recovery replays it.
       req.fail(std::make_exception_ptr(std::runtime_error(
           "injected fault: request accepted but lost before enqueue")));
-      return fut;
+      return false;
     }
-  }
+    return true;
+  });
 
-  if (extras.nonblocking) {
-    if (!queue_->try_push(std::move(req))) {
-      // try_push does not consume on failure; distinguish closed from
-      // full for the typed reason (a close racing in after the check
-      // still reads as full — both mean "back off", so that is fine).
-      return queue_->closed()
-                 ? reject(RejectReason::kShutdown,
-                          "InferenceServer is shut down")
-                 : reject(RejectReason::kQueueFull,
-                          "admission queue is full");
-    }
-  } else if (!queue_->push(std::move(req))) {
-    // Closed: the request was not consumed, fail its future here.
-    return reject(RejectReason::kShutdown,
-                  "InferenceServer is shut down");
+  // 4. One push, which also closes the group.
+  const std::size_t pushed =
+      queue_->push_group(reqs, !group.nonblocking_, group.held_open_);
+  group.committed_ = true;
+  if (pushed < reqs.size()) {
+    // The unpushed tail was not consumed. A close racing in reads as
+    // full: both mean "back off", so that is fine.
+    const bool closed = queue_->closed();
+    for (std::size_t i = pushed; i < reqs.size(); ++i)
+      reject(reqs[i],
+             closed ? RejectReason::kShutdown : RejectReason::kQueueFull,
+             closed ? "InferenceServer is shut down"
+                    : "admission queue is full");
   }
-  // Cadence decides on this submit's own count (not a re-load, which
-  // concurrent submits could race past the multiple).
+  reqs.clear();
+
+  // 5. One checkpoint when the group's count crossed a multiple of the
+  // cadence. It decides on this group's own counts (not a re-load,
+  // which concurrent commits could race past a multiple).
+  if (pushed == 0) return;
   const std::uint64_t accepted =
-      accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
-  maybe_checkpoint(accepted, /*force=*/false);
-  return fut;
+      accepted_.fetch_add(pushed, std::memory_order_relaxed) + pushed;
+  const std::uint64_t every = recovery_.checkpoint_every;
+  if (every > 0 && accepted / every != (accepted - pushed) / every)
+    checkpoint(accepted);
 }
 
 std::future<InferenceResult> InferenceServer::submit(
     engine::ModelRef model, std::vector<std::uint8_t> codes,
     std::size_t rows) {
-  return submit(std::move(model), std::move(codes), rows,
-                SubmitExtras{});
-}
-
-std::future<InferenceResult> InferenceServer::submit(
-    engine::ModelRef model, std::vector<std::uint8_t> codes,
-    std::size_t rows, SubmitExtras extras) {
-  const std::uint64_t id =
-      next_id_.fetch_add(1, std::memory_order_relaxed);
-  return submit_with_id(id, std::move(model), std::move(codes), rows,
-                        /*journal_accept=*/true, std::move(extras));
+  SubmitGroup group(*this, /*held_open=*/false, /*nonblocking=*/false,
+                    /*journal_accept=*/true);
+  std::future<InferenceResult> fut =
+      group.add(std::move(model), std::move(codes), rows);
+  group.commit();
+  return fut;
 }
 
 std::future<InferenceResult> InferenceServer::submit(
@@ -296,20 +360,10 @@ std::future<InferenceResult> InferenceServer::submit(
   return submit(registry_->resolve(model_ref), std::move(codes), rows);
 }
 
-std::vector<std::future<InferenceResult>> InferenceServer::submit_batch(
-    const std::string& model_ref,
-    const maddness::QuantizedActivations& q,
-    std::size_t rows_per_request) {
-  SSMA_CHECK(rows_per_request >= 1);
-  const engine::ModelRef model = registry_->resolve(model_ref);
-  SSMA_CHECK_MSG(q.cols == model->cols(), "activation width mismatch");
-  std::vector<std::future<InferenceResult>> futures;
-  for (std::size_t r = 0; r < q.rows; r += rows_per_request) {
-    const std::size_t n = std::min(rows_per_request, q.rows - r);
-    std::vector<std::uint8_t> codes(q.row(r), q.row(r) + n * q.cols);
-    futures.push_back(submit(model, std::move(codes), n));
-  }
-  return futures;
+SubmitGroup InferenceServer::open_group(bool nonblocking) {
+  queue_->open_group();
+  return SubmitGroup(*this, /*held_open=*/true, nonblocking,
+                     /*journal_accept=*/true);
 }
 
 std::vector<std::future<InferenceResult>> InferenceServer::replay(
@@ -317,6 +371,9 @@ std::vector<std::future<InferenceResult>> InferenceServer::replay(
   SSMA_TRACE_SPAN(kReplay);
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(requests.size());
+  // Already journaled by the crashed run: no second accept record.
+  SubmitGroup group(*this, /*held_open=*/false, /*nonblocking=*/false,
+                    /*journal_accept=*/false);
   for (const recovery::AcceptedRecord& rec : requests) {
     // v1-era records carry no model tag: they predate the registry and
     // can only mean the implicitly-named default model.
@@ -335,12 +392,10 @@ std::vector<std::future<InferenceResult>> InferenceServer::replay(
       futures.push_back(p.get_future());
       continue;
     }
-    // Already journaled by the crashed run — no second accept record.
-    futures.push_back(submit_with_id(rec.id, std::move(model), rec.codes,
-                                     rec.rows,
-                                     /*journal_accept=*/false,
-                                     SubmitExtras{}));
+    futures.push_back(group.add_with_id(rec.id, std::move(model), rec.codes,
+                                        rec.rows, SubmitExtras{}));
   }
+  group.commit();
   return futures;
 }
 
@@ -371,8 +426,7 @@ void InferenceServer::attach_recovery(
   pool_->set_journal(journal);
   // First checkpoint under new ownership: the promoted leader's newest
   // on-disk version carries its current registry and counters.
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
 }
 
 void InferenceServer::ensure_id_watermark(std::uint64_t min_next_id) {
@@ -381,11 +435,6 @@ void InferenceServer::ensure_id_watermark(std::uint64_t min_next_id) {
          !next_id_.compare_exchange_weak(cur, min_next_id,
                                          std::memory_order_relaxed)) {
   }
-}
-
-void InferenceServer::set_replication(replication::ReplicationLog* repl) {
-  recovery_.replication = repl;
-  pool_->set_replication(repl);
 }
 
 void InferenceServer::note_promotion(std::uint64_t applied_records,
@@ -399,8 +448,7 @@ std::uint64_t InferenceServer::compact_journal() {
   // A checkpoint is required: the pruned records' accepted/completed
   // counters live on only through the checkpoint state a restore reads.
   if (!recovery_.journal || !recovery_.checkpoints) return 0;
-  maybe_checkpoint(accepted_.load(std::memory_order_relaxed),
-                   /*force=*/true);
+  checkpoint(accepted_.load(std::memory_order_relaxed));
   // Never compact past the slowest connected follower's ack mark — its
   // resume point must stay servable byte-exact.
   const std::uint64_t bound =

@@ -27,6 +27,11 @@
 //   auto rs = recovery::recover_state(ckpts, journal_path);
 //   auto server = InferenceServer::restore(rs, opts);
 //   auto futs = server->replay(rs.journal.unacknowledged);
+//
+// Every request enters through one path, a SubmitGroup: submit() is a
+// group of one, replay() one group of its records, and the network
+// front door one group per socket read, held open while its frames are
+// decoded so that a forming batch can wait for them (see batcher.hpp).
 #pragma once
 
 #include <atomic>
@@ -66,24 +71,76 @@ class ShutdownError : public RejectedError {
       : RejectedError(RejectReason::kShutdown, what) {}
 };
 
-/// Optional per-request admission context for submit(). The plain
-/// overloads are equivalent to passing a default-constructed one.
+/// Optional per-request admission context for SubmitGroup::add().
+/// submit() passes a default-constructed one.
 struct SubmitExtras {
   Priority priority = Priority::kNormal;
   /// Absolute SLO deadline; max() = none. An already-expired deadline
-  /// is refused at submit (kDeadlineExpired) before it can be journaled.
+  /// is refused at commit (kDeadlineExpired) before it can be journaled.
   Clock::time_point deadline = Clock::time_point::max();
   /// Admission identity (metrics attribution; the admission controller
   /// rate-limits by this upstream of submit()).
   std::string tenant;
-  /// When true, a full queue is a typed kQueueFull rejection instead of
-  /// blocking the caller — the network event loop must never park in
-  /// submit().
-  bool nonblocking = false;
   /// Completion hook copied onto the request; see
   /// InferenceRequest::on_done. Fires for rejections too.
   std::function<void(const InferenceResult*, const std::exception_ptr&)>
       on_done;
+};
+
+class InferenceServer;
+
+/// Requests handed to the server together and committed in one step.
+/// add() builds a request and returns its future. commit() refuses the
+/// requests that are drained or dead on arrival, writes every other
+/// request's accept record with one journal flush, and then pushes the
+/// group into the queue under one lock with one wake-up. No request of
+/// a group is queued before the group's records are flushed.
+///
+/// A group from InferenceServer::open_group() is open until it commits
+/// or is destroyed: a forming batch that finds no compatible request
+/// queued waits for it (up to BatcherOptions::max_wait) instead of
+/// closing. Destroying an uncommitted group fails its requests
+/// (kShutdown) and closes it, so no exit path leaves it open. A group is
+/// used from one thread and must not outlive its server.
+class SubmitGroup {
+ public:
+  ~SubmitGroup();
+  SubmitGroup(const SubmitGroup&) = delete;
+  SubmitGroup& operator=(const SubmitGroup&) = delete;
+
+  /// Builds a request against an already-resolved (pinned) handle; see
+  /// InferenceServer::submit. Throws CheckError on a shape mismatch.
+  std::future<InferenceResult> add(engine::ModelRef model,
+                                   std::vector<std::uint8_t> codes,
+                                   std::size_t rows,
+                                   SubmitExtras extras = {});
+  /// Requests added and not yet committed.
+  std::size_t size() const { return reqs_.size(); }
+  /// Journals and enqueues the group, and closes it. A blocking group
+  /// waits for queue room; a non-blocking one enqueues as many as fit,
+  /// and the rest fail with kQueueFull. Call at most once.
+  void commit();
+
+ private:
+  friend class InferenceServer;
+  SubmitGroup(InferenceServer& server, bool held_open, bool nonblocking,
+              bool journal_accept)
+      : server_(server),
+        held_open_(held_open),
+        nonblocking_(nonblocking),
+        journal_accept_(journal_accept) {}
+  std::future<InferenceResult> add_with_id(std::uint64_t id,
+                                           engine::ModelRef model,
+                                           std::vector<std::uint8_t> codes,
+                                           std::size_t rows,
+                                           SubmitExtras extras);
+
+  InferenceServer& server_;
+  const bool held_open_;       ///< counted among the queue's open groups
+  const bool nonblocking_;
+  const bool journal_accept_;  ///< false for replay: already journaled
+  bool committed_ = false;
+  std::vector<InferenceRequest> reqs_;
 };
 
 /// Fault-tolerance wiring. All pointers are borrowed (not owned) and
@@ -190,30 +247,22 @@ class InferenceServer {
                                       std::vector<std::uint8_t> codes,
                                       std::size_t rows = 1);
   /// Same, against an already-resolved (pre-pinned) handle — the
-  /// hot-path form that skips the registry lookup.
+  /// hot-path form that skips the registry lookup. Either form is a
+  /// group of one, committed at once: a batch never waits for it.
   std::future<InferenceResult> submit(engine::ModelRef model,
                                       std::vector<std::uint8_t> codes,
                                       std::size_t rows = 1);
-  /// Full-context form: priority class, SLO deadline, tenant identity,
-  /// non-blocking admission and a completion hook. The network front
-  /// end submits through here.
-  std::future<InferenceResult> submit(engine::ModelRef model,
-                                      std::vector<std::uint8_t> codes,
-                                      std::size_t rows,
-                                      SubmitExtras extras);
 
-  /// Splits a pre-quantized matrix into per-request row slices and
-  /// submits them all; the last request takes the remainder.
-  std::vector<std::future<InferenceResult>> submit_batch(
-      const std::string& model_ref,
-      const maddness::QuantizedActivations& q,
-      std::size_t rows_per_request);
+  /// Opens a group (see SubmitGroup) that forming batches wait on until
+  /// it commits. A non-blocking group never parks its caller on a full
+  /// queue: the network event loop opens one per socket read.
+  SubmitGroup open_group(bool nonblocking = false);
 
-  /// Re-submits journaled requests under their original ids (no new
-  /// accept records — they are already in the journal), each resolved
-  /// to the exact model version it pinned at admission (v1-era records
-  /// map to "default"). Deterministic decode makes the replayed
-  /// outputs bit-identical to what the crashed run would have
+  /// Re-submits journaled requests as one group under their original
+  /// ids (no new accept records — they are already in the journal),
+  /// each resolved to the exact model version it pinned at admission
+  /// (v1-era records map to "default"). Deterministic decode makes the
+  /// replayed outputs bit-identical to what the crashed run would have
   /// produced, even across a hot-swap boundary. A record whose version
   /// is no longer in the registry fails its future with CheckError.
   std::vector<std::future<InferenceResult>> replay(
@@ -239,9 +288,6 @@ class InferenceServer {
   /// lowers it) — a promoted follower must not reuse ids the old leader
   /// handed out.
   void ensure_id_watermark(std::uint64_t min_next_id);
-  /// Installs (or clears) the leader-side replication endpoint on a
-  /// running server; workers pick it up on their next batch.
-  void set_replication(replication::ReplicationLog* repl);
   /// Records that this server was promoted from a follower (surfaced
   /// as ssma_repl_role 2 plus apply counters in the exposition).
   void note_promotion(std::uint64_t applied_records, double apply_rate_hz);
@@ -290,12 +336,14 @@ class InferenceServer {
   const std::vector<std::size_t>& shard_tokens() const;
 
  private:
-  std::future<InferenceResult> submit_with_id(
-      std::uint64_t id, engine::ModelRef model,
-      std::vector<std::uint8_t> codes, std::size_t rows,
-      bool journal_accept, SubmitExtras extras);
-  /// Writes a checkpoint when `accepted` hits the cadence (or `force`).
-  void maybe_checkpoint(std::uint64_t accepted, bool force);
+  friend class SubmitGroup;
+  /// SubmitGroup::commit's steps, in write-ahead order.
+  void commit_group(SubmitGroup& group);
+  /// Fails `req` with a typed rejection and counts it.
+  void reject(InferenceRequest& req, RejectReason reason,
+              const std::string& why);
+  /// Writes a checkpoint (when a store is wired) carrying `accepted`.
+  void checkpoint(std::uint64_t accepted);
 
   std::shared_ptr<engine::ModelRegistry> registry_;
   std::atomic<std::uint64_t> next_id_{0};

@@ -25,7 +25,6 @@ WorkerPool::WorkerPool(RequestQueue& queue, Metrics& metrics,
                        const WorkerPoolOptions& opts)
     : queue_(queue), metrics_(metrics), opts_(opts) {
   journal_.store(opts.journal, std::memory_order_relaxed);
-  replication_.store(opts.replication, std::memory_order_relaxed);
   SSMA_CHECK(opts.num_workers >= 1);
   SSMA_CHECK(opts.max_respawns_per_shard >= 0);
   shard_reports_.resize(static_cast<std::size_t>(opts.num_workers));
@@ -294,7 +293,7 @@ void WorkerPool::worker_main(int worker_id) {
     // past the watermark. One wait covers every request in the batch
     // (records are sequenced, so the max dominates). A timed-out wait
     // degrades to async for this batch — counted, never wedged.
-    if (auto* repl = replication_.load(std::memory_order_acquire)) {
+    if (auto* repl = opts_.replication) {
       std::uint64_t max_seq = 0;
       for (const InferenceRequest& r : slot.in_flight)
         max_seq = std::max(max_seq, r.wal_seq);

@@ -106,10 +106,6 @@ class WorkerPool {
   void set_journal(recovery::RequestJournal* journal) {
     journal_.store(journal, std::memory_order_release);
   }
-  /// Same, for the leader-side replication ack gate.
-  void set_replication(replication::ReplicationLog* repl) {
-    replication_.store(repl, std::memory_order_release);
-  }
   /// Attach (or detach, with nullptr) the post-ack batch tap. Workers
   /// load it per batch, so attachment takes effect on the next batch.
   void set_observer(BatchObserver* observer) {
@@ -161,10 +157,9 @@ class WorkerPool {
   RequestQueue& queue_;
   Metrics& metrics_;
   WorkerPoolOptions opts_;
-  /// Live views of opts_.journal / opts_.replication, swappable while
-  /// workers run (see set_journal / set_replication).
+  /// Live view of opts_.journal, swappable while workers run (see
+  /// set_journal).
   std::atomic<recovery::RequestJournal*> journal_{nullptr};
-  std::atomic<replication::ReplicationLog*> replication_{nullptr};
   std::atomic<BatchObserver*> observer_{nullptr};
   std::vector<std::unique_ptr<ShardSlot>> slots_;
   std::thread supervisor_;

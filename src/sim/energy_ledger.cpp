@@ -30,8 +30,6 @@ void EnergyLedger::charge(EnergyCat cat, double fj) {
   fj_[static_cast<std::size_t>(cat)] += fj;
 }
 
-void EnergyLedger::reset() { fj_.fill(0.0); }
-
 EnergyLedger EnergyLedger::delta(const EnergyLedger& after,
                                  const EnergyLedger& before) {
   EnergyLedger d;

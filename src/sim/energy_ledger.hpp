@@ -29,7 +29,6 @@ const char* energy_cat_name(EnergyCat c);
 class EnergyLedger {
  public:
   void charge(EnergyCat cat, double fj);
-  void reset();
 
   /// Per-category difference (after - before); used to isolate the energy
   /// of one run from a cumulative context ledger.

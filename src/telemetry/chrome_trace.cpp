@@ -33,11 +33,6 @@ ChromeTraceWriter::Arg ChromeTraceWriter::num_arg(std::string key,
   return Arg{std::move(key), buf};
 }
 
-ChromeTraceWriter::Arg ChromeTraceWriter::str_arg(
-    std::string key, const std::string& value) {
-  return Arg{std::move(key), "\"" + escape(value) + "\""};
-}
-
 std::string ChromeTraceWriter::escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

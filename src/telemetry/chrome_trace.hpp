@@ -18,7 +18,7 @@ namespace ssma::telemetry {
 class ChromeTraceWriter {
  public:
   /// One "args" entry. `json_value` is a pre-serialized JSON value —
-  /// build via num_arg()/str_arg() rather than by hand.
+  /// build via num_arg() rather than by hand.
   struct Arg {
     std::string key;
     std::string json_value;
@@ -26,7 +26,6 @@ class ChromeTraceWriter {
 
   static Arg num_arg(std::string key, std::uint64_t value);
   static Arg num_arg(std::string key, double value);
-  static Arg str_arg(std::string key, const std::string& value);
 
   /// JSON string escaping (quotes, backslashes, control characters).
   static std::string escape(const std::string& s);

@@ -14,7 +14,8 @@ namespace ssma::telemetry {
 
 namespace {
 
-constexpr std::size_t kDefaultRingCapacity = 16384;
+/// Events each thread's ring keeps before it wraps.
+constexpr std::size_t kRingCapacity = 16384;
 
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 8;
@@ -209,8 +210,7 @@ TraceSession& TraceSession::instance() {
 }
 
 TraceSession::TraceSession()
-    : epoch_ticks_(TraceClock::now().time_since_epoch().count()),
-      ring_capacity_(kDefaultRingCapacity) {}
+    : epoch_ticks_(TraceClock::now().time_since_epoch().count()) {}
 
 void TraceSession::clear() {
   std::lock_guard<std::mutex> lk(mu_);
@@ -219,11 +219,6 @@ void TraceSession::clear() {
   generation_public_.store(generation_, std::memory_order_release);
   epoch_ticks_.store(TraceClock::now().time_since_epoch().count(),
                      std::memory_order_relaxed);
-}
-
-void TraceSession::set_ring_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ring_capacity_ = std::max<std::size_t>(capacity, 8);
 }
 
 std::uint64_t TraceSession::to_ns(TraceClock::time_point t) const {
@@ -246,7 +241,7 @@ std::shared_ptr<SpanRecorder> TraceSession::thread_recorder() {
   std::lock_guard<std::mutex> lk(mu_);
   if (t_slot.recorder && t_slot.generation == generation_)
     return t_slot.recorder;
-  auto rec = std::make_shared<SpanRecorder>(ring_capacity_);
+  auto rec = std::make_shared<SpanRecorder>(kRingCapacity);
   if (t_slot.pending_track.empty()) {
     rec->set_track("thread-" + std::to_string(recorders_.size()));
   } else {

@@ -161,9 +161,6 @@ class TraceSession {
   /// registers a fresh recorder (generation check).
   void clear();
 
-  /// Ring capacity for recorders registered after this call.
-  void set_ring_capacity(std::size_t capacity);
-
   std::uint64_t now_ns() const { return to_ns(TraceClock::now()); }
   /// Nanoseconds since the session epoch (0 for pre-epoch instants).
   std::uint64_t to_ns(TraceClock::time_point t) const;
@@ -211,7 +208,6 @@ class TraceSession {
   std::atomic<TraceClock::rep> epoch_ticks_;
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<SpanRecorder>> recorders_;
-  std::size_t ring_capacity_;
   std::uint64_t generation_ = 0;  ///< guarded by mu_
   /// Lock-free mirror of generation_ for the record_span fast path.
   std::atomic<std::uint64_t> generation_public_{0};

@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/model_registry.hpp"
@@ -342,14 +343,14 @@ TEST(RejectTaxonomyTest, NonblockingSubmitRejectsWhenQueueFull) {
   server.register_model("m", f.amm);
   const engine::ModelRef m = server.registry().resolve("m");
 
-  // Fill the queue past capacity, then a nonblocking submit must come
+  // Fill the queue past capacity, then a nonblocking group must come
   // back kQueueFull instead of parking the caller.
   std::vector<std::future<InferenceResult>> futs;
   bool saw_queue_full = false;
   for (int i = 0; i < 32 && !saw_queue_full; ++i) {
-    SubmitExtras ex;
-    ex.nonblocking = true;
-    auto fut = server.submit(m, f.codes_for(0), 1, std::move(ex));
+    SubmitGroup group = server.open_group(/*nonblocking=*/true);
+    auto fut = group.add(m, f.codes_for(0), 1);
+    group.commit();
     if (fut.wait_for(std::chrono::seconds(0)) ==
         std::future_status::ready) {
       try {
@@ -366,6 +367,47 @@ TEST(RejectTaxonomyTest, NonblockingSubmitRejectsWhenQueueFull) {
   EXPECT_GE(server.metrics().rejects[static_cast<std::size_t>(
                 RejectReason::kQueueFull)],
             1u);
+  server.shutdown();
+}
+
+TEST(RejectTaxonomyTest, NonblockingGroupEnqueuesWhatFitsAndShedsTheRest) {
+  ServeFixture f = ServeFixture::make();
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.queue_capacity = 2;
+  opts.engine.backend = engine::Backend::kDevicePaced;
+  opts.engine.device_ns_per_token = 50'000'000;  // 50 ms/token: wedge it
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
+  const engine::ModelRef m = server.registry().resolve("m");
+
+  // Occupy the only shard, then commit a group of 5 into 2 free slots.
+  std::future<InferenceResult> busy = server.submit(m, f.codes_for(0), 1);
+  while (server.queue_depth() != 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  SubmitGroup group = server.open_group(/*nonblocking=*/true);
+  std::vector<std::future<InferenceResult>> futs;
+  for (std::size_t id = 1; id <= 5; ++id)
+    futs.push_back(group.add(m, f.codes_for(id), 1));
+  group.commit();
+  // The shed tail is answered at once, in order, as sequential try_push
+  // calls would have.
+  for (std::size_t i = 2; i < futs.size(); ++i) {
+    ASSERT_EQ(futs[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    try {
+      futs[i].get();
+      FAIL() << "request " << i + 1 << " should have been shed";
+    } catch (const RejectedError& e) {
+      EXPECT_EQ(e.reason(), RejectReason::kQueueFull);
+    }
+  }
+  EXPECT_EQ(server.metrics().rejects[static_cast<std::size_t>(
+                RejectReason::kQueueFull)],
+            3u);
+  EXPECT_EQ(busy.get().outputs, f.expected_for(f.codes_for(0), 1));
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(futs[i].get().outputs, f.expected_for(f.codes_for(i + 1), 1));
   server.shutdown();
 }
 

@@ -2,15 +2,16 @@
 // feeds, CRC/length corruption), RPC message round trips and a golden
 // pin of their encoded bytes, and loopback
 // end-to-end serving — bit-exact responses under pipelining and
-// connection backpressure, typed wire rejections for every refusal
-// class (unknown model, malformed payload, rate limiting, expired
-// deadlines, shutdown), protocol-error hangups, concurrent
-// connections, graceful stop with clients attached (no hangs, no lost
-// acks), half-closed clients (every response, then EOF, and no busy
-// loop while paused), two tenants at twice the paced capacity (the
-// high-priority one keeps its SLO, the low-priority one is shed with
-// typed rejections, every request is acked), and NetClient's typed
-// errors on a corrupt or cut response stream.
+// connection backpressure, one submit group per socket read (admitted
+// against the queue depth plus the group), typed wire rejections for
+// every refusal class (unknown model, malformed payload, rate
+// limiting, expired deadlines, shutdown), protocol-error hangups,
+// concurrent connections, graceful stop with clients attached (no
+// hangs, no lost acks), half-closed clients (every response, then
+// EOF, and no busy loop while paused), two tenants at twice the paced
+// capacity (the high-priority one keeps its SLO, the low-priority one
+// is shed with typed rejections, every request is acked), and
+// NetClient's typed errors on a corrupt or cut response stream.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -659,6 +660,52 @@ TEST(NetServerTest, BackpressurePausesReadsButLosesNothing) {
               lb.fix.expected_for(lb.fix.codes_for(i), 1));
   }
   cli.close();
+}
+
+TEST(NetServerTest, OneReadIsOneGroupAdmittedAgainstDepthPlusGroup) {
+  // Ten frames in one write arrive in one recv() and form one group.
+  // Admission counts the group's requests, which are not queued until
+  // the read commits: with a 0.75 watermark on 8 slots, six pass and
+  // four are shed, as if they had been queued one by one.
+  serve::ServerOptions sopts;
+  sopts.num_workers = 1;
+  sopts.queue_capacity = 8;
+  Loopback lb({}, sopts);
+  RawConn raw;
+  raw.connect(lb.net->port());
+  constexpr std::uint64_t kN = 10;
+  std::string frames;
+  for (std::uint64_t i = 0; i < kN; ++i)
+    frames += make_request(i, lb.fix.codes_for(i)).encode();
+  raw.send_bytes(frames);
+
+  FrameDecoder dec(1 << 20);
+  std::string_view payload;
+  std::map<std::uint64_t, RpcResponse> got;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(raw.read(dec, &payload), FrameRead::kFrame);
+    RpcResponse resp;
+    ASSERT_TRUE(parse_response(payload, &resp));
+    got[resp.correlation_id] = std::move(resp);
+  }
+  ASSERT_EQ(got.size(), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    if (i < 6) {
+      ASSERT_EQ(got.at(i).status, kStatusOk) << "request " << i;
+      EXPECT_EQ(got.at(i).outputs,
+                lb.fix.expected_for(lb.fix.codes_for(i), 1));
+    } else {
+      EXPECT_EQ(got.at(i).status, status_of(RejectReason::kQueueFull))
+          << "request " << i;
+    }
+  }
+  const serve::AdmissionStats adm = lb.net->admission_stats();
+  EXPECT_EQ(adm.admitted, 6u);
+  EXPECT_EQ(adm.rejects[static_cast<std::size_t>(RejectReason::kQueueFull)],
+            4u);
+  // The group entered the queue in one step, so the idle worker took
+  // all six in one batch.
+  EXPECT_EQ(lb.server->metrics().batches, 1u);
 }
 
 /// Three 1-row requests on one raw connection, then a half-close.

@@ -12,12 +12,14 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -374,6 +376,33 @@ TEST(Journal, GroupAppendsMatchOneAtATime) {
   RequestJournal reopened(raw.path());
   EXPECT_EQ(reopened.durable_seq(), one.durable_seq());
   EXPECT_EQ(reopened.durable_bytes(), one.durable_bytes());
+}
+
+TEST(Journal, GroupOfAcceptRecordsMatchesOneAtATime) {
+  TmpDir dir("jnlaccept");
+  const std::vector<std::vector<std::uint8_t>> codes = {
+      {1, 2, 3, 4}, {5, 6, 7, 8, 9, 10, 11, 12}, {0, 0, 0, 0}};
+  RequestJournal one(dir.file("one.jnl"));
+  RequestJournal group(dir.file("group.jnl"));
+  std::vector<std::uint64_t> hooked;
+  group.set_commit_hook(
+      [&](std::uint64_t seq, std::uint64_t) { hooked.push_back(seq); });
+  std::vector<recovery::AcceptedView> views;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    one.append_accepted(40 + i, "m", 3, codes[i].size() / 4, codes[i]);
+    views.push_back({40 + i, "m", 3, codes[i].size() / 4, codes[i].data(),
+                     codes[i].size()});
+  }
+  // One flush and one commit notification, with the newest record.
+  EXPECT_EQ(group.append_accepted(views), 3u);
+  EXPECT_EQ(hooked, std::vector<std::uint64_t>{3u});
+  // Same bytes on disk: the records keep their format.
+  EXPECT_EQ(slurp(group.path()), slurp(one.path()));
+  EXPECT_EQ(group.durable_bytes(), one.durable_bytes());
+  const auto replay = RequestJournal::read(group.path());
+  ASSERT_EQ(replay.unacknowledged.size(), 3u);
+  EXPECT_EQ(replay.unacknowledged[1].id, 41u);
+  EXPECT_EQ(replay.unacknowledged[1].codes, codes[1]);
 }
 
 TEST(Journal, TornTailIsDroppedNotMisparsed) {
@@ -827,6 +856,108 @@ TEST(Recovery, CheckpointCadenceWritesVersions) {
   registry.load(latest->registry_blob);
   const engine::ModelRef replica = registry.resolve("default@1");
   EXPECT_EQ(replica->amm().apply_int16(f.pool), f.amm.apply_int16(f.pool));
+}
+
+/// Parks the shard thread in its first post-ack observer call until
+/// released, so requests pushed meanwhile stay queued.
+class ParkFirstBatch : public BatchObserver {
+ public:
+  void on_batch(const engine::ModelHandle&,
+                const maddness::QuantizedActivations&,
+                const std::vector<std::int16_t>&, double) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (batches_++ > 0) return;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+  void wait_parked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return batches_ > 0; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t batches_ = 0;
+  bool released_ = false;
+};
+
+TEST(GroupCommit, NoRequestOfAGroupIsQueuedBeforeItsAcceptRecordsFlush) {
+  // Write-ahead order for a group: the queue stays empty until every
+  // accept record of the group is durable. The only shard is parked, so
+  // nothing leaves the queue while the test looks at it.
+  const ServeFixture f = ServeFixture::make();
+  TmpDir dir("groupwal");
+  RequestJournal journal(dir.file("requests.jnl"));
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.recovery.journal = &journal;
+  InferenceServer server(default_registry(f.amm), opts);
+  ParkFirstBatch park;
+  server.set_batch_observer(&park);
+  EXPECT_EQ(server.submit("default", f.codes_for(0), 1).get().outputs,
+            f.expected(0, 1));
+  park.wait_parked();
+
+  std::vector<std::size_t> depth_at_flush;
+  journal.set_commit_hook([&](std::uint64_t, std::uint64_t) {
+    depth_at_flush.push_back(server.queue_depth());
+  });
+  constexpr std::size_t kGroup = 4;
+  const engine::ModelRef model = server.registry().resolve("default");
+  SubmitGroup group = server.open_group();
+  std::vector<std::future<InferenceResult>> futs;
+  for (std::size_t id = 1; id <= kGroup; ++id)
+    futs.push_back(group.add(model, f.codes_for(id), 1));
+  group.commit();
+  journal.set_commit_hook(nullptr);
+
+  ASSERT_EQ(depth_at_flush.size(), 1u) << "one flush for the whole group";
+  EXPECT_EQ(depth_at_flush[0], 0u)
+      << "requests were queued before the group's accept records flushed";
+  EXPECT_EQ(server.queue_depth(), kGroup);
+  park.release();
+  for (std::size_t id = 1; id <= kGroup; ++id)
+    EXPECT_EQ(futs[id - 1].get().outputs, f.expected(id, 1));
+  server.shutdown();
+  server.set_batch_observer(nullptr);
+
+  // Each request's record, in add order, right after the lone one's.
+  const auto replay = RequestJournal::read(journal.path());
+  EXPECT_EQ(replay.accepted, kGroup + 1);
+  EXPECT_EQ(replay.completed, kGroup + 1);
+}
+
+TEST(GroupCommit, GroupCrossingTheCadenceCheckpointsOnce) {
+  const ServeFixture f = ServeFixture::make();
+  TmpDir dir("groupckpt");
+  CheckpointManager ckpts(dir.str());
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.recovery.checkpoints = &ckpts;
+  opts.recovery.checkpoint_every = 4;
+  InferenceServer server(default_registry(f.amm), opts);
+  const std::size_t before = ckpts.versions().size();
+
+  // 10 accepted requests cross the multiples 4 and 8 in one commit.
+  const engine::ModelRef model = server.registry().resolve("default");
+  SubmitGroup group = server.open_group();
+  std::vector<std::future<InferenceResult>> futs;
+  for (std::size_t id = 0; id < 10; ++id)
+    futs.push_back(group.add(model, f.codes_for(id), 1));
+  group.commit();
+  for (auto& fut : futs) fut.get();
+  EXPECT_EQ(ckpts.versions().size(), before + 1);
+  std::uint64_t version = 0;
+  const auto latest = ckpts.load_latest(&version);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->accepted_requests, 10u);
+  server.shutdown();
 }
 
 // --------------------------------------------- golden checkpoint file

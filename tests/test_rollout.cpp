@@ -224,13 +224,17 @@ TEST(Rollout, ShadowOfIdenticalStagedBankIsDriftFreeAndPromotes) {
 
   // Pump until the verdict; both banks are the same blob, so every
   // response is bit-exact against the fixture regardless of version.
+  // Paced, so that the niced controller gets time to shadow: a lone
+  // request's batch no longer spends it waiting for max_wait.
   std::size_t i = 0;
+  const auto give_up = std::chrono::steady_clock::now() + 30s;
   while (mgr.report("m").state == rollout::RolloutState::kShadowing &&
-         i < 4000) {
+         std::chrono::steady_clock::now() < give_up) {
     const InferenceResult r =
         server.submit("m@latest", f.codes_for(i), 1).get();
     EXPECT_EQ(r.outputs, f.expected(i % f.pool.rows, 1));
     ++i;
+    std::this_thread::sleep_for(200us);
   }
   ASSERT_EQ(mgr.wait_for_decision("m", 10000ms),
             rollout::RolloutState::kPromoted);
@@ -393,10 +397,15 @@ TEST(Rollout, EndToEndRetrainShadowAutoPromoteSurvivesRestart) {
   };
 
   pump(96);  // fill the reservoir
-  std::size_t guard = 0;
+  // Paced traffic until the decision: the niced controller needs time
+  // to retrain and shadow, which a lone request's batch no longer spends
+  // waiting for max_wait.
+  const auto give_up = std::chrono::steady_clock::now() + 30s;
   while (mgr.report("m").state != rollout::RolloutState::kPromoted &&
-         guard++ < 5000)
+         std::chrono::steady_clock::now() < give_up) {
     pump(1);
+    std::this_thread::sleep_for(200us);
+  }
   ASSERT_EQ(mgr.wait_for_decision("m", 10000ms),
             rollout::RolloutState::kPromoted);
   EXPECT_EQ(server.registry().latest_version("m"), 2u);
@@ -472,10 +481,15 @@ TEST(Rollout, AutoRollbackOnInjectedDriftKeepsServingLive) {
   };
 
   pump(96);
-  std::size_t guard = 0;
+  // Paced traffic until the decision: the niced controller needs time
+  // to retrain and shadow, which a lone request's batch no longer spends
+  // waiting for max_wait.
+  const auto give_up = std::chrono::steady_clock::now() + 30s;
   while (mgr.report("m").state != rollout::RolloutState::kRolledBack &&
-         guard++ < 5000)
+         std::chrono::steady_clock::now() < give_up) {
     pump(1);
+    std::this_thread::sleep_for(200us);
+  }
   ASSERT_EQ(mgr.wait_for_decision("m", 10000ms),
             rollout::RolloutState::kRolledBack);
   const rollout::RolloutReport rep = mgr.report("m");

@@ -3,9 +3,12 @@
 // central bit-exactness contract (threaded InferenceServer results ==
 // single-threaded Amm::apply_int16 for every request, under 4+ workers
 // and randomized multi-client arrival order), the engine-backend matrix
-// (kernel / simulate+PPA / device-paced), batches that close at
-// max_wait on shard threads with a small timer slack, multi-model
-// serving with per-model metrics, operator save/load round trips,
+// (kernel / simulate+PPA / device-paced), the self-timed batch close
+// (a lone request's batch does not wait; a batch waits for an open
+// submit group, and closes at max_wait on a shard thread with a small
+// timer slack when the group never commits), one batch per model from
+// a group of interleaved models, multi-model serving with per-model
+// metrics, operator save/load round trips,
 // backpressure, typed shutdown rejection, and the load generator's two
 // arrival models.
 #include <gtest/gtest.h>
@@ -122,10 +125,41 @@ TEST(RequestQueue, PopCompatibleReportsOversizedHead) {
   EXPECT_EQ(q.pop_compatible(10, Clock::now() + std::chrono::seconds(1),
                              &out),
             PopStatus::kOk);
-  // Empty queue + short deadline -> timeout.
+  // Empty queue, no group open: the pop returns at once, whatever the
+  // deadline.
+  const Clock::time_point t0 = Clock::now();
+  EXPECT_EQ(q.pop_compatible(10, t0 + std::chrono::seconds(10), &out),
+            PopStatus::kTimeout);
+  EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
+  // With a group open it waits for the group, up to the deadline.
+  q.open_group();
   EXPECT_EQ(q.pop_compatible(
                 10, Clock::now() + std::chrono::milliseconds(1), &out),
             PopStatus::kTimeout);
+  std::vector<InferenceRequest> group;
+  group.push_back(make_request(2, 1, 4));
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(q.push_group(group, /*blocking=*/true, /*closes_group=*/true),
+              1u);
+  });
+  EXPECT_EQ(q.pop_compatible(10, Clock::now() + std::chrono::seconds(10),
+                             &out),
+            PopStatus::kOk);
+  EXPECT_EQ(out.id, 2u);
+  producer.join();
+}
+
+TEST(RequestQueue, NonblockingGroupPushesWhatFits) {
+  RequestQueue q(3);
+  std::vector<InferenceRequest> group;
+  for (std::uint64_t id = 0; id < 5; ++id)
+    group.push_back(make_request(id, 1, 4));
+  EXPECT_EQ(q.push_group(group, /*blocking=*/false, /*closes_group=*/false),
+            3u);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(group[3].id, 3u);  // the unpushed tail is left untouched
+  EXPECT_EQ(group[4].id, 4u);
 }
 
 // -------------------------------------------------------------- batcher
@@ -455,52 +489,119 @@ TEST(InferenceServer, PacingForcesWorkAcrossMultipleShards) {
 }
 
 /// Queue-wait p50 of `n` sequential 1-row requests to a fresh 1-worker
-/// server. Each request arrives to an idle shard and alone, so its
-/// batch closes on max_wait, never on the token budget.
+/// server. Each request arrives to an idle shard and alone. With
+/// `hold_group_open`, a submit group stays open (and never commits)
+/// for the whole run, so every batch waits for it until max_wait.
 double sequential_queue_p50_us(const Fixture& f,
                                std::chrono::microseconds max_wait,
-                               std::size_t n) {
+                               std::size_t n, bool hold_group_open) {
   ServerOptions opts;
   opts.num_workers = 1;
   opts.batcher.max_wait = max_wait;
   InferenceServer server(opts);
   server.register_model("m", f.amm);
-  for (std::size_t id = 0; id < n; ++id) {
-    const std::size_t row = id % f.pool.rows;
-    std::future<InferenceResult> fut = server.submit(
-        "m",
-        std::vector<std::uint8_t>(f.pool.row(row),
-                                  f.pool.row(row) + f.pool.cols),
-        1);
-    EXPECT_EQ(fut.get().outputs, f.expected(row, 1));
+  const auto run = [&] {
+    for (std::size_t id = 0; id < n; ++id) {
+      const std::size_t row = id % f.pool.rows;
+      std::future<InferenceResult> fut = server.submit(
+          "m",
+          std::vector<std::uint8_t>(f.pool.row(row),
+                                    f.pool.row(row) + f.pool.cols),
+          1);
+      EXPECT_EQ(fut.get().outputs, f.expected(row, 1));
+    }
+  };
+  if (hold_group_open) {
+    const SubmitGroup held = server.open_group();
+    run();
+  } else {
+    run();
   }
   server.shutdown();
   return server.metrics().queue_p50_us;
 }
 
-TEST(InferenceServer, LoneRequestBatchClosesAtMaxWait) {
-  // The baseline (max_wait = 0) is the hand-off from submit to the
-  // shard, with whatever a sanitizer or a loaded host adds to it. At
-  // max_wait = 100 us a lone request waits that hand-off plus 100 us
-  // plus the shard's late wake-up. With Linux's default 50 us timer
-  // slack on the shard the wake-up alone ran ~45 us late.
+constexpr std::size_t kLoneRequests = 300;
+constexpr double kMaxWaitUs = 100.0;
+/// Slack over the max_wait = 0 baseline: a shard's wake-up on a loaded
+/// host or under a sanitizer, not a wait on the batch timer.
+constexpr double kLateUs = 25.0;
+
+TEST(InferenceServer, LoneRequestBatchClosesWithoutWaiting) {
+  // Self-timed close: with nothing queued and no group open, a lone
+  // request's batch closes at once, so max_wait = 100 us costs it no
+  // more than max_wait = 0 does. The baseline (max_wait = 0) is the
+  // hand-off from submit to the shard, with whatever a sanitizer or a
+  // loaded host adds to it. A timed close waits the full 100 us.
   const Fixture f = Fixture::make();
-  constexpr std::size_t kRequests = 300;
-  constexpr double kMaxWaitUs = 100.0;
-  constexpr double kLateUs = 25.0;
   const double base_us = sequential_queue_p50_us(
-      f, std::chrono::microseconds(0), kRequests);
+      f, std::chrono::microseconds(0), kLoneRequests, false);
   const double p50_us = sequential_queue_p50_us(
-      f, std::chrono::microseconds(100), kRequests);
+      f, std::chrono::microseconds(100), kLoneRequests, false);
   RecordProperty("queue_p50_us_at_max_wait_0", std::to_string(base_us));
   RecordProperty("queue_p50_us_at_max_wait_100", std::to_string(p50_us));
-  // A lone request's batch never closes before max_wait (the 0.9
-  // allows for the histogram's bucket midpoints).
+  EXPECT_LE(p50_us, base_us + kLateUs)
+      << "a lone request's batch waited: queue-wait p50 " << p50_us
+      << " us at max_wait " << kMaxWaitUs << " us, " << base_us
+      << " us at max_wait 0";
+}
+
+TEST(InferenceServer, BatchWaitingOnAnUncommittedGroupClosesAtMaxWait) {
+  // A group that never commits holds every batch open until max_wait,
+  // and no longer: the shard's 1 ns timer slack ends the wait on time.
+  // With Linux's default 50 us slack the wake-up alone ran ~45 us late.
+  const Fixture f = Fixture::make();
+  const double base_us = sequential_queue_p50_us(
+      f, std::chrono::microseconds(0), kLoneRequests, false);
+  const double p50_us = sequential_queue_p50_us(
+      f, std::chrono::microseconds(100), kLoneRequests, true);
+  RecordProperty("queue_p50_us_at_max_wait_0", std::to_string(base_us));
+  RecordProperty("queue_p50_us_open_group", std::to_string(p50_us));
+  // Never before max_wait (the 0.9 allows for the histogram's bucket
+  // midpoints).
   EXPECT_GE(p50_us, 0.9 * kMaxWaitUs);
   EXPECT_LE(p50_us, kMaxWaitUs + base_us + kLateUs)
       << "batches close late: queue-wait p50 " << p50_us
       << " us at max_wait " << kMaxWaitUs << " us, " << base_us
       << " us at max_wait 0";
+}
+
+TEST(InferenceServer, BatchWaitsForAnOpenGroupAndTakesItsRequests) {
+  const Fixture f = Fixture::make();
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.batcher.max_batch_tokens = 64;
+  opts.batcher.max_wait = std::chrono::seconds(1);
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
+  const engine::ModelRef m = server.registry().resolve("m");
+  const auto row = [&](std::size_t r) {
+    return std::vector<std::uint8_t>(f.pool.row(r),
+                                     f.pool.row(r) + f.pool.cols);
+  };
+
+  SubmitGroup group = server.open_group();
+  std::vector<std::future<InferenceResult>> futs;
+  for (std::size_t r = 1; r <= 3; ++r) futs.push_back(group.add(m, row(r), 1));
+  // Submitted while the group is open: its batch waits for the group.
+  std::future<InferenceResult> lone = server.submit(m, row(0), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(lone.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the batch closed while a group was open";
+  group.commit();
+
+  const InferenceResult first = lone.get();
+  EXPECT_EQ(first.outputs, f.expected(0, 1));
+  for (std::size_t r = 1; r <= 3; ++r) {
+    const InferenceResult res = futs[r - 1].get();
+    EXPECT_EQ(res.outputs, f.expected(r, 1));
+    EXPECT_EQ(res.completed_at, first.completed_at) << "request " << r;
+  }
+  server.shutdown();
+  const MetricsSnapshot snap = server.metrics();
+  EXPECT_EQ(snap.requests, 4u);
+  EXPECT_EQ(snap.batches, 1u) << "the group's requests missed the batch";
 }
 
 /// Records the timer slack of the shard thread that ran each batch.
@@ -673,13 +774,14 @@ TEST(InferenceServer, SubmitRacingShutdownNeverWedges) {
   EXPECT_EQ(outcomes.load(), 400u);
 }
 
-TEST(InferenceServer, SubmitBatchSlicesAMatrix) {
+TEST(InferenceServer, GroupOfSlicesServesAMatrixBitExact) {
   const Fixture f = Fixture::make();
   ServerOptions opts;
   opts.num_workers = 4;
   InferenceServer server(opts);
   server.register_model("m", f.amm);
-  const std::size_t nout = server.registry().resolve("m")->nout();
+  const engine::ModelRef m = server.registry().resolve("m");
+  const std::size_t nout = m->nout();
 
   maddness::QuantizedActivations q;
   q.rows = 37;  // deliberately not a multiple of the slice size
@@ -688,8 +790,17 @@ TEST(InferenceServer, SubmitBatchSlicesAMatrix) {
   for (std::size_t r = 0; r < q.rows; ++r)
     q.codes.insert(q.codes.end(), f.pool.row(r), f.pool.row(r) + f.pool.cols);
 
-  auto futs = server.submit_batch("m", q, 8);
-  ASSERT_EQ(futs.size(), 5u);  // 8+8+8+8+5
+  // One group of 8-row slices; the last takes the remainder.
+  SubmitGroup group = server.open_group();
+  std::vector<std::future<InferenceResult>> futs;
+  for (std::size_t r = 0; r < q.rows; r += 8) {
+    const std::size_t n = std::min<std::size_t>(8, q.rows - r);
+    futs.push_back(group.add(
+        m, std::vector<std::uint8_t>(q.row(r), q.row(r) + n * q.cols), n));
+  }
+  EXPECT_EQ(group.size(), 5u);  // 8+8+8+8+5
+  group.commit();
+  EXPECT_EQ(group.size(), 0u);
   const std::vector<std::int16_t> whole = f.amm.apply_int16(q);
   std::size_t row = 0;
   for (auto& fut : futs) {
@@ -704,7 +815,103 @@ TEST(InferenceServer, SubmitBatchSlicesAMatrix) {
   EXPECT_EQ(row, q.rows);
 }
 
+TEST(InferenceServer, DroppedGroupFailsItsRequestsAndStopsHoldingBatches) {
+  const Fixture f = Fixture::make();
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.batcher.max_wait = std::chrono::seconds(10);
+  InferenceServer server(opts);
+  server.register_model("m", f.amm);
+  const engine::ModelRef m = server.registry().resolve("m");
+  const auto codes = std::vector<std::uint8_t>(f.pool.row(0),
+                                               f.pool.row(0) + f.pool.cols);
+  std::future<InferenceResult> dropped;
+  std::future<InferenceResult> lone;
+  {
+    SubmitGroup group = server.open_group();
+    dropped = group.add(m, codes, 1);
+    lone = server.submit(m, codes, 1);  // its batch waits on the group
+  }
+  EXPECT_THROW(dropped.get(), ShutdownError);
+  // Dropping the group closed it: the lone request's batch closes now,
+  // not at the 10 s max_wait.
+  EXPECT_EQ(lone.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_EQ(lone.get().outputs, f.expected(0, 1));
+}
+
 // ----------------------------------------------- multi-model serving
+
+/// Records the model and the stitched rows of every batch a shard runs.
+class BatchLog : public BatchObserver {
+ public:
+  struct Entry {
+    std::string model;
+    std::vector<std::uint8_t> codes;
+  };
+  void on_batch(const engine::ModelHandle& model,
+                const maddness::QuantizedActivations& q,
+                const std::vector<std::int16_t>&, double) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.push_back({model.name(), q.codes});
+  }
+  std::vector<Entry> entries() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Entry> entries_;
+};
+
+TEST(InferenceServer, GroupOfInterleavedModelsFormsOneFifoBatchPerModel) {
+  // Model-affine batching, checked by counting batches: one worker, a
+  // budget that fits each model's share, and one group whose requests
+  // alternate between two models. The first batch pulls all of model
+  // a's requests past model b's, in order, and closes when none of a's
+  // is left; the second takes model b's.
+  const Fixture f = Fixture::make();
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.batcher.max_batch_tokens = 16;
+  // The starvation guard must not close a batch early on a slow host.
+  opts.batcher.max_skip_age = std::chrono::seconds(60);
+  InferenceServer server(opts);
+  server.register_model("a", f.amm);
+  server.register_model("b", f.amm);
+  const engine::ModelRef ma = server.registry().resolve("a");
+  const engine::ModelRef mb = server.registry().resolve("b");
+  BatchLog log;
+  server.set_batch_observer(&log);
+
+  constexpr std::size_t kPerModel = 8;
+  SubmitGroup group = server.open_group();
+  std::vector<std::future<InferenceResult>> futs;
+  std::vector<std::uint8_t> want_a, want_b;
+  for (std::size_t r = 0; r < 2 * kPerModel; ++r) {
+    std::vector<std::uint8_t> codes(f.pool.row(r),
+                                    f.pool.row(r) + f.pool.cols);
+    std::vector<std::uint8_t>& want = r % 2 == 0 ? want_a : want_b;
+    want.insert(want.end(), codes.begin(), codes.end());
+    futs.push_back(group.add(r % 2 == 0 ? ma : mb, std::move(codes), 1));
+  }
+  group.commit();
+  for (std::size_t r = 0; r < futs.size(); ++r) {
+    const InferenceResult res = futs[r].get();
+    EXPECT_EQ(res.model, r % 2 == 0 ? "a" : "b");
+    EXPECT_EQ(res.outputs, f.expected(r, 1)) << "request " << r;
+  }
+  server.shutdown();
+  server.set_batch_observer(nullptr);
+
+  const std::vector<BatchLog::Entry> batches = log.entries();
+  ASSERT_EQ(batches.size(), 2u) << "one batch per model";
+  EXPECT_EQ(batches[0].model, "a");
+  EXPECT_EQ(batches[0].codes, want_a) << "model a's batch is not FIFO";
+  EXPECT_EQ(batches[1].model, "b");
+  EXPECT_EQ(batches[1].codes, want_b) << "model b's batch is not FIFO";
+}
 
 TEST(InferenceServer, TwoModelsServedConcurrentlyWithPerModelMetrics) {
   // Two differently-shaped models behind one server: requests
