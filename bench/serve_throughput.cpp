@@ -168,7 +168,6 @@ bool cnn_serve(CnnServe* out) {
   opts.queue_capacity = 1024;
   opts.engine.backend = engine::Backend::kKernel;
   opts.batcher.max_batch_tokens = 256;
-  opts.batcher.max_wait = std::chrono::microseconds(200);
   serve::InferenceServer server(registry, opts);
   const nn::MaddnessNetwork::ConvExecutor exec =
       [&](std::size_t conv, const maddness::QuantizedActivations& q) {
@@ -262,7 +261,6 @@ int main(int argc, char** argv) {
   opts.engine.backend = engine::Backend::kDevicePaced;
   opts.engine.device_ns_per_token = kDeviceNsPerToken;
   opts.batcher.max_batch_tokens = 64;
-  opts.batcher.max_wait = std::chrono::microseconds(200);
 
   // ---- multi_model: best of 5 per variant, alternating; each run
   // lasts milliseconds on a shared host.

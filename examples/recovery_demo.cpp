@@ -163,7 +163,6 @@ int main() {
     opts.num_workers = 1;
     opts.queue_capacity = 2 * kRequests;
     opts.batcher.max_batch_tokens = 1;
-    opts.batcher.max_wait = std::chrono::microseconds(0);
     opts.recovery.fault = &fault;
     opts.recovery.checkpoints = &ckpts;
     opts.recovery.journal = &journal;

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "maddness/amm.hpp"
@@ -90,17 +89,13 @@ RolloutOptions demo_options(std::uint64_t seed) {
   return r;
 }
 
-/// Pumps single-row closed-loop traffic, one request every 200 us, until
-/// the rollout reaches a terminal state (or 30 s pass), narrating each
-/// state transition as it happens. The pacing leaves the niced
-/// controller time to retrain and shadow.
+/// Pumps single-row closed-loop traffic until the rollout reaches a
+/// terminal state, narrating each state transition as it happens.
 RolloutState pump_until_decided(serve::InferenceServer& server,
                                 RolloutManager& mgr, const Workload& wl,
                                 std::size_t* submitted) {
   RolloutState last = RolloutState::kIdle;
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (std::chrono::steady_clock::now() < give_up) {
+  for (std::size_t guard = 0; guard < 20000; ++guard) {
     const RolloutReport rep = mgr.report("embed");
     if (rep.state != last) {
       std::printf("    state -> %-10s  (seen %llu rows, sampled %zu, "
@@ -115,7 +110,6 @@ RolloutState pump_until_decided(serve::InferenceServer& server,
       return rep.state;
     server.submit("embed@latest", payload(wl, *submitted), 1).get();
     ++*submitted;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   return last;
 }

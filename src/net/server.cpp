@@ -194,9 +194,10 @@ void NetServer::conn_readable(std::uint64_t id, Conn& c) {
       stats_.bytes_read += static_cast<std::uint64_t>(n);
     }
     c.decoder.feed(buf, static_cast<std::size_t>(n));
-    // This read's requests enter the queue as one group. It is open
-    // from here, so a batch forming meanwhile waits for its commit.
-    serve::SubmitGroup group = server_.open_group(/*nonblocking=*/true);
+    // This read's requests enter the queue as one group, under one lock
+    // with one wake-up; a read that admits nothing leaves the queue
+    // alone.
+    serve::SubmitGroup group = server_.submit_group(/*nonblocking=*/true);
     std::string_view payload;
     FrameDecoder::Result r;
     while ((r = c.decoder.next(&payload)) == FrameDecoder::Result::kFrame) {

@@ -9,11 +9,9 @@
 //     admission and submission; per-connection state is never touched
 //     off-thread, so it needs no locks;
 //   - the requests admitted from one recv() form one submit group
-//     (serve::SubmitGroup): the group is open from the read until the
-//     last complete frame of it is decoded, then commits — one journal
-//     flush and one queue push with one wake-up. A batch that a worker
-//     is forming meanwhile waits for that commit instead of closing
-//     without the read's requests;
+//     (serve::SubmitGroup), which commits after the last complete frame
+//     of that read — one journal flush and one queue push with one
+//     wake-up — so a worker batches the read's requests together;
 //   - worker threads (and submit's synchronous rejection paths) deliver
 //     completions through InferenceRequest::on_done, which serializes
 //     the response, pushes {conn id, bytes} into a mutex-guarded

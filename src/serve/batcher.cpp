@@ -10,7 +10,6 @@ namespace ssma::serve {
 Batcher::Batcher(const BatcherOptions& opts) : opts_(opts) {
   SSMA_CHECK(opts.max_batch_tokens >= 1);
   SSMA_CHECK(opts.align_tokens >= 1);
-  SSMA_CHECK(opts.max_wait.count() >= 0);
   budget_ = opts.max_batch_tokens / opts.align_tokens * opts.align_tokens;
   if (budget_ == 0) budget_ = opts.align_tokens;
 }
@@ -61,26 +60,19 @@ Batch Batcher::next_batch(RequestQueue& queue) const {
   // model-affine past other models' requests): a batch is one stitched
   // matrix through one bank, and mixing versions would break the
   // hot-swap bit-exactness contract (old in-flight requests finish on
-  // the old bank).
+  // the old bank). The batch takes what is queued and closes when its
+  // budget is full or nothing compatible is left; it never waits.
   const void* model_key = batch.requests.front().model.get();
-  const Clock::time_point start = Clock::now();
-  // SLO-aware wait: a batch anchored by a deadline-bearing request
-  // dispatches in time to meet it even if the token budget never fills.
-  const Clock::time_point deadline =
-      std::min(start + opts_.max_wait, batch.requests.front().deadline);
   while (batch.tokens < budget_) {
     InferenceRequest next;
-    // Recompute the starvation bounds each pull: a request another
-    // model enqueued during this batch's wait still gets the full
-    // max_skip_age before it blocks coalescing. The deadline bound uses
-    // the batch's own close time — skipping a request that must
-    // dispatch before this batch closes would push it past its SLO.
+    // Recompute the starvation bound each pull: a request another model
+    // enqueued while this batch formed still gets the full max_skip_age
+    // before it blocks coalescing.
     const Clock::time_point now = Clock::now();
     const PopStatus st = queue.pop_compatible(
-        budget_ - batch.tokens, deadline, &next, model_key,
-        /*no_skip_enqueued_before=*/now - opts_.max_skip_age,
-        /*no_skip_deadline_before=*/deadline);
-    if (st != PopStatus::kOk) break;  // full/timeout/closed/incompatible
+        budget_ - batch.tokens, &next, model_key,
+        /*no_skip_enqueued_before=*/now - opts_.max_skip_age);
+    if (st != PopStatus::kOk) break;  // full/none queued/closed/aged
     if (next.deadline <= now) {
       reject_expired(std::move(next));
       ++batch.expired;

@@ -3,14 +3,14 @@
 // stages, which fire when their input is complete rather than after a
 // clock margin sized for the worst case. A batch takes every compatible
 // request queued and closes when it reaches `max_batch_tokens` (rounded
-// down to the tile alignment), or when no compatible request is queued
-// and no producer holds a group open (see RequestQueue). Only a batch
-// that finds a group open waits, and for at most `max_wait`. Batches are
-// model-affine: a batch only coalesces requests pinned to its first
-// request's model handle (never mixing models or bank versions), pulling
-// them past other models' queued requests — per-model FIFO is preserved,
-// and an oversized compatible request still closes the batch rather than
-// being skipped.
+// down to the tile alignment) or when no compatible request is left; it
+// never waits for more. Producers hand over their arrivals in groups
+// (one socket read's frames), so a batch sees a whole group at once.
+// Batches are model-affine: a batch only coalesces requests pinned to
+// its first request's model handle (never mixing models or bank
+// versions), pulling them past other models' queued requests — per-model
+// FIFO is preserved, and an oversized compatible request still closes
+// the batch rather than being skipped.
 #pragma once
 
 #include <chrono>
@@ -25,22 +25,16 @@ struct BatcherOptions {
   /// Token (activation-row) budget per batch. Requests larger than the
   /// budget still get served — alone, as a batch of one.
   std::size_t max_batch_tokens = 64;
-  /// Bounds how long a batch waits on a group that is still open (a
-  /// socket read whose frames are being decoded). A batch never waits
-  /// when no group is open. One whose group does not commit in time
-  /// closes at max_wait after its first request was picked up, give or
-  /// take the shard thread's wake-up latency (a few us): shards run with
-  /// a 1 ns timer slack, so the deadline is not padded by Linux's
-  /// default 50 us.
+  /// Not read: batches never wait for arrivals. It stays until callers
+  /// stop setting it (the benchmark sets 20 us).
   std::chrono::microseconds max_wait{200};
   /// Rounds the token budget down to a multiple of this (e.g. the number
   /// of tokens the macro's tile plan pipelines per pass); 1 = no rounding.
   std::size_t align_tokens = 1;
   /// Starvation bound for model-affine coalescing: the batcher never
   /// pulls a compatible request past another model's request that has
-  /// been queued longer than this (or whose SLO deadline falls within
-  /// the batch wait window) — the batch closes instead, letting the
-  /// next pop_wait serve the aged head.
+  /// been queued longer than this — the batch closes instead, letting
+  /// the next pop_wait serve the aged head.
   std::chrono::microseconds max_skip_age{2000};
 };
 
@@ -63,9 +57,8 @@ class Batcher {
   std::size_t budget_tokens() const { return budget_; }
 
   /// Blocks for the first request, then drains compatible requests until
-  /// the budget is hit or none is queued or on its way (an open group,
-  /// waited on until the max_wait deadline). An empty batch means the
-  /// queue is closed and fully drained — the worker should exit.
+  /// the budget is hit or none is queued. An empty batch means the queue
+  /// is closed and fully drained — the worker should exit.
   Batch next_batch(RequestQueue& queue) const;
 
  private:

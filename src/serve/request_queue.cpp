@@ -31,31 +31,8 @@ void RequestQueue::set_fault_injector(recovery::FaultInjector* fault) {
   fault_ = fault;
 }
 
-bool RequestQueue::push(InferenceRequest&& req) {
-  std::vector<InferenceRequest> one;
-  one.push_back(std::move(req));
-  if (push_group(one, /*blocking=*/true, /*closes_group=*/false) == 1)
-    return true;
-  req = std::move(one.front());
-  return false;
-}
-
-bool RequestQueue::try_push(InferenceRequest&& req) {
-  std::vector<InferenceRequest> one;
-  one.push_back(std::move(req));
-  if (push_group(one, /*blocking=*/false, /*closes_group=*/false) == 1)
-    return true;
-  req = std::move(one.front());
-  return false;
-}
-
-void RequestQueue::open_group() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++open_groups_;
-}
-
 std::size_t RequestQueue::push_group(std::vector<InferenceRequest>& reqs,
-                                     bool blocking, bool closes_group) {
+                                     bool blocking) {
   std::unique_lock<std::mutex> lock(mu_);
   if (blocking && fault_) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -71,7 +48,7 @@ std::size_t RequestQueue::push_group(std::vector<InferenceRequest>& reqs,
   std::size_t n = 0;
   for (; n < reqs.size(); ++n) {
     if (blocking && !closed_ && items_.size() >= capacity_) {
-      // Full mid-group: wake the consumers for what is in, then wait
+      // Full mid-group: hand what is in to the consumers, then wait
       // for room.
       not_empty_.notify_all();
       not_full_.wait(lock,
@@ -80,62 +57,54 @@ std::size_t RequestQueue::push_group(std::vector<InferenceRequest>& reqs,
     if (closed_ || items_.size() >= capacity_) break;
     items_.push_back(std::move(reqs[n]));
   }
-  if (closes_group) --open_groups_;
-  // One request wants one consumer. Anything else may concern every
-  // waiter: a batch waiting on a group must see the group close (or be
-  // handed its requests) even when an idle worker could take them.
-  const bool wake_all = n > 1 || closes_group || open_groups_ > 0;
   lock.unlock();
-  if (wake_all)
-    not_empty_.notify_all();
-  else if (n == 1)
-    not_empty_.notify_one();
+  if (n > 0) not_empty_.notify_one();
   return n;
 }
 
 PopStatus RequestQueue::pop_compatible(
-    std::size_t max_rows, Clock::time_point deadline,
-    InferenceRequest* out, const void* model_key,
-    Clock::time_point no_skip_enqueued_before,
-    Clock::time_point no_skip_deadline_before) {
+    std::size_t max_rows, InferenceRequest* out, const void* model_key,
+    Clock::time_point no_skip_enqueued_before) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    // Model-affine scan: the first request pinned to the forming
-    // batch's model (the plain head when no key is given). Per-model
-    // FIFO is preserved — candidates are considered in admission order
-    // — while other models' requests are left in place for the workers
-    // batching those models, so interleaved multi-model traffic does
-    // not fragment batches.
-    auto it = items_.begin();
-    if (model_key != nullptr) {
-      while (it != items_.end() && it->model.get() != model_key) {
-        // Starvation guard: refuse to reach past another model's
-        // request once it has aged beyond the caller's skip bound or
-        // its SLO deadline is imminent. Without this, sustained
-        // hot-model traffic keeps the scan hopping over a cold model's
-        // head forever.
-        if (it->enqueued_at <= no_skip_enqueued_before ||
-            it->deadline <= no_skip_deadline_before)
-          return PopStatus::kWouldExceed;
-        ++it;
+  // Model-affine scan: the first request pinned to the forming batch's
+  // model (the plain head when no key is given). Per-model FIFO is
+  // preserved — candidates are considered in admission order — while
+  // other models' requests are left in place for the workers batching
+  // those models, so interleaved multi-model traffic does not fragment
+  // batches.
+  auto it = items_.begin();
+  bool aged = false;
+  if (model_key != nullptr) {
+    while (it != items_.end() && it->model.get() != model_key) {
+      // Starvation guard: refuse to reach past another model's request
+      // once it has aged beyond the caller's skip bound. Without this,
+      // sustained hot-model traffic keeps the scan hopping over a cold
+      // model's head forever.
+      if (it->enqueued_at <= no_skip_enqueued_before) {
+        aged = true;
+        break;
       }
+      ++it;
     }
-    if (it != items_.end()) {
-      if (it->rows > max_rows) return PopStatus::kWouldExceed;
+  }
+  PopStatus closing = PopStatus::kNoneQueued;
+  if (it != items_.end()) {
+    if (!aged && it->rows <= max_rows) {
       *out = std::move(*it);
       items_.erase(it);
       lock.unlock();
       not_full_.notify_one();
       return PopStatus::kOk;
     }
-    if (closed_) return PopStatus::kClosed;
-    // Self-timed close: nothing compatible is queued, so wait only for
-    // requests known to be on their way (an open group), and never past
-    // the deadline.
-    if (open_groups_ == 0 || Clock::now() >= deadline)
-      return PopStatus::kTimeout;
-    not_empty_.wait_until(lock, deadline);
+    closing = PopStatus::kWouldExceed;
+  } else if (closed_) {
+    return PopStatus::kClosed;
   }
+  // The batch closes. What it could not take goes to an idle worker.
+  const bool left_over = !items_.empty();
+  lock.unlock();
+  if (left_over) not_empty_.notify_one();
+  return closing;
 }
 
 PopStatus RequestQueue::pop_wait(InferenceRequest* out) {

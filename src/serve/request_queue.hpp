@@ -4,13 +4,11 @@
 // (worker threads) drain requests singly or under a token budget so the
 // batcher can coalesce without reordering.
 //
-// Producers hand over their arrivals as groups: a group's requests are
-// pushed under one lock with one wake-up. A producer that is still
-// building a group (the event loop decoding one socket read's frames)
-// holds it *open*, and the queue counts open groups. That count is the
-// batch-close handshake: a forming batch that finds no compatible
-// request queued waits only while some group is open, and never past
-// its deadline; with none open it closes at once.
+// Producers hand over their arrivals as groups (one socket read's
+// frames, one replay), pushed under one lock with one wake-up. A
+// consumer forming a batch never waits for more: it takes what is
+// compatible and queued, and the batch closes when nothing compatible
+// is left.
 #pragma once
 
 #include <chrono>
@@ -144,8 +142,7 @@ enum class PopStatus {
   kOk,           ///< *out holds a request
   kWouldExceed,  ///< head is larger than the remaining budget, or pinned
                  ///< to a different model than the forming batch
-  kTimeout,      ///< no compatible request queued, and no group open
-                 ///< or the deadline passed
+  kNoneQueued,   ///< no compatible request is queued
   kClosed,       ///< queue closed and fully drained
 };
 
@@ -153,50 +150,35 @@ class RequestQueue {
  public:
   explicit RequestQueue(std::size_t capacity);
 
-  /// Blocks while the queue is full (backpressure). Returns false — and
-  /// leaves `req` untouched — if the queue was closed.
-  bool push(InferenceRequest&& req);
-
-  /// Non-blocking push; false when full or closed.
-  bool try_push(InferenceRequest&& req);
-
-  /// Opens a group: its producer is about to push requests with
-  /// push_group(). Until that call closes it, a forming batch that finds
-  /// nothing compatible waits for it (see pop_compatible).
-  void open_group();
-
-  /// Pushes `reqs` in order under one lock and wakes the consumers once.
-  /// Blocking, it waits for room (backpressure); non-blocking, it pushes
-  /// as many as fit. Returns the number pushed: that prefix of `reqs` is
-  /// moved from, the rest (queue full or closed) is left untouched.
-  /// `closes_group` closes a group opened with open_group() in the same
-  /// step, whether or not anything was pushed.
-  std::size_t push_group(std::vector<InferenceRequest>& reqs, bool blocking,
-                         bool closes_group);
+  /// Pushes `reqs` in order under one lock. Blocking, it waits for room
+  /// (backpressure); non-blocking, it pushes as many as fit. Returns the
+  /// number pushed: that prefix of `reqs` is moved from, the rest (queue
+  /// full or closed) is left untouched. It wakes one idle consumer, which
+  /// takes what its batch can; a batch that closes with requests left
+  /// over wakes the next (see pop_compatible).
+  std::size_t push_group(std::vector<InferenceRequest>& reqs, bool blocking);
 
   /// Pops the first request pinned to `model_key` (any request when
-  /// null) once it fits within `max_rows`. When none is queued it waits
-  /// only while a group is open and the deadline has not passed, and
-  /// returns kTimeout otherwise (kClosed once the queue is closed and
-  /// drained): a batch closes as soon as nothing compatible is queued or
-  /// on its way. Model-affine:
-  /// requests for other models are skipped in place (their own batches
-  /// pick them up), so per-model FIFO is preserved while multi-model
-  /// interleave never fragments batches. An oversized first candidate
-  /// is reported (kWouldExceed), never skipped.
+  /// null) if it fits within `max_rows`. Never waits: with no compatible
+  /// request queued it returns kNoneQueued (kClosed once the queue is
+  /// closed and drained), so a batch closes as soon as nothing
+  /// compatible is left. A batch that closes (kNoneQueued, kWouldExceed)
+  /// while requests are still queued wakes one idle consumer for them.
+  /// Model-affine: requests for other models are skipped in place (their
+  /// own batches pick them up), so per-model FIFO is preserved while
+  /// multi-model interleave never fragments batches. An oversized first
+  /// candidate is reported (kWouldExceed), never skipped.
   ///
   /// Starvation guard: scanning past another model's request is only
   /// allowed while that request is still "fresh". If a skipped request
-  /// was enqueued at or before `no_skip_enqueued_before`, or its SLO
-  /// deadline is at or before `no_skip_deadline_before`, the pop
-  /// returns kWouldExceed instead — closing the forming batch so the
-  /// next pop_wait serves the aged head. The defaults (time_point::min)
-  /// disable both bounds.
+  /// was enqueued at or before `no_skip_enqueued_before`, the pop returns
+  /// kWouldExceed instead — closing the forming batch so the next
+  /// pop_wait serves the aged head. The default (time_point::min)
+  /// disables the bound.
   PopStatus pop_compatible(
-      std::size_t max_rows, Clock::time_point deadline,
-      InferenceRequest* out, const void* model_key = nullptr,
-      Clock::time_point no_skip_enqueued_before = Clock::time_point::min(),
-      Clock::time_point no_skip_deadline_before = Clock::time_point::min());
+      std::size_t max_rows, InferenceRequest* out,
+      const void* model_key = nullptr,
+      Clock::time_point no_skip_enqueued_before = Clock::time_point::min());
 
   /// Blocking pop with no budget or deadline; kOk or kClosed. Serves
   /// the oldest request of the most urgent priority class present
@@ -229,7 +211,6 @@ class RequestQueue {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<InferenceRequest> items_;
-  std::size_t open_groups_ = 0;
   bool closed_ = false;
 };
 

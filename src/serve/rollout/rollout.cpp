@@ -1,11 +1,5 @@
 #include "serve/rollout/rollout.hpp"
 
-#if defined(__linux__)
-#include <sys/resource.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
-
 #include <algorithm>
 #include <limits>
 #include <sstream>
@@ -209,6 +203,9 @@ void RolloutManager::on_batch(const engine::ModelHandle& model,
       std::copy(q.row(r), q.row(r) + m.cols,
                 m.reservoir.data() + slot * m.cols);
     }
+    // Enough rows to train: wake the controller rather than leave the
+    // work to its next poll.
+    if (m.reservoir_size >= opts_.min_train_rows) cv_.notify_all();
   } else if (m.state == RolloutState::kShadowing) {
     if (m.mailbox_full) return;  // controller still digesting the last
     if (opts_.shadow_every > 1 &&
@@ -228,18 +225,18 @@ void RolloutManager::on_batch(const engine::ModelHandle& model,
                          out.begin() +
                              static_cast<std::ptrdiff_t>(rows * m.nout));
     m.mailbox_full = true;
+    // The controller digests one mailbox per wake-up; waiting for its
+    // poll instead would cap shadowing at one batch per poll interval.
+    cv_.notify_all();
   }
 }
 
 void RolloutManager::controller_main() {
   SSMA_TRACE_SET_THREAD("rollout-controller");
-#if defined(__linux__)
-  // Training and shadow execution must yield to the serving shards when
-  // cores are scarce: drop this thread to the lowest CFS weight. Best
-  // effort — an unprivileged failure just means fair scheduling.
-  (void)setpriority(PRIO_PROCESS,
-                    static_cast<id_t>(::syscall(SYS_gettid)), 19);
-#endif
+  // Normal priority: a niced controller is starved by a closed loop's
+  // shard and client threads even beside idle cores, and the rollout
+  // then never progresses. Its work is bounded: one training per
+  // rollout, and one mailbox batch of shadow execution at a time.
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_.load(std::memory_order_acquire)) {
     bool progressed = false;
@@ -260,8 +257,9 @@ bool RolloutManager::step(Managed& m, std::unique_lock<std::mutex>& lock) {
       }
       return false;
     case RolloutState::kShadowing:
-      if (m.mailbox_full) return run_shadow_batch(m, lock);
-      return false;
+      if (!m.mailbox_full) return false;
+      run_shadow_batch(m, lock);
+      return true;
     default:
       return false;
   }
@@ -295,7 +293,7 @@ void RolloutManager::train_and_stage(Managed& m,
   cv_.notify_all();
 }
 
-bool RolloutManager::run_shadow_batch(Managed& m,
+void RolloutManager::run_shadow_batch(Managed& m,
                                       std::unique_lock<std::mutex>& lock) {
   // Drain the mailbox by swap (keeps both sides' capacity), then do the
   // mirror execution unlocked on the manager's spare engine.
@@ -366,9 +364,7 @@ bool RolloutManager::run_shadow_batch(Managed& m,
     const double frac = static_cast<double>(m.drift_rows) /
                         static_cast<double>(m.shadow_rows);
     decide(m, lock, frac <= opts_.error_budget);
-    return true;
   }
-  return false;
 }
 
 void RolloutManager::decide(Managed& m, std::unique_lock<std::mutex>& lock,

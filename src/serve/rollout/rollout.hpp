@@ -217,11 +217,13 @@ class RolloutManager : public BatchObserver {
 
   void controller_main();
   /// One controller pass over `m`; may unlock `lock` around training /
-  /// shadow execution / registry calls. Returns true when a state
-  /// transition happened (wakes wait_for_decision).
+  /// shadow execution / registry calls. Returns true when it did work
+  /// (trained, or digested a shadow batch): the lock was released
+  /// meanwhile, so the controller passes again before it sleeps rather
+  /// than miss a tap's wake-up.
   bool step(Managed& m, std::unique_lock<std::mutex>& lock);
   void train_and_stage(Managed& m, std::unique_lock<std::mutex>& lock);
-  bool run_shadow_batch(Managed& m, std::unique_lock<std::mutex>& lock);
+  void run_shadow_batch(Managed& m, std::unique_lock<std::mutex>& lock);
   void decide(Managed& m, std::unique_lock<std::mutex>& lock,
               bool promote);
   RolloutReport report_locked(const Managed& m) const;

@@ -162,14 +162,10 @@ void InferenceServer::checkpoint(std::uint64_t accepted) {
 SubmitGroup::~SubmitGroup() {
   if (committed_) return;
   // Dropped without a commit: nothing was journaled or queued, so the
-  // requests fail here, and the group stops holding batches open.
+  // requests fail here.
   for (InferenceRequest& req : reqs_)
     server_.reject(req, RejectReason::kShutdown,
                    "submit group dropped before commit");
-  reqs_.clear();
-  if (held_open_)
-    (void)server_.queue_->push_group(reqs_, /*blocking=*/false,
-                                     /*closes_group=*/true);
 }
 
 std::future<InferenceResult> SubmitGroup::add(
@@ -208,9 +204,9 @@ std::future<InferenceResult> SubmitGroup::add_with_id(
 
 void SubmitGroup::commit() {
   SSMA_CHECK_MSG(!committed_, "submit group committed twice");
-  // commit_group marks the group committed once the queue has closed
-  // it; a throw before that (a journal write failure) leaves the rest
-  // to the destructor.
+  // commit_group marks the group committed once it has pushed; a throw
+  // before that (a journal write failure) leaves the rest to the
+  // destructor.
   server_.commit_group(*this);
 }
 
@@ -225,10 +221,7 @@ void InferenceServer::reject(InferenceRequest& req, RejectReason reason,
 void InferenceServer::commit_group(SubmitGroup& group) {
   std::vector<InferenceRequest>& reqs = group.reqs_;
   if (reqs.empty()) {
-    // A read with no complete frame: nothing to journal or enqueue.
-    if (group.held_open_)
-      (void)queue_->push_group(reqs, /*blocking=*/false,
-                               /*closes_group=*/true);
+    // Nothing added (a read that admitted no request).
     group.committed_ = true;
     return;
   }
@@ -316,9 +309,8 @@ void InferenceServer::commit_group(SubmitGroup& group) {
     return true;
   });
 
-  // 4. One push, which also closes the group.
-  const std::size_t pushed =
-      queue_->push_group(reqs, !group.nonblocking_, group.held_open_);
+  // 4. One push.
+  const std::size_t pushed = queue_->push_group(reqs, !group.nonblocking_);
   group.committed_ = true;
   if (pushed < reqs.size()) {
     // The unpushed tail was not consumed. A close racing in reads as
@@ -346,8 +338,7 @@ void InferenceServer::commit_group(SubmitGroup& group) {
 std::future<InferenceResult> InferenceServer::submit(
     engine::ModelRef model, std::vector<std::uint8_t> codes,
     std::size_t rows) {
-  SubmitGroup group(*this, /*held_open=*/false, /*nonblocking=*/false,
-                    /*journal_accept=*/true);
+  SubmitGroup group(*this, /*nonblocking=*/false, /*journal_accept=*/true);
   std::future<InferenceResult> fut =
       group.add(std::move(model), std::move(codes), rows);
   group.commit();
@@ -360,10 +351,8 @@ std::future<InferenceResult> InferenceServer::submit(
   return submit(registry_->resolve(model_ref), std::move(codes), rows);
 }
 
-SubmitGroup InferenceServer::open_group(bool nonblocking) {
-  queue_->open_group();
-  return SubmitGroup(*this, /*held_open=*/true, nonblocking,
-                     /*journal_accept=*/true);
+SubmitGroup InferenceServer::submit_group(bool nonblocking) {
+  return SubmitGroup(*this, nonblocking, /*journal_accept=*/true);
 }
 
 std::vector<std::future<InferenceResult>> InferenceServer::replay(
@@ -371,31 +360,47 @@ std::vector<std::future<InferenceResult>> InferenceServer::replay(
   SSMA_TRACE_SPAN(kReplay);
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(requests.size());
-  // Already journaled by the crashed run: no second accept record.
-  SubmitGroup group(*this, /*held_open=*/false, /*nonblocking=*/false,
-                    /*journal_accept=*/false);
-  for (const recovery::AcceptedRecord& rec : requests) {
-    // v1-era records carry no model tag: they predate the registry and
-    // can only mean the implicitly-named default model.
-    const std::string& name = rec.model.empty()
-                                  ? engine::ModelRegistry::kDefaultModel
-                                  : rec.model;
-    engine::ModelRef model =
-        registry_->try_resolve(name, rec.model_version);
-    if (!model) {
-      std::promise<InferenceResult> p;
-      std::ostringstream oss;
-      oss << "replay: journaled request " << rec.id << " pinned model "
-          << name << "@" << rec.model_version
-          << " which the restored registry does not contain";
-      p.set_exception(std::make_exception_ptr(CheckError(oss.str())));
-      futures.push_back(p.get_future());
-      continue;
+  // One group per queue's worth of records: a group holds a copy of its
+  // records' codes until it commits, so no more of them are held at once
+  // than the queue itself holds.
+  const std::size_t chunk = queue_->capacity();
+  for (std::size_t lo = 0; lo < requests.size(); lo += chunk) {
+    // Already journaled by the crashed run: no second accept record.
+    SubmitGroup group(*this, /*nonblocking=*/false,
+                      /*journal_accept=*/false);
+    const std::size_t hi = std::min(requests.size(), lo + chunk);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const recovery::AcceptedRecord& rec = requests[i];
+      // v1-era records carry no model tag: they predate the registry and
+      // can only mean the implicitly-named default model.
+      const std::string& name = rec.model.empty()
+                                    ? engine::ModelRegistry::kDefaultModel
+                                    : rec.model;
+      engine::ModelRef model =
+          registry_->try_resolve(name, rec.model_version);
+      if (!model) {
+        std::promise<InferenceResult> p;
+        std::ostringstream oss;
+        oss << "replay: journaled request " << rec.id << " pinned model "
+            << name << "@" << rec.model_version
+            << " which the restored registry does not contain";
+        p.set_exception(std::make_exception_ptr(CheckError(oss.str())));
+        futures.push_back(p.get_future());
+        continue;
+      }
+      try {
+        futures.push_back(group.add_with_id(rec.id, std::move(model),
+                                            rec.codes, rec.rows,
+                                            SubmitExtras{}));
+      } catch (...) {
+        // A record that does not fit its model's shape: the records
+        // before it are still served.
+        group.commit();
+        throw;
+      }
     }
-    futures.push_back(group.add_with_id(rec.id, std::move(model), rec.codes,
-                                        rec.rows, SubmitExtras{}));
+    group.commit();
   }
-  group.commit();
   return futures;
 }
 

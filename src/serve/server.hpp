@@ -29,9 +29,9 @@
 //   auto futs = server->replay(rs.journal.unacknowledged);
 //
 // Every request enters through one path, a SubmitGroup: submit() is a
-// group of one, replay() one group of its records, and the network
-// front door one group per socket read, held open while its frames are
-// decoded so that a forming batch can wait for them (see batcher.hpp).
+// group of one, replay() one group per queue's worth of its records,
+// and the network front door one group per socket read (see
+// batcher.hpp).
 #pragma once
 
 #include <atomic>
@@ -96,12 +96,9 @@ class InferenceServer;
 /// group into the queue under one lock with one wake-up. No request of
 /// a group is queued before the group's records are flushed.
 ///
-/// A group from InferenceServer::open_group() is open until it commits
-/// or is destroyed: a forming batch that finds no compatible request
-/// queued waits for it (up to BatcherOptions::max_wait) instead of
-/// closing. Destroying an uncommitted group fails its requests
-/// (kShutdown) and closes it, so no exit path leaves it open. A group is
-/// used from one thread and must not outlive its server.
+/// Destroying an uncommitted group fails its requests (kShutdown), so
+/// no exit path strands a future. A group is used from one thread and
+/// must not outlive its server.
 class SubmitGroup {
  public:
   ~SubmitGroup();
@@ -123,10 +120,9 @@ class SubmitGroup {
 
  private:
   friend class InferenceServer;
-  SubmitGroup(InferenceServer& server, bool held_open, bool nonblocking,
+  SubmitGroup(InferenceServer& server, bool nonblocking,
               bool journal_accept)
       : server_(server),
-        held_open_(held_open),
         nonblocking_(nonblocking),
         journal_accept_(journal_accept) {}
   std::future<InferenceResult> add_with_id(std::uint64_t id,
@@ -136,7 +132,6 @@ class SubmitGroup {
                                            SubmitExtras extras);
 
   InferenceServer& server_;
-  const bool held_open_;       ///< counted among the queue's open groups
   const bool nonblocking_;
   const bool journal_accept_;  ///< false for replay: already journaled
   bool committed_ = false;
@@ -248,18 +243,19 @@ class InferenceServer {
                                       std::size_t rows = 1);
   /// Same, against an already-resolved (pre-pinned) handle — the
   /// hot-path form that skips the registry lookup. Either form is a
-  /// group of one, committed at once: a batch never waits for it.
+  /// group of one, committed at once.
   std::future<InferenceResult> submit(engine::ModelRef model,
                                       std::vector<std::uint8_t> codes,
                                       std::size_t rows = 1);
 
-  /// Opens a group (see SubmitGroup) that forming batches wait on until
-  /// it commits. A non-blocking group never parks its caller on a full
-  /// queue: the network event loop opens one per socket read.
-  SubmitGroup open_group(bool nonblocking = false);
+  /// An empty group (see SubmitGroup) to add requests to and commit. A
+  /// non-blocking group never parks its caller on a full queue: the
+  /// network event loop makes one per socket read.
+  SubmitGroup submit_group(bool nonblocking = false);
 
-  /// Re-submits journaled requests as one group under their original
-  /// ids (no new accept records — they are already in the journal),
+  /// Re-submits journaled requests under their original ids, one group
+  /// per queue_capacity() records (no new accept records — they are
+  /// already in the journal),
   /// each resolved to the exact model version it pinned at admission
   /// (v1-era records map to "default"). Deterministic decode makes the
   /// replayed outputs bit-identical to what the crashed run would have

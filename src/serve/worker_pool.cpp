@@ -163,14 +163,12 @@ core::PpaReport WorkerPool::aggregate_report() const {
 }
 
 void WorkerPool::worker_main(int worker_id) {
-  // Every timed wait that bounds a request's latency runs on this
-  // thread: the batch deadline in pop_compatible and the paced engine's
-  // device sleep. Linux fires such a timer up to the thread's timer
-  // slack past its deadline (50 us by default, to coalesce wakeups), so
-  // a 20 us wait_until took ~73 us and every batch that closed on
-  // max_wait paid most of that slack. A 1 ns slack fires the timer at
-  // the deadline itself. The slack is per thread, so every shard thread
-  // sets its own here, respawned ones included.
+  // The one timed wait that bounds a request's latency runs on this
+  // thread: the paced engine's device sleep. Linux fires such a timer up
+  // to the thread's timer slack past its deadline (50 us by default, to
+  // coalesce wakeups), so a 20 us wait_until took ~73 us. A 1 ns slack
+  // fires the timer at the deadline itself. The slack is per thread, so
+  // every shard thread sets its own here, respawned ones included.
   (void)::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   SSMA_TRACE_SET_THREAD("shard-" + std::to_string(worker_id));
   ShardSlot& slot = *slots_[static_cast<std::size_t>(worker_id)];

@@ -19,6 +19,7 @@
 
 #include "engine/model_registry.hpp"
 #include "maddness/amm.hpp"
+#include "serve/request_queue.hpp"
 #include "util/rng.hpp"
 
 namespace ssma::serve {
@@ -108,6 +109,18 @@ inline std::shared_ptr<engine::ModelRegistry> default_registry(
   auto registry = std::make_shared<engine::ModelRegistry>();
   registry->register_model(engine::ModelRegistry::kDefaultModel, amm);
   return registry;
+}
+
+/// Pushes one request as a group of one, waiting for room when
+/// `blocking`. True when it was queued; `req` is left untouched
+/// otherwise.
+inline bool push_one(RequestQueue& q, InferenceRequest&& req,
+                     bool blocking = true) {
+  std::vector<InferenceRequest> one;
+  one.push_back(std::move(req));
+  if (q.push_group(one, blocking) == 1) return true;
+  req = std::move(one.front());
+  return false;
 }
 
 /// Unique per-test scratch directory, removed on scope exit.

@@ -179,10 +179,10 @@ class AdmissionQueueTest : public ::testing::Test {
 
 TEST_F(AdmissionQueueTest, PopWaitServesMostUrgentClassFirst) {
   RequestQueue q(16);
-  ASSERT_TRUE(q.push(make_req(1, hot_, Priority::kLow)));
-  ASSERT_TRUE(q.push(make_req(2, hot_, Priority::kNormal)));
-  ASSERT_TRUE(q.push(make_req(3, hot_, Priority::kHigh)));
-  ASSERT_TRUE(q.push(make_req(4, hot_, Priority::kHigh)));
+  ASSERT_TRUE(push_one(q, make_req(1, hot_, Priority::kLow)));
+  ASSERT_TRUE(push_one(q, make_req(2, hot_, Priority::kNormal)));
+  ASSERT_TRUE(push_one(q, make_req(3, hot_, Priority::kHigh)));
+  ASSERT_TRUE(push_one(q, make_req(4, hot_, Priority::kHigh)));
 
   InferenceRequest out;
   ASSERT_EQ(q.pop_wait(&out), PopStatus::kOk);
@@ -195,13 +195,13 @@ TEST_F(AdmissionQueueTest, PopWaitServesMostUrgentClassFirst) {
   EXPECT_EQ(out.id, 1u);  // low last
 }
 
-TEST_F(AdmissionQueueTest, PopCompatibleExpiredDeadlineReturnsWithoutBlocking) {
+TEST_F(AdmissionQueueTest, PopCompatibleOnEmptyQueueReturnsWithoutBlocking) {
   RequestQueue q(4);
   InferenceRequest out;
   const auto start = Clock::now();
-  // Empty queue + a wait deadline already in the past: must return
-  // kTimeout immediately, not park on the condition variable.
-  EXPECT_EQ(q.pop_compatible(8, start - 1s, &out), PopStatus::kTimeout);
+  // Empty queue: must return kNoneQueued immediately, not park on the
+  // condition variable.
+  EXPECT_EQ(q.pop_compatible(8, &out), PopStatus::kNoneQueued);
   EXPECT_LT(Clock::now() - start, 200ms);
 }
 
@@ -209,12 +209,12 @@ TEST_F(AdmissionQueueTest, StarvationGuardStopsModelAffineSkipping) {
   // Regression for the unbounded skip: a cold model's aged head used to
   // be hopped over indefinitely while hot-model traffic kept batching.
   RequestQueue q(16);
-  ASSERT_TRUE(q.push(make_req(1, hot_)));
+  ASSERT_TRUE(push_one(q, make_req(1, hot_)));
   InferenceRequest cold_req = make_req(2, cold_);
   cold_req.enqueued_at = Clock::now() - 10ms;  // aged past the bound
-  ASSERT_TRUE(q.push(std::move(cold_req)));
-  ASSERT_TRUE(q.push(make_req(3, hot_)));
-  ASSERT_TRUE(q.push(make_req(4, hot_)));
+  ASSERT_TRUE(push_one(q, std::move(cold_req)));
+  ASSERT_TRUE(push_one(q, make_req(3, hot_)));
+  ASSERT_TRUE(push_one(q, make_req(4, hot_)));
 
   BatcherOptions bopts;
   bopts.max_batch_tokens = 8;
@@ -238,9 +238,9 @@ TEST_F(AdmissionQueueTest, FreshOtherModelTrafficStillSkipsAndCoalesces) {
   // Control for the guard: a *fresh* other-model request must not block
   // coalescing (that would destroy multi-model batching).
   RequestQueue q(16);
-  ASSERT_TRUE(q.push(make_req(1, hot_)));
-  ASSERT_TRUE(q.push(make_req(2, cold_)));
-  ASSERT_TRUE(q.push(make_req(3, hot_)));
+  ASSERT_TRUE(push_one(q, make_req(1, hot_)));
+  ASSERT_TRUE(push_one(q, make_req(2, cold_)));
+  ASSERT_TRUE(push_one(q, make_req(3, hot_)));
 
   BatcherOptions bopts;
   bopts.max_batch_tokens = 2;
@@ -260,7 +260,7 @@ TEST_F(AdmissionQueueTest, OversizedFirstRequestServedAlone) {
   InferenceRequest big = make_req(1, hot_);
   big.rows = 32;
   big.codes = std::vector<std::uint8_t>(32 * fix_->pool.cols, 0);
-  ASSERT_TRUE(q.push(std::move(big)));
+  ASSERT_TRUE(push_one(q, std::move(big)));
 
   BatcherOptions bopts;
   bopts.max_batch_tokens = 8;  // budget far below the request
@@ -283,8 +283,8 @@ TEST_F(AdmissionQueueTest, ExpiredRequestsDroppedAtFormationWithTypedError) {
     EXPECT_EQ(res, nullptr);
     EXPECT_TRUE(err != nullptr);
   };
-  ASSERT_TRUE(q.push(std::move(doomed)));
-  ASSERT_TRUE(q.push(make_req(8, hot_)));
+  ASSERT_TRUE(push_one(q, std::move(doomed)));
+  ASSERT_TRUE(push_one(q, make_req(8, hot_)));
 
   BatcherOptions bopts;
   bopts.max_wait = std::chrono::microseconds(100);
@@ -348,7 +348,7 @@ TEST(RejectTaxonomyTest, NonblockingSubmitRejectsWhenQueueFull) {
   std::vector<std::future<InferenceResult>> futs;
   bool saw_queue_full = false;
   for (int i = 0; i < 32 && !saw_queue_full; ++i) {
-    SubmitGroup group = server.open_group(/*nonblocking=*/true);
+    SubmitGroup group = server.submit_group(/*nonblocking=*/true);
     auto fut = group.add(m, f.codes_for(0), 1);
     group.commit();
     if (fut.wait_for(std::chrono::seconds(0)) ==
@@ -385,13 +385,13 @@ TEST(RejectTaxonomyTest, NonblockingGroupEnqueuesWhatFitsAndShedsTheRest) {
   std::future<InferenceResult> busy = server.submit(m, f.codes_for(0), 1);
   while (server.queue_depth() != 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  SubmitGroup group = server.open_group(/*nonblocking=*/true);
+  SubmitGroup group = server.submit_group(/*nonblocking=*/true);
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 1; id <= 5; ++id)
     futs.push_back(group.add(m, f.codes_for(id), 1));
   group.commit();
-  // The shed tail is answered at once, in order, as sequential try_push
-  // calls would have.
+  // The shed tail is answered at once, in order, as sequential
+  // non-blocking pushes would have.
   for (std::size_t i = 2; i < futs.size(); ++i) {
     ASSERT_EQ(futs[i].wait_for(std::chrono::seconds(0)),
               std::future_status::ready);

@@ -910,7 +910,7 @@ TEST(GroupCommit, NoRequestOfAGroupIsQueuedBeforeItsAcceptRecordsFlush) {
   });
   constexpr std::size_t kGroup = 4;
   const engine::ModelRef model = server.registry().resolve("default");
-  SubmitGroup group = server.open_group();
+  SubmitGroup group = server.submit_group();
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 1; id <= kGroup; ++id)
     futs.push_back(group.add(model, f.codes_for(id), 1));
@@ -946,7 +946,7 @@ TEST(GroupCommit, GroupCrossingTheCadenceCheckpointsOnce) {
 
   // 10 accepted requests cross the multiples 4 and 8 in one commit.
   const engine::ModelRef model = server.registry().resolve("default");
-  SubmitGroup group = server.open_group();
+  SubmitGroup group = server.submit_group();
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t id = 0; id < 10; ++id)
     futs.push_back(group.add(model, f.codes_for(id), 1));

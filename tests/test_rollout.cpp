@@ -224,17 +224,13 @@ TEST(Rollout, ShadowOfIdenticalStagedBankIsDriftFreeAndPromotes) {
 
   // Pump until the verdict; both banks are the same blob, so every
   // response is bit-exact against the fixture regardless of version.
-  // Paced, so that the niced controller gets time to shadow: a lone
-  // request's batch no longer spends it waiting for max_wait.
   std::size_t i = 0;
-  const auto give_up = std::chrono::steady_clock::now() + 30s;
   while (mgr.report("m").state == rollout::RolloutState::kShadowing &&
-         std::chrono::steady_clock::now() < give_up) {
+         i < 4000) {
     const InferenceResult r =
         server.submit("m@latest", f.codes_for(i), 1).get();
     EXPECT_EQ(r.outputs, f.expected(i % f.pool.rows, 1));
     ++i;
-    std::this_thread::sleep_for(200us);
   }
   ASSERT_EQ(mgr.wait_for_decision("m", 10000ms),
             rollout::RolloutState::kPromoted);
@@ -397,15 +393,10 @@ TEST(Rollout, EndToEndRetrainShadowAutoPromoteSurvivesRestart) {
   };
 
   pump(96);  // fill the reservoir
-  // Paced traffic until the decision: the niced controller needs time
-  // to retrain and shadow, which a lone request's batch no longer spends
-  // waiting for max_wait.
-  const auto give_up = std::chrono::steady_clock::now() + 30s;
+  std::size_t guard = 0;
   while (mgr.report("m").state != rollout::RolloutState::kPromoted &&
-         std::chrono::steady_clock::now() < give_up) {
+         guard++ < 5000)
     pump(1);
-    std::this_thread::sleep_for(200us);
-  }
   ASSERT_EQ(mgr.wait_for_decision("m", 10000ms),
             rollout::RolloutState::kPromoted);
   EXPECT_EQ(server.registry().latest_version("m"), 2u);
@@ -481,15 +472,10 @@ TEST(Rollout, AutoRollbackOnInjectedDriftKeepsServingLive) {
   };
 
   pump(96);
-  // Paced traffic until the decision: the niced controller needs time
-  // to retrain and shadow, which a lone request's batch no longer spends
-  // waiting for max_wait.
-  const auto give_up = std::chrono::steady_clock::now() + 30s;
+  std::size_t guard = 0;
   while (mgr.report("m").state != rollout::RolloutState::kRolledBack &&
-         std::chrono::steady_clock::now() < give_up) {
+         guard++ < 5000)
     pump(1);
-    std::this_thread::sleep_for(200us);
-  }
   ASSERT_EQ(mgr.wait_for_decision("m", 10000ms),
             rollout::RolloutState::kRolledBack);
   const rollout::RolloutReport rep = mgr.report("m");
@@ -580,7 +566,11 @@ TEST(Rollout, AdminPlaneStatusOverridesAndCompaction) {
   EXPECT_NE(admin(0, "nope").status, 0);
   EXPECT_NE(admin(42, "m").status, 0);
 
-  // op 3: compact the journal (8 accepted + 8 completed, all acked).
+  // op 3: compact the journal (8 accepted + 8 completed, all acked). A
+  // shard writes a batch's ack records after it fulfils the batch, so
+  // the last get() can return before its ack is in the journal.
+  for (int i = 0; i < 10000 && journal.durable_seq() < 16; ++i)
+    std::this_thread::sleep_for(100us);
   const net::AdminResponse comp = admin(3, "");
   EXPECT_EQ(comp.status, 0);
   EXPECT_GE(comp.arg, 16u);

@@ -3,14 +3,12 @@
 // central bit-exactness contract (threaded InferenceServer results ==
 // single-threaded Amm::apply_int16 for every request, under 4+ workers
 // and randomized multi-client arrival order), the engine-backend matrix
-// (kernel / simulate+PPA / device-paced), the self-timed batch close
-// (a lone request's batch does not wait; a batch waits for an open
-// submit group, and closes at max_wait on a shard thread with a small
-// timer slack when the group never commits), one batch per model from
-// a group of interleaved models, multi-model serving with per-model
-// metrics, operator save/load round trips,
-// backpressure, typed shutdown rejection, and the load generator's two
-// arrival models.
+// (kernel / simulate+PPA / device-paced), the self-timed batch close (a
+// lone request's batch does not wait), the shard threads' timer slack,
+// submit groups (one batch per model from a group of interleaved
+// models), multi-model serving with per-model metrics, operator
+// save/load round trips, backpressure, typed shutdown rejection, and
+// the load generator's two arrival models.
 #include <gtest/gtest.h>
 
 #include <sys/prctl.h>
@@ -31,6 +29,7 @@
 #include "serve/recovery/fault_injector.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
+#include "serve_test_util.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -95,13 +94,13 @@ InferenceRequest make_request(std::uint64_t id, std::size_t rows,
 
 TEST(RequestQueue, FifoAndClose) {
   RequestQueue q(8);
-  EXPECT_TRUE(q.push(make_request(1, 1, 4)));
-  EXPECT_TRUE(q.push(make_request(2, 1, 4)));
+  EXPECT_TRUE(push_one(q, make_request(1, 1, 4)));
+  EXPECT_TRUE(push_one(q, make_request(2, 1, 4)));
   InferenceRequest out;
   ASSERT_EQ(q.pop_wait(&out), PopStatus::kOk);
   EXPECT_EQ(out.id, 1u);
   q.close();
-  EXPECT_FALSE(q.push(make_request(3, 1, 4)));
+  EXPECT_FALSE(push_one(q, make_request(3, 1, 4)));
   ASSERT_EQ(q.pop_wait(&out), PopStatus::kOk);  // drains the remainder
   EXPECT_EQ(out.id, 2u);
   EXPECT_EQ(q.pop_wait(&out), PopStatus::kClosed);
@@ -109,45 +108,20 @@ TEST(RequestQueue, FifoAndClose) {
 
 TEST(RequestQueue, TryPushRespectsCapacity) {
   RequestQueue q(2);
-  EXPECT_TRUE(q.try_push(make_request(1, 1, 4)));
-  EXPECT_TRUE(q.try_push(make_request(2, 1, 4)));
-  EXPECT_FALSE(q.try_push(make_request(3, 1, 4)));
+  EXPECT_TRUE(push_one(q, make_request(1, 1, 4), /*blocking=*/false));
+  EXPECT_TRUE(push_one(q, make_request(2, 1, 4), /*blocking=*/false));
+  EXPECT_FALSE(push_one(q, make_request(3, 1, 4), /*blocking=*/false));
   EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(RequestQueue, PopCompatibleReportsOversizedHead) {
   RequestQueue q(4);
-  EXPECT_TRUE(q.push(make_request(1, 10, 4)));
+  EXPECT_TRUE(push_one(q, make_request(1, 10, 4)));
   InferenceRequest out;
-  EXPECT_EQ(q.pop_compatible(5, Clock::now() + std::chrono::seconds(1),
-                             &out),
-            PopStatus::kWouldExceed);
-  EXPECT_EQ(q.pop_compatible(10, Clock::now() + std::chrono::seconds(1),
-                             &out),
-            PopStatus::kOk);
-  // Empty queue, no group open: the pop returns at once, whatever the
-  // deadline.
-  const Clock::time_point t0 = Clock::now();
-  EXPECT_EQ(q.pop_compatible(10, t0 + std::chrono::seconds(10), &out),
-            PopStatus::kTimeout);
-  EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
-  // With a group open it waits for the group, up to the deadline.
-  q.open_group();
-  EXPECT_EQ(q.pop_compatible(
-                10, Clock::now() + std::chrono::milliseconds(1), &out),
-            PopStatus::kTimeout);
-  std::vector<InferenceRequest> group;
-  group.push_back(make_request(2, 1, 4));
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(q.push_group(group, /*blocking=*/true, /*closes_group=*/true),
-              1u);
-  });
-  EXPECT_EQ(q.pop_compatible(10, Clock::now() + std::chrono::seconds(10),
-                             &out),
-            PopStatus::kOk);
-  EXPECT_EQ(out.id, 2u);
-  producer.join();
+  EXPECT_EQ(q.pop_compatible(5, &out), PopStatus::kWouldExceed);
+  EXPECT_EQ(q.pop_compatible(10, &out), PopStatus::kOk);
+  // Empty queue: the pop returns at once; a batch never waits.
+  EXPECT_EQ(q.pop_compatible(10, &out), PopStatus::kNoneQueued);
 }
 
 TEST(RequestQueue, NonblockingGroupPushesWhatFits) {
@@ -155,8 +129,7 @@ TEST(RequestQueue, NonblockingGroupPushesWhatFits) {
   std::vector<InferenceRequest> group;
   for (std::uint64_t id = 0; id < 5; ++id)
     group.push_back(make_request(id, 1, 4));
-  EXPECT_EQ(q.push_group(group, /*blocking=*/false, /*closes_group=*/false),
-            3u);
+  EXPECT_EQ(q.push_group(group, /*blocking=*/false), 3u);
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(group[3].id, 3u);  // the unpushed tail is left untouched
   EXPECT_EQ(group[4].id, 4u);
@@ -167,7 +140,7 @@ TEST(RequestQueue, NonblockingGroupPushesWhatFits) {
 TEST(Batcher, CoalescesUpToTokenBudget) {
   RequestQueue q(64);
   for (std::uint64_t i = 0; i < 10; ++i)
-    ASSERT_TRUE(q.push(make_request(i, 3, 4)));
+    ASSERT_TRUE(push_one(q, make_request(i, 3, 4)));
   q.close();
 
   BatcherOptions opts;
@@ -191,8 +164,8 @@ TEST(Batcher, CoalescesUpToTokenBudget) {
 
 TEST(Batcher, OversizedRequestServedAlone) {
   RequestQueue q(4);
-  ASSERT_TRUE(q.push(make_request(0, 100, 4)));
-  ASSERT_TRUE(q.push(make_request(1, 1, 4)));
+  ASSERT_TRUE(push_one(q, make_request(0, 100, 4)));
+  ASSERT_TRUE(push_one(q, make_request(1, 1, 4)));
   q.close();
 
   BatcherOptions opts;
@@ -218,7 +191,7 @@ TEST(Batcher, ModelAffineCoalescingNeverMixesOrFragments) {
   for (std::uint64_t i = 0; i < 12; ++i) {
     InferenceRequest req = make_request(i, 2, 4);
     req.model = (i % 2 == 0) ? ma : mb;
-    ASSERT_TRUE(q.push(std::move(req)));
+    ASSERT_TRUE(push_one(q, std::move(req)));
   }
   q.close();
 
@@ -489,119 +462,50 @@ TEST(InferenceServer, PacingForcesWorkAcrossMultipleShards) {
 }
 
 /// Queue-wait p50 of `n` sequential 1-row requests to a fresh 1-worker
-/// server. Each request arrives to an idle shard and alone. With
-/// `hold_group_open`, a submit group stays open (and never commits)
-/// for the whole run, so every batch waits for it until max_wait.
+/// server. Each request arrives to an idle shard and alone.
 double sequential_queue_p50_us(const Fixture& f,
                                std::chrono::microseconds max_wait,
-                               std::size_t n, bool hold_group_open) {
+                               std::size_t n) {
   ServerOptions opts;
   opts.num_workers = 1;
   opts.batcher.max_wait = max_wait;
   InferenceServer server(opts);
   server.register_model("m", f.amm);
-  const auto run = [&] {
-    for (std::size_t id = 0; id < n; ++id) {
-      const std::size_t row = id % f.pool.rows;
-      std::future<InferenceResult> fut = server.submit(
-          "m",
-          std::vector<std::uint8_t>(f.pool.row(row),
-                                    f.pool.row(row) + f.pool.cols),
-          1);
-      EXPECT_EQ(fut.get().outputs, f.expected(row, 1));
-    }
-  };
-  if (hold_group_open) {
-    const SubmitGroup held = server.open_group();
-    run();
-  } else {
-    run();
+  for (std::size_t id = 0; id < n; ++id) {
+    const std::size_t row = id % f.pool.rows;
+    std::future<InferenceResult> fut = server.submit(
+        "m",
+        std::vector<std::uint8_t>(f.pool.row(row),
+                                  f.pool.row(row) + f.pool.cols),
+        1);
+    EXPECT_EQ(fut.get().outputs, f.expected(row, 1));
   }
   server.shutdown();
   return server.metrics().queue_p50_us;
 }
 
-constexpr std::size_t kLoneRequests = 300;
-constexpr double kMaxWaitUs = 100.0;
-/// Slack over the max_wait = 0 baseline: a shard's wake-up on a loaded
-/// host or under a sanitizer, not a wait on the batch timer.
-constexpr double kLateUs = 25.0;
-
 TEST(InferenceServer, LoneRequestBatchClosesWithoutWaiting) {
-  // Self-timed close: with nothing queued and no group open, a lone
-  // request's batch closes at once, so max_wait = 100 us costs it no
-  // more than max_wait = 0 does. The baseline (max_wait = 0) is the
-  // hand-off from submit to the shard, with whatever a sanitizer or a
-  // loaded host adds to it. A timed close waits the full 100 us.
+  // Self-timed close: with nothing else queued, a lone request's batch
+  // closes at once, so max_wait = 100 us costs it no more than
+  // max_wait = 0 does. The baseline (max_wait = 0) is the hand-off from
+  // submit to the shard, with whatever a sanitizer or a loaded host adds
+  // to it. A timed close waits the full 100 us.
+  constexpr std::size_t kLoneRequests = 300;
+  constexpr double kMaxWaitUs = 100.0;
+  // Slack over the baseline: a shard's wake-up on a loaded host or
+  // under a sanitizer, not a wait on a batch timer.
+  constexpr double kLateUs = 25.0;
   const Fixture f = Fixture::make();
-  const double base_us = sequential_queue_p50_us(
-      f, std::chrono::microseconds(0), kLoneRequests, false);
+  const double base_us =
+      sequential_queue_p50_us(f, std::chrono::microseconds(0), kLoneRequests);
   const double p50_us = sequential_queue_p50_us(
-      f, std::chrono::microseconds(100), kLoneRequests, false);
+      f, std::chrono::microseconds(100), kLoneRequests);
   RecordProperty("queue_p50_us_at_max_wait_0", std::to_string(base_us));
   RecordProperty("queue_p50_us_at_max_wait_100", std::to_string(p50_us));
   EXPECT_LE(p50_us, base_us + kLateUs)
       << "a lone request's batch waited: queue-wait p50 " << p50_us
       << " us at max_wait " << kMaxWaitUs << " us, " << base_us
       << " us at max_wait 0";
-}
-
-TEST(InferenceServer, BatchWaitingOnAnUncommittedGroupClosesAtMaxWait) {
-  // A group that never commits holds every batch open until max_wait,
-  // and no longer: the shard's 1 ns timer slack ends the wait on time.
-  // With Linux's default 50 us slack the wake-up alone ran ~45 us late.
-  const Fixture f = Fixture::make();
-  const double base_us = sequential_queue_p50_us(
-      f, std::chrono::microseconds(0), kLoneRequests, false);
-  const double p50_us = sequential_queue_p50_us(
-      f, std::chrono::microseconds(100), kLoneRequests, true);
-  RecordProperty("queue_p50_us_at_max_wait_0", std::to_string(base_us));
-  RecordProperty("queue_p50_us_open_group", std::to_string(p50_us));
-  // Never before max_wait (the 0.9 allows for the histogram's bucket
-  // midpoints).
-  EXPECT_GE(p50_us, 0.9 * kMaxWaitUs);
-  EXPECT_LE(p50_us, kMaxWaitUs + base_us + kLateUs)
-      << "batches close late: queue-wait p50 " << p50_us
-      << " us at max_wait " << kMaxWaitUs << " us, " << base_us
-      << " us at max_wait 0";
-}
-
-TEST(InferenceServer, BatchWaitsForAnOpenGroupAndTakesItsRequests) {
-  const Fixture f = Fixture::make();
-  ServerOptions opts;
-  opts.num_workers = 1;
-  opts.batcher.max_batch_tokens = 64;
-  opts.batcher.max_wait = std::chrono::seconds(1);
-  InferenceServer server(opts);
-  server.register_model("m", f.amm);
-  const engine::ModelRef m = server.registry().resolve("m");
-  const auto row = [&](std::size_t r) {
-    return std::vector<std::uint8_t>(f.pool.row(r),
-                                     f.pool.row(r) + f.pool.cols);
-  };
-
-  SubmitGroup group = server.open_group();
-  std::vector<std::future<InferenceResult>> futs;
-  for (std::size_t r = 1; r <= 3; ++r) futs.push_back(group.add(m, row(r), 1));
-  // Submitted while the group is open: its batch waits for the group.
-  std::future<InferenceResult> lone = server.submit(m, row(0), 1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(lone.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout)
-      << "the batch closed while a group was open";
-  group.commit();
-
-  const InferenceResult first = lone.get();
-  EXPECT_EQ(first.outputs, f.expected(0, 1));
-  for (std::size_t r = 1; r <= 3; ++r) {
-    const InferenceResult res = futs[r - 1].get();
-    EXPECT_EQ(res.outputs, f.expected(r, 1));
-    EXPECT_EQ(res.completed_at, first.completed_at) << "request " << r;
-  }
-  server.shutdown();
-  const MetricsSnapshot snap = server.metrics();
-  EXPECT_EQ(snap.requests, 4u);
-  EXPECT_EQ(snap.batches, 1u) << "the group's requests missed the batch";
 }
 
 /// Records the timer slack of the shard thread that ran each batch.
@@ -791,7 +695,7 @@ TEST(InferenceServer, GroupOfSlicesServesAMatrixBitExact) {
     q.codes.insert(q.codes.end(), f.pool.row(r), f.pool.row(r) + f.pool.cols);
 
   // One group of 8-row slices; the last takes the remainder.
-  SubmitGroup group = server.open_group();
+  SubmitGroup group = server.submit_group();
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t r = 0; r < q.rows; r += 8) {
     const std::size_t n = std::min<std::size_t>(8, q.rows - r);
@@ -815,29 +719,25 @@ TEST(InferenceServer, GroupOfSlicesServesAMatrixBitExact) {
   EXPECT_EQ(row, q.rows);
 }
 
-TEST(InferenceServer, DroppedGroupFailsItsRequestsAndStopsHoldingBatches) {
+TEST(InferenceServer, DroppedGroupFailsItsRequests) {
   const Fixture f = Fixture::make();
   ServerOptions opts;
   opts.num_workers = 1;
-  opts.batcher.max_wait = std::chrono::seconds(10);
   InferenceServer server(opts);
   server.register_model("m", f.amm);
   const engine::ModelRef m = server.registry().resolve("m");
   const auto codes = std::vector<std::uint8_t>(f.pool.row(0),
                                                f.pool.row(0) + f.pool.cols);
   std::future<InferenceResult> dropped;
-  std::future<InferenceResult> lone;
   {
-    SubmitGroup group = server.open_group();
+    SubmitGroup group = server.submit_group();
     dropped = group.add(m, codes, 1);
-    lone = server.submit(m, codes, 1);  // its batch waits on the group
   }
   EXPECT_THROW(dropped.get(), ShutdownError);
-  // Dropping the group closed it: the lone request's batch closes now,
-  // not at the 10 s max_wait.
-  EXPECT_EQ(lone.wait_for(std::chrono::seconds(5)),
-            std::future_status::ready);
-  EXPECT_EQ(lone.get().outputs, f.expected(0, 1));
+  // Nothing of the dropped group was queued; the server serves on.
+  EXPECT_EQ(server.submit(m, codes, 1).get().outputs, f.expected(0, 1));
+  server.shutdown();
+  EXPECT_EQ(server.metrics().requests, 1u);
 }
 
 // ----------------------------------------------- multi-model serving
@@ -886,7 +786,7 @@ TEST(InferenceServer, GroupOfInterleavedModelsFormsOneFifoBatchPerModel) {
   server.set_batch_observer(&log);
 
   constexpr std::size_t kPerModel = 8;
-  SubmitGroup group = server.open_group();
+  SubmitGroup group = server.submit_group();
   std::vector<std::future<InferenceResult>> futs;
   std::vector<std::uint8_t> want_a, want_b;
   for (std::size_t r = 0; r < 2 * kPerModel; ++r) {
@@ -911,6 +811,44 @@ TEST(InferenceServer, GroupOfInterleavedModelsFormsOneFifoBatchPerModel) {
   EXPECT_EQ(batches[0].codes, want_a) << "model a's batch is not FIFO";
   EXPECT_EQ(batches[1].model, "b");
   EXPECT_EQ(batches[1].codes, want_b) << "model b's batch is not FIFO";
+}
+
+TEST(InferenceServer, BatchThatLeavesRequestsBehindWakesAnIdleWorker) {
+  // A push wakes one idle worker. One group of two models' requests is
+  // two batches: the worker that takes model a's leaves model b's queued
+  // and wakes the other idle worker for them, rather than leave them
+  // until its own 20 ms (paced) batch is done.
+  const Fixture f = Fixture::make();
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.engine.backend = engine::Backend::kDevicePaced;
+  opts.engine.device_ns_per_token = 5'000'000.0;
+  opts.batcher.max_batch_tokens = 16;
+  opts.batcher.max_skip_age = std::chrono::seconds(60);
+  InferenceServer server(opts);
+  server.register_model("a", f.amm);
+  server.register_model("b", f.amm);
+  const engine::ModelRef ma = server.registry().resolve("a");
+  const engine::ModelRef mb = server.registry().resolve("b");
+
+  SubmitGroup group = server.submit_group();
+  std::vector<std::future<InferenceResult>> futs;
+  for (std::size_t r = 0; r < 8; ++r)
+    futs.push_back(group.add(
+        r % 2 == 0 ? ma : mb,
+        std::vector<std::uint8_t>(f.pool.row(r), f.pool.row(r) + f.pool.cols),
+        1));
+  group.commit();
+  std::set<int> workers[2];
+  for (std::size_t r = 0; r < futs.size(); ++r) {
+    const InferenceResult res = futs[r].get();
+    EXPECT_EQ(res.outputs, f.expected(r, 1)) << "request " << r;
+    workers[r % 2].insert(res.worker_id);
+  }
+  ASSERT_EQ(workers[0].size(), 1u);
+  ASSERT_EQ(workers[1].size(), 1u);
+  EXPECT_NE(*workers[0].begin(), *workers[1].begin())
+      << "model b's requests waited for model a's worker";
 }
 
 TEST(InferenceServer, TwoModelsServedConcurrentlyWithPerModelMetrics) {

@@ -64,11 +64,12 @@ TEST(RequestQueueStress, MpmcChurnLosesNothingDuplicatesNothing) {
       for (std::uint64_t k = 0; k < kPerProducer; ++k) {
         const std::uint64_t id =
             static_cast<std::uint64_t>(p) * kPerProducer + k;
-        // Mix blocking and non-blocking pushes; try_push may bounce off
-        // a full queue and must then be retried via the blocking path.
-        if (rng.next_bool() && queue.try_push(make_request(id, 1, 4)))
+        // Mix blocking and non-blocking pushes; a non-blocking one may
+        // bounce off a full queue and must then be retried blocking.
+        if (rng.next_bool() &&
+            push_one(queue, make_request(id, 1, 4), /*blocking=*/false))
           continue;
-        ASSERT_TRUE(queue.push(make_request(id, 1, 4)));
+        ASSERT_TRUE(push_one(queue, make_request(id, 1, 4)));
       }
     });
 
@@ -119,7 +120,7 @@ TEST(RequestQueueStress, RandomizedCloseDrainsExactlyTheAccepted) {
         for (std::uint64_t k = 0; k < kPerProducer; ++k) {
           const std::uint64_t id =
               static_cast<std::uint64_t>(p) * kPerProducer + k;
-          if (queue.push(make_request(id, 1, 4)))
+          if (push_one(queue, make_request(id, 1, 4)))
             accepted[id].store(1, std::memory_order_relaxed);
         }
       });
@@ -141,9 +142,10 @@ TEST(RequestQueueStress, RandomizedCloseDrainsExactlyTheAccepted) {
 
 TEST(RequestQueueStress, RequeueFrontBypassesCapacityAndKeepsOrder) {
   RequestQueue queue(2);
-  ASSERT_TRUE(queue.push(make_request(10, 1, 4)));
-  ASSERT_TRUE(queue.push(make_request(11, 1, 4)));
-  EXPECT_FALSE(queue.try_push(make_request(12, 1, 4)));  // full
+  ASSERT_TRUE(push_one(queue, make_request(10, 1, 4)));
+  ASSERT_TRUE(push_one(queue, make_request(11, 1, 4)));
+  EXPECT_FALSE(push_one(queue, make_request(12, 1, 4),
+                        /*blocking=*/false));  // full
 
   // A crashed shard's batch goes back to the head, above capacity,
   // even after close().
@@ -177,8 +179,8 @@ TEST(BatcherProperty, BudgetCeilingAndGlobalFifoUnderRandomSizes) {
 
   std::thread producer([&] {
     for (std::uint64_t id = 0; id < kRequests; ++id)
-      ASSERT_TRUE(queue.push(
-          make_request(id, 1 + rng.next_below(12), 4)));
+      ASSERT_TRUE(
+          push_one(queue, make_request(id, 1 + rng.next_below(12), 4)));
     queue.close();
   });
 
