@@ -35,6 +35,19 @@ Matrix random_weights(Rng& rng, std::size_t d, std::size_t o) {
   return w;
 }
 
+/// The first `rows` rows of `q`.
+maddness::QuantizedActivations first_rows(
+    const maddness::QuantizedActivations& q, std::size_t rows) {
+  maddness::QuantizedActivations sub = q;
+  sub.rows = rows;
+  sub.codes.resize(rows * q.cols);
+  return sub;
+}
+
+/// Row counts either side of a 32-row block boundary: 223 rows end in a
+/// ragged 31-row block, 224 in a whole one.
+constexpr int kRaggedRows[] = {223, 224};
+
 void BM_ExactGemm(benchmark::State& state) {
   const std::size_t n = state.range(0);
   Rng rng(1);
@@ -113,11 +126,11 @@ BENCHMARK(BM_PackedLutKernel)->Apply([](benchmark::internal::Benchmark* b) {
 });
 
 /// One interior stage of a trained 32-codebook 288 -> 288 -> 288 chain,
-/// its compiled plan, and 192 encoded rows for it.
+/// its compiled plan, and 224 quantized input rows for it.
 struct FusedStageFixture {
   std::vector<maddness::Amm> stages;
   engine::ExecutionPlan plan;
-  maddness::EncodedBatch enc;
+  maddness::QuantizedActivations input;
 
   FusedStageFixture() {
     Rng rng(8);
@@ -130,8 +143,8 @@ struct FusedStageFixture {
     stages.push_back(engine::train_chained_stage(
         cfg, mid, random_weights(rng, 288, 288), nullptr));
     plan = engine::ExecutionPlan::compile(stages);
-    enc = stages[0].encode_batch(maddness::quantize_activations(
-        random_activations(rng, 192, 32 * 9), stages[0].activation_scale()));
+    input = maddness::quantize_activations(random_activations(rng, 224, 32 * 9),
+                                           stages[0].activation_scale());
   }
 };
 
@@ -142,28 +155,31 @@ void BM_PackedLutFused(benchmark::State& state) {
   static const FusedStageFixture f;
   const auto tier = static_cast<maddness::KernelTier>(state.range(0));
   const bool fused = state.range(1) != 0;
+  const maddness::EncodedBatch enc = f.stages[0].encode_batch(
+      first_rows(f.input, static_cast<std::size_t>(state.range(2))));
   const maddness::LutBankPacked& lut = f.stages[0].packed_lut();
-  std::vector<std::uint8_t> dst(f.enc.rows *
-                                static_cast<std::size_t>(lut.nout));
+  std::vector<std::uint8_t> dst(enc.rows * static_cast<std::size_t>(lut.nout));
   std::vector<std::int16_t> out;
   for (auto _ : state) {
     if (fused) {
-      maddness::apply_lut_fused(lut, f.enc, f.plan.stage(0).epilogue, tier,
+      maddness::apply_lut_fused(lut, enc, f.plan.stage(0).epilogue, tier,
                                 dst.data());
       benchmark::DoNotOptimize(dst.data());
     } else {
-      maddness::apply_lut_packed(lut, f.enc, tier, out);
+      maddness::apply_lut_packed(lut, enc, tier, out);
       benchmark::DoNotOptimize(out.data());
     }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(f.enc.rows));
+                          static_cast<std::int64_t>(enc.rows));
   state.SetLabel(std::string(maddness::kernel_tier_name(tier)) +
                  (fused ? " fused" : " store"));
 }
 BENCHMARK(BM_PackedLutFused)->Apply([](benchmark::internal::Benchmark* b) {
   for (const maddness::KernelTier tier : maddness::available_kernel_tiers())
-    for (const int fused : {0, 1}) b->Args({static_cast<int>(tier), fused});
+    for (const int fused : {0, 1})
+      for (const int rows : kRaggedRows)
+        b->Args({static_cast<int>(tier), fused, rows});
 });
 
 void BM_TreeEncode(benchmark::State& state) {
@@ -189,17 +205,19 @@ void BM_TreeEncode(benchmark::State& state) {
 BENCHMARK(BM_TreeEncode);
 
 void BM_BatchEncoder(benchmark::State& state) {
-  // The vectorized batch encoder at each available dispatch tier.
-  // Scratch is reused across iterations, as the serve worker shards do.
+  // The vectorized batch encoder at each available dispatch tier, on the
+  // first rows of its 1024 training rows. Scratch is reused across
+  // iterations, as the serve worker shards do.
   const auto tier = static_cast<maddness::KernelTier>(state.range(0));
-  const std::size_t n = 1024;
+  const auto n = static_cast<std::size_t>(state.range(1));
   Rng rng(6);
   maddness::Config cfg;
   cfg.ncodebooks = 32;
-  const Matrix x = random_activations(rng, n, 32 * 9);
+  const Matrix x = random_activations(rng, 1024, 32 * 9);
   const Matrix w = random_weights(rng, 32 * 9, 16);
   const auto amm = maddness::Amm::train(cfg, x, w);
-  const auto q = maddness::quantize_activations(x, amm.activation_scale());
+  const auto q = first_rows(
+      maddness::quantize_activations(x, amm.activation_scale()), n);
   maddness::EncodeScratch scratch;
   maddness::EncodedBatch enc;
   for (auto _ : state) {
@@ -214,7 +232,7 @@ void BM_BatchEncoder(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchEncoder)->Apply([](benchmark::internal::Benchmark* b) {
   for (const maddness::KernelTier tier : maddness::available_encoder_tiers())
-    b->Arg(static_cast<int>(tier));
+    for (const int rows : kRaggedRows) b->Args({static_cast<int>(tier), rows});
 });
 
 void BM_Crc32(benchmark::State& state) {

@@ -58,11 +58,13 @@ Amm Amm::train(const Config& cfg, const Matrix& train_activations,
 
 std::vector<std::uint8_t> Amm::encode(const QuantizedActivations& q) const {
   const EncodedBatch enc = encode_batch(q);
-  std::vector<std::uint8_t> row_major(enc.codes.size());
   const auto ncb = static_cast<std::size_t>(enc.ncodebooks);
-  for (std::size_t c = 0; c < ncb; ++c)
+  std::vector<std::uint8_t> row_major(enc.rows * ncb);
+  for (int c = 0; c < enc.ncodebooks; ++c) {
+    const std::uint8_t* codes = enc.codebook(c);
     for (std::size_t n = 0; n < enc.rows; ++n)
-      row_major[n * ncb + c] = enc.codes[c * enc.rows + n];
+      row_major[n * ncb + static_cast<std::size_t>(c)] = codes[n];
+  }
   return row_major;
 }
 

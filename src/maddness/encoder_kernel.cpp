@@ -83,16 +83,8 @@ EncoderBank build_encoder_bank(const Config& cfg,
 }
 
 bool encoder_tier_available(KernelTier tier) {
-  switch (tier) {
-    case KernelTier::kScalar:
-      return true;
-    case KernelTier::kAvx2:
-      return detail::encoder_avx2_compiled_in() &&
-             detail::cpu_supports_tier(tier);
-    case KernelTier::kAvx512:
-      return false;  // the encoder's top tier is AVX2
-  }
-  return false;
+  // The encoder's top tier is AVX2.
+  return tier != KernelTier::kAvx512 && kernel_tier_available(tier);
 }
 
 std::vector<KernelTier> available_encoder_tiers() {
@@ -112,62 +104,42 @@ KernelTier select_encoder_tier() {
 
 namespace detail {
 
-// Branchless scalar tournament (the portable tier and the AVX2 tier's
-// tail handler): each level's compare result feeds straight into the
-// next level's threshold index, no branches for the compiler to guess.
+// Branchless scalar tournament: each level's compare result feeds
+// straight into the next level's threshold index, no branches for the
+// compiler to guess.
 void encode_codebook_scalar(const std::uint8_t* stage, std::size_t stride,
-                            std::size_t row_lo, std::size_t rows,
-                            const std::uint8_t* thr, std::uint8_t* codes) {
+                            std::size_t rows, const std::uint8_t* thr,
+                            std::uint8_t* codes) {
   const std::uint8_t* s0 = stage;
   const std::uint8_t* s1 = stage + stride;
   const std::uint8_t* s2 = stage + 2 * stride;
   const std::uint8_t* s3 = stage + 3 * stride;
-  for (std::size_t n = row_lo; n < rows; ++n) {
+  for (std::size_t n = 0; n < rows; ++n) {
     unsigned idx = static_cast<unsigned>(s0[n] >= thr[0]);
     idx = 2 * idx + static_cast<unsigned>(s1[n] >= thr[1 + idx]);
     idx = 2 * idx + static_cast<unsigned>(s2[n] >= thr[3 + idx]);
     idx = 2 * idx + static_cast<unsigned>(s3[n] >= thr[7 + idx]);
     codes[n] = static_cast<std::uint8_t>(idx);
   }
-}
-
-// Branchless scalar walk over raw activation rows (the windowed path's
-// tail handler): pick[0..3] are the window-relative split offsets.
-void encode_codebook_windowed_scalar(const std::uint8_t* src,
-                                     std::size_t row_stride,
-                                     std::size_t row_lo, std::size_t rows,
-                                     const std::uint8_t* pick,
-                                     const std::uint8_t* thr,
-                                     std::uint8_t* codes) {
-  for (std::size_t n = row_lo; n < rows; ++n) {
-    const std::uint8_t* row = src + n * row_stride;
-    unsigned idx = static_cast<unsigned>(row[pick[0]] >= thr[0]);
-    idx = 2 * idx + static_cast<unsigned>(row[pick[1]] >= thr[1 + idx]);
-    idx = 2 * idx + static_cast<unsigned>(row[pick[2]] >= thr[3 + idx]);
-    idx = 2 * idx + static_cast<unsigned>(row[pick[3]] >= thr[7 + idx]);
-    codes[n] = static_cast<std::uint8_t>(idx);
-  }
+  std::fill(codes + rows, codes + EncodedBatch::padded(rows), 0);
 }
 
 }  // namespace detail
 
 namespace {
 
-/// Dispatches one codebook's traversal over [0, rows) at `tier`
-/// (already clamped to an available tier by the caller).
-inline void traverse_codebook(KernelTier tier, const std::uint8_t* stage,
+/// Dispatches one codebook's traversal at `tier` (already clamped to an
+/// available tier by the caller).
+inline void traverse_codebook([[maybe_unused]] KernelTier tier,
+                              const std::uint8_t* stage,
                               std::size_t stride, std::size_t rows,
                               const std::uint8_t* thr,
                               std::uint8_t* codes) {
-  switch (tier) {
-    case KernelTier::kAvx512:  // clamped away by the callers
-    case KernelTier::kAvx2:
-      detail::encode_codebook_avx2(stage, stride, rows, thr, codes);
-      break;
-    case KernelTier::kScalar:
-      detail::encode_codebook_scalar(stage, stride, 0, rows, thr, codes);
-      break;
-  }
+#if defined(SSMA_X86_SIMD)
+  if (tier == KernelTier::kAvx2)
+    return detail::encode_codebook_avx2(stage, stride, rows, thr, codes);
+#endif
+  detail::encode_codebook_scalar(stage, stride, rows, thr, codes);
 }
 
 /// Falls back to the next lower tier until one is available (scalar
@@ -178,19 +150,13 @@ inline KernelTier clamp_available(KernelTier tier) {
   return tier;
 }
 
-/// Sizes `out` for a batch (capacity-reusing).
-inline void size_output(const EncoderBank& bank, std::size_t rows,
-                        EncodedBatch& out) {
-  out.rows = rows;
-  out.ncodebooks = bank.ncodebooks;
-  out.codes.resize(rows * static_cast<std::size_t>(bank.ncodebooks));
-}
-
 /// Staging-column stride for a batch of `rows`: whole cache lines, and
 /// an odd number of them. The gather scatters one byte into every
 /// staged column per input row; with a power-of-2 stride (e.g. 1024
 /// rows) all columns alias onto a handful of L1 sets and the sweep
-/// thrashes — an odd line count walks every set instead.
+/// thrashes — an odd line count walks every set instead. Whole cache
+/// lines also cover EncodedBatch::padded(rows), the rows the AVX2
+/// traversal reads.
 inline std::size_t stage_stride(std::size_t rows) {
   std::size_t stride = (rows + 63) & ~static_cast<std::size_t>(63);
   if ((stride / 64) % 2 == 0) stride += 64;
@@ -208,7 +174,7 @@ void encode_batch_shell(const EncoderBank& bank, std::size_t rows,
                         KernelTier tier, EncodeScratch& scratch,
                         EncodedBatch& out, GatherRow&& gather_row) {
   const int ncb = bank.ncodebooks;
-  size_output(bank, rows, out);
+  out.resize(rows, ncb);
   if (rows == 0 || ncb == 0) return;
 
   const std::size_t cols_per_cb =
@@ -228,8 +194,7 @@ void encode_batch_shell(const EncoderBank& bank, std::size_t rows,
   for (int c = 0; c < ncb; ++c)
     traverse_codebook(
         tier, stage + static_cast<std::size_t>(c) * cols_per_cb * stride,
-        stride, rows, bank.codebook_thresholds(c),
-        out.codes.data() + static_cast<std::size_t>(c) * rows);
+        stride, rows, bank.codebook_thresholds(c), out.codebook(c));
 }
 
 #if defined(SSMA_TRACE_ENABLED)
@@ -272,18 +237,32 @@ void encode_batch_packed(const EncoderBank& bank,
       static_cast<std::uint64_t>(q.rows) *
           static_cast<std::uint64_t>(ncb) * EncoderBank::kLevels};
 #endif
+#if defined(SSMA_X86_SIMD)
   if (bank.windowed && tier == KernelTier::kAvx2 && q.rows > 0) {
     // The AVX2 tier with an eligible bank skips the staging tile
     // entirely: per codebook, 16-byte window loads + pshufb pick the
     // split bytes straight out of the rows (see EncoderBank::windowed).
-    size_output(bank, q.rows, out);
-    for (int c = 0; c < ncb; ++c)
+    // The kernel reads whole 32-row blocks, so the rows past the last
+    // whole block are copied once into the tail tile, whose pad rows it
+    // reads instead of the bytes past the activation matrix.
+    out.resize(q.rows, ncb);
+    const std::size_t full = q.rows - q.rows % EncodedBatch::kRowBlock;
+    const std::size_t tail = q.rows - full;
+    scratch.tail.resize(EncodedBatch::kRowBlock * cols);
+    std::copy(src + full * cols, src + q.rows * cols, scratch.tail.data());
+    for (int c = 0; c < ncb; ++c) {
+      const auto off = static_cast<std::size_t>(bank.window_off[c]);
       detail::encode_codebook_windowed_avx2(
-          src + static_cast<std::size_t>(bank.window_off[c]), cols, q.rows,
-          bank.pick_mask(c), bank.codebook_thresholds(c),
-          out.codes.data() + static_cast<std::size_t>(c) * q.rows);
+          src + off, cols, full, bank.pick_mask(c),
+          bank.codebook_thresholds(c), out.codebook(c));
+      if (tail > 0)
+        detail::encode_codebook_windowed_avx2(
+            scratch.tail.data() + off, cols, tail, bank.pick_mask(c),
+            bank.codebook_thresholds(c), out.codebook(c) + full);
+    }
     return;
   }
+#endif
   encode_batch_shell(
       bank, q.rows, tier, scratch, out,
       [&](std::size_t n, std::uint8_t* stage, std::size_t stride) {

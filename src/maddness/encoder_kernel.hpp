@@ -15,6 +15,11 @@
 //      instructions (threshold gather, unsigned compare via
 //      max_epu8+cmpeq, index update).
 //
+// The output is the padded encode cache (EncodedBatch): the AVX2 tier
+// runs a batch's ragged last block on the same vector code — over the
+// staging tile's padding, or over a 32-row tail tile on the windowed
+// path — and writes code 0 to the pad rows, as every tier does.
+//
 // The flattened SoA EncoderBank (per-level absolute split dims and
 // per-codebook padded threshold blocks, each contiguous across
 // codebooks) is derived once per trained/loaded operator, like the
@@ -91,15 +96,18 @@ EncoderBank build_encoder_bank(const Config& cfg,
                                const std::vector<HashTree>& trees);
 
 /// Reusable per-caller encode scratch: the column-major staging tile the
-/// gather pass fills (kLevels * ncodebooks columns of `rows` bytes).
-/// Steady-state encoding of same-shaped batches performs zero
-/// allocations once the capacity has been established — serve worker
-/// shards own one of these across their whole lifetime.
+/// gather pass fills (kLevels * ncodebooks columns of `rows` bytes), and
+/// the windowed path's tail tile (the rows past a batch's last whole
+/// 32-row block, copied into one 32-row tile). Steady-state encoding of
+/// same-shaped batches performs zero allocations once the capacity has
+/// been established — serve worker shards own one of these across their
+/// whole lifetime.
 struct EncodeScratch {
   std::vector<std::uint8_t> stage;
+  std::vector<std::uint8_t> tail;
 };
 
-/// True when `tier`'s encoder TU is compiled in and the CPU supports it.
+/// True when `tier` is an encoder tier and can run on this build + CPU.
 bool encoder_tier_available(KernelTier tier);
 /// Every encoder tier that can run on this build + CPU, lowest first.
 std::vector<KernelTier> available_encoder_tiers();
@@ -133,37 +141,34 @@ namespace detail {
 
 // Per-tier traversal entry points over one codebook's staging columns
 // (kLevels columns of `rows` bytes at `stride` apart, starting at
-// `stage`). `thr` is the codebook's padded 16-byte threshold block;
-// codes[0, rows) receive the leaf indices. The AVX2 functions take
-// their ISA from target attributes; outside GCC-compatible x86-64
-// builds encoder_avx2_compiled_in() returns false and the dispatcher
-// never calls them.
+// `stage`). `thr` is the codebook's padded 16-byte threshold block. Each
+// writes the codebook's whole padded run of the encode cache: codes[0,
+// rows) the leaf indices, the pad rows up to EncodedBatch::padded(rows)
+// code 0. The AVX2 tier reads every column up to the padded row count,
+// which stage_stride leaves room for.
 void encode_codebook_scalar(const std::uint8_t* stage, std::size_t stride,
-                            std::size_t row_lo, std::size_t rows,
-                            const std::uint8_t* thr, std::uint8_t* codes);
-bool encoder_avx2_compiled_in();
+                            std::size_t rows, const std::uint8_t* thr,
+                            std::uint8_t* codes);
+#if defined(SSMA_X86_SIMD)
 void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
                           std::size_t rows, const std::uint8_t* thr,
                           std::uint8_t* codes);
 
-// Windowed-gather entry points (AVX2 tier only; see EncoderBank): read
+// Windowed-gather entry point (AVX2 tier only; see EncoderBank): reads
 // 16-byte windows straight from the activation rows — `src` is the row
 // base already offset by the codebook's window_off, `row_stride` the
 // activation row width, `pick` the codebook's 16-byte pick mask — and
-// run the same branchless tournament with an in-register transpose, no
-// staging tile. Bit-identical to the staged path.
-void encode_codebook_windowed_scalar(const std::uint8_t* src,
-                                     std::size_t row_stride,
-                                     std::size_t row_lo, std::size_t rows,
-                                     const std::uint8_t* pick,
-                                     const std::uint8_t* thr,
-                                     std::uint8_t* codes);
+// runs the same branchless tournament with an in-register transpose, no
+// staging tile. It reads rows up to EncodedBatch::padded(rows), so a
+// batch's ragged tail runs from EncodeScratch::tail. Same output
+// contract, bit-identical to the staged path.
 void encode_codebook_windowed_avx2(const std::uint8_t* src,
                                    std::size_t row_stride,
                                    std::size_t rows,
                                    const std::uint8_t* pick,
                                    const std::uint8_t* thr,
                                    std::uint8_t* codes);
+#endif
 
 }  // namespace detail
 

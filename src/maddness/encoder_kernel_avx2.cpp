@@ -10,64 +10,57 @@
 //   * the 0xFF/0x00 mask folds into the index with
 //     idx = (idx + idx) - mask, i.e. idx = 2*idx + (x >= t).
 // The functions take their ISA from a target attribute instead of a -m
-// flag on the TU; the dispatcher checks CPUID before calling in. The
-// ragged tail below one 32-row block falls through to the branchless
-// scalar tournament, which is bit-identical by construction.
+// flag on the TU; the dispatcher checks CPUID before calling in. A
+// ragged last block runs the same code over its input's padding, and
+// its pad rows' codes are masked to 0 before the store.
+#include <algorithm>
+
 #include "maddness/encoder_kernel.hpp"
 
-#if defined(__GNUC__) && defined(__x86_64__)
+#if defined(SSMA_X86_SIMD)
+
 #include <immintrin.h>
+
 #define SSMA_AVX2 __attribute__((target("avx2")))
-#endif
 
 namespace ssma::maddness::detail {
 
-#if defined(SSMA_AVX2)
+namespace {
 
-bool encoder_avx2_compiled_in() { return true; }
+constexpr std::size_t kRowBlock = EncodedBatch::kRowBlock;
 
-SSMA_AVX2 void encode_codebook_avx2(const std::uint8_t* stage,
-                                    std::size_t stride, std::size_t rows,
-                                    const std::uint8_t* thr,
-                                    std::uint8_t* codes) {
-  constexpr std::size_t kRowBlock = 32;
-  const std::size_t full = rows - rows % kRowBlock;
-  const __m256i T = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(thr)));
-  const __m256i t0 = _mm256_set1_epi8(static_cast<char>(thr[0]));
-  const __m256i off1 = _mm256_set1_epi8(1);
-  const __m256i off3 = _mm256_set1_epi8(3);
-  const __m256i off7 = _mm256_set1_epi8(7);
-  for (std::size_t n = 0; n < full; n += kRowBlock) {
-    const __m256i x0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stage + n));
-    const __m256i x1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stage + stride + n));
-    const __m256i x2 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stage + 2 * stride + n));
-    const __m256i x3 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stage + 3 * stride + n));
-
-    // Level 0: one shared threshold, broadcast.
-    __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x0, t0), x0);
-    __m256i idx = _mm256_sub_epi8(_mm256_setzero_si256(), ge);
-    // Levels 1-3: per-row threshold gather from the packed block.
-    __m256i t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off1));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x1, t), x1);
+/// The 4-level tournament of one 32-row block: x[l] holds the rows'
+/// level-l split bytes, `table` the codebook's threshold block in both
+/// lanes, `root` its level-0 threshold in every byte. Returns the leaves.
+SSMA_AVX2 inline __m256i tournament(const __m256i x[4], __m256i table,
+                                    __m256i root) {
+  __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x[0], root), x[0]);
+  __m256i idx = _mm256_sub_epi8(_mm256_setzero_si256(), ge);
+  // Levels 1-3: per-row threshold gather; level l's nodes start at flat
+  // index 2^l - 1.
+  for (int l = 1; l < 4; ++l) {
+    const __m256i t = _mm256_shuffle_epi8(
+        table, _mm256_add_epi8(idx, _mm256_set1_epi8((1 << l) - 1)));
+    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x[l], t), x[l]);
     idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-    t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off3));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x2, t), x2);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-    t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off7));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x3, t), x3);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(codes + n), idx);
   }
-  encode_codebook_scalar(stage, stride, full, rows, thr, codes);
+  return idx;
 }
 
-namespace {
+/// Stores one block's 32 codes, of which the first `valid` are rows of
+/// the batch; the pad rows past them get code 0. The mask is applied to
+/// every block: a branch on the last one makes GCC 12 spill the
+/// windowed gather's row pointers.
+SSMA_AVX2 inline void store_block(std::uint8_t* codes, __m256i idx,
+                                  std::size_t valid) {
+  const __m256i row = _mm256_setr_epi8(
+      0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+      20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31);
+  const __m256i keep = _mm256_cmpgt_epi8(
+      _mm256_set1_epi8(static_cast<char>(std::min(valid, kRowBlock))), row);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(codes),
+                      _mm256_and_si256(idx, keep));
+}
 
 /// Gathers and transposes one 16-row group into the four level vectors
 /// for rows [n, n+16). Per row, one 16-byte window load + one pshufb
@@ -114,71 +107,47 @@ SSMA_AVX2 inline void gather_window_16(const std::uint8_t* src,
 
 }  // namespace
 
+SSMA_AVX2 void encode_codebook_avx2(const std::uint8_t* stage,
+                                    std::size_t stride, std::size_t rows,
+                                    const std::uint8_t* thr,
+                                    std::uint8_t* codes) {
+  const __m256i table = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(thr)));
+  const __m256i root = _mm256_set1_epi8(static_cast<char>(thr[0]));
+  for (std::size_t n = 0; n < rows; n += kRowBlock) {
+    __m256i x[4];
+    for (int l = 0; l < 4; ++l)
+      x[l] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          stage + static_cast<std::size_t>(l) * stride + n));
+    store_block(codes + n, tournament(x, table, root), rows - n);
+  }
+}
+
 SSMA_AVX2 void encode_codebook_windowed_avx2(const std::uint8_t* src,
                                              std::size_t row_stride,
                                              std::size_t rows,
                                              const std::uint8_t* pick,
                                              const std::uint8_t* thr,
                                              std::uint8_t* codes) {
-  constexpr std::size_t kRowBlock = 32;  // two 16-row gather groups
-  const std::size_t full = rows - rows % kRowBlock;
   const __m128i pickv =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(pick));
   const __m128i relay = _mm_set_epi8(15, 11, 7, 3, 14, 10, 6, 2, 13, 9, 5,
                                      1, 12, 8, 4, 0);
-  const __m256i T = _mm256_broadcastsi128_si256(
+  const __m256i table = _mm256_broadcastsi128_si256(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(thr)));
-  const __m256i t0 = _mm256_set1_epi8(static_cast<char>(thr[0]));
-  const __m256i off1 = _mm256_set1_epi8(1);
-  const __m256i off3 = _mm256_set1_epi8(3);
-  const __m256i off7 = _mm256_set1_epi8(7);
-  for (std::size_t n = 0; n < full; n += kRowBlock) {
-    __m128i xl[4], xh[4];
-    gather_window_16(src, row_stride, n, pickv, relay, xl);
-    gather_window_16(src, row_stride, n + 16, pickv, relay, xh);
-    const __m256i x0 = _mm256_set_m128i(xh[0], xl[0]);
-    const __m256i x1 = _mm256_set_m128i(xh[1], xl[1]);
-    const __m256i x2 = _mm256_set_m128i(xh[2], xl[2]);
-    const __m256i x3 = _mm256_set_m128i(xh[3], xl[3]);
-
-    __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x0, t0), x0);
-    __m256i idx = _mm256_sub_epi8(_mm256_setzero_si256(), ge);
-    __m256i t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off1));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x1, t), x1);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-    t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off3));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x2, t), x2);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-    t = _mm256_shuffle_epi8(T, _mm256_add_epi8(idx, off7));
-    ge = _mm256_cmpeq_epi8(_mm256_max_epu8(x3, t), x3);
-    idx = _mm256_sub_epi8(_mm256_add_epi8(idx, idx), ge);
-
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(codes + n), idx);
+  const __m256i root = _mm256_set1_epi8(static_cast<char>(thr[0]));
+  for (std::size_t n = 0; n < rows; n += kRowBlock) {
+    // Two 16-row gather groups per block.
+    __m128i lo[4], hi[4];
+    gather_window_16(src, row_stride, n, pickv, relay, lo);
+    gather_window_16(src, row_stride, n + 16, pickv, relay, hi);
+    const __m256i x[4] = {
+        _mm256_set_m128i(hi[0], lo[0]), _mm256_set_m128i(hi[1], lo[1]),
+        _mm256_set_m128i(hi[2], lo[2]), _mm256_set_m128i(hi[3], lo[3])};
+    store_block(codes + n, tournament(x, table, root), rows - n);
   }
-  encode_codebook_windowed_scalar(src, row_stride, full, rows, pick, thr,
-                                  codes);
 }
-
-#else  // !defined(SSMA_AVX2)
-
-bool encoder_avx2_compiled_in() { return false; }
-
-void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
-                          std::size_t rows, const std::uint8_t* thr,
-                          std::uint8_t* codes) {
-  encode_codebook_scalar(stage, stride, 0, rows, thr, codes);
-}
-
-void encode_codebook_windowed_avx2(const std::uint8_t* src,
-                                   std::size_t row_stride,
-                                   std::size_t rows,
-                                   const std::uint8_t* pick,
-                                   const std::uint8_t* thr,
-                                   std::uint8_t* codes) {
-  encode_codebook_windowed_scalar(src, row_stride, 0, rows, pick, thr,
-                                  codes);
-}
-
-#endif
 
 }  // namespace ssma::maddness::detail
+
+#endif  // SSMA_X86_SIMD

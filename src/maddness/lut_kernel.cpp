@@ -32,38 +32,9 @@ KernelTier parse_tier_env(const char* s, KernelTier fallback) {
   return fallback;
 }
 
-inline std::int16_t saturate16(std::int32_t v) {
-  return static_cast<std::int16_t>(std::clamp<std::int32_t>(v, -32768, 32767));
-}
-
 }  // namespace
 
 namespace detail {
-
-bool cpu_supports_tier(KernelTier tier) {
-  switch (tier) {
-    case KernelTier::kScalar:
-      return true;
-    case KernelTier::kAvx2:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx2") &&
-             __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
-    case KernelTier::kAvx512:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vl") &&
-             __builtin_cpu_supports("avx512vbmi") &&
-             __builtin_cpu_supports("avx512vnni");
-#else
-      return false;
-#endif
-  }
-  return false;
-}
 
 KernelTier clamp_tier_by_env(KernelTier best) {
   const KernelTier want = parse_tier_env(std::getenv("SSMA_KERNEL"), best);
@@ -77,15 +48,24 @@ const char* kernel_tier_name(KernelTier tier) {
 }
 
 bool kernel_tier_available(KernelTier tier) {
+#if defined(SSMA_X86_SIMD)
   switch (tier) {
     case KernelTier::kScalar:
       return true;
     case KernelTier::kAvx2:
-      return detail::avx2_compiled_in() && detail::cpu_supports_tier(tier);
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("fma");
     case KernelTier::kAvx512:
-      return detail::avx512_compiled_in() && detail::cpu_supports_tier(tier);
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("avx512vl") &&
+             __builtin_cpu_supports("avx512vbmi") &&
+             __builtin_cpu_supports("avx512vnni");
   }
   return false;
+#else
+  return tier == KernelTier::kScalar;
+#endif
 }
 
 std::vector<KernelTier> available_kernel_tiers() {
@@ -108,13 +88,12 @@ EncodedBatch make_encoded_batch(const std::vector<std::uint8_t>& row_major,
   SSMA_CHECK(row_major.size() ==
              rows * static_cast<std::size_t>(ncodebooks));
   EncodedBatch enc;
-  enc.rows = rows;
-  enc.ncodebooks = ncodebooks;
-  enc.codes.resize(row_major.size());
-  for (std::size_t n = 0; n < rows; ++n)
-    for (int c = 0; c < ncodebooks; ++c)
-      enc.codes[static_cast<std::size_t>(c) * rows + n] =
-          row_major[n * static_cast<std::size_t>(ncodebooks) + c];
+  enc.resize(rows, ncodebooks);
+  for (int c = 0; c < ncodebooks; ++c) {
+    std::uint8_t* codes = enc.codebook(c);
+    for (std::size_t n = 0; n < rows; ++n)
+      codes[n] = row_major[n * static_cast<std::size_t>(ncodebooks) + c];
+  }
   return enc;
 }
 
@@ -139,7 +118,7 @@ std::vector<std::int16_t> apply_lut_reference(
       for (int o = 0; o < nout; ++o) acc[o] += lrow[o];
     }
     std::int16_t* orow = out.data() + n * static_cast<std::size_t>(nout);
-    for (int o = 0; o < nout; ++o) orow[o] = saturate16(acc[o]);
+    for (int o = 0; o < nout; ++o) orow[o] = detail::saturate_acc16(acc[o]);
   }
   return out;
 }
@@ -157,14 +136,14 @@ namespace {
 // requantize handoff to the next stage's uint8 activations — either way
 // straight from the L1-hot tile.
 template <class Sink>
-void scalar_rows_impl(const LutBankPacked& lut, const EncodedBatch& enc,
-                      std::size_t row_lo, Sink sink) {
+void scalar_impl(const LutBankPacked& lut, const EncodedBatch& enc,
+                 Sink sink) {
   constexpr std::size_t kRowBlock = 32;
   constexpr int kOutBlock = 16;
   const int nout = lut.nout;
   const std::size_t rows = enc.rows;
   std::int32_t acc[kRowBlock * kOutBlock];
-  for (std::size_t n0 = row_lo; n0 < rows; n0 += kRowBlock) {
+  for (std::size_t n0 = 0; n0 < rows; n0 += kRowBlock) {
     const std::size_t nb = std::min(kRowBlock, rows - n0);
     for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
       const int ob = std::min(kOutBlock, nout - o0);
@@ -211,30 +190,16 @@ struct FusedRowSink {
 
 }  // namespace
 
-void apply_packed_scalar_rows(const LutBankPacked& lut,
-                              const EncodedBatch& enc, std::size_t row_lo,
-                              std::int16_t* out) {
-  scalar_rows_impl(lut, enc, row_lo,
-                   StoreRowSink{out, static_cast<std::size_t>(lut.nout)});
-}
-
 void apply_packed_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
                          std::int16_t* out) {
-  apply_packed_scalar_rows(lut, enc, 0, out);
-}
-
-void apply_fused_scalar_rows(const LutBankPacked& lut,
-                             const EncodedBatch& enc,
-                             const FusedEpilogue& ep, std::size_t row_lo,
-                             std::uint8_t* dst) {
-  scalar_rows_impl(lut, enc, row_lo,
-                   FusedRowSink{&lut, dst, ep.next_scale,
-                                static_cast<std::size_t>(lut.nout)});
+  scalar_impl(lut, enc, StoreRowSink{out, static_cast<std::size_t>(lut.nout)});
 }
 
 void apply_fused_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
                         const FusedEpilogue& ep, std::uint8_t* dst) {
-  apply_fused_scalar_rows(lut, enc, ep, 0, dst);
+  scalar_impl(lut, enc,
+              FusedRowSink{&lut, dst, ep.next_scale,
+                           static_cast<std::size_t>(lut.nout)});
 }
 
 }  // namespace detail
@@ -340,14 +305,20 @@ FusedEpilogue make_fused_epilogue(const LutBankPacked& lut,
   return ep;
 }
 
-void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
-                      KernelTier tier, std::vector<std::int16_t>& out) {
+namespace {
+
+/// The front both kernels share: checks the shapes, clamps `tier` to one
+/// that can run (scalar when the bank is not pshufb-shaped) and runs
+/// `kernel(tier)`, recording it in the kernel profile when tracing is
+/// compiled in.
+template <class Kernel>
+void dispatch(const LutBankPacked& lut, const EncodedBatch& enc,
+              KernelTier tier, Kernel&& kernel) {
   SSMA_CHECK(enc.ncodebooks == lut.ncodebooks);
   SSMA_CHECK(enc.codes.size() ==
-             enc.rows * static_cast<std::size_t>(enc.ncodebooks));
+             enc.stride() * static_cast<std::size_t>(enc.ncodebooks));
   SSMA_CHECK(lut.q.size() == static_cast<std::size_t>(lut.ncodebooks) *
                                  lut.nout * lut.nprotos);
-  out.assign(enc.rows * static_cast<std::size_t>(lut.nout), 0);
   if (enc.rows == 0 || lut.nout == 0) return;
   while (!kernel_tier_available(tier))
     tier = static_cast<KernelTier>(static_cast<int>(tier) - 1);
@@ -358,17 +329,7 @@ void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
 #if defined(SSMA_TRACE_ENABLED)
   const auto t0 = std::chrono::steady_clock::now();
 #endif
-  switch (tier) {
-    case KernelTier::kAvx512:
-      detail::apply_packed_avx512(lut, enc, out.data());
-      break;
-    case KernelTier::kAvx2:
-      detail::apply_packed_avx2(lut, enc, out.data());
-      break;
-    case KernelTier::kScalar:
-      detail::apply_packed_scalar(lut, enc, out.data());
-      break;
-  }
+  kernel(tier);
 #if defined(SSMA_TRACE_ENABLED)
   // One gathered table byte per row x codebook x output column,
   // attributed to the tier that actually ran (post clamp/fallback).
@@ -384,14 +345,25 @@ void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
 #endif
 }
 
+}  // namespace
+
+void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
+                      KernelTier tier, std::vector<std::int16_t>& out) {
+  out.assign(enc.rows * static_cast<std::size_t>(lut.nout), 0);
+  dispatch(lut, enc, tier, [&]([[maybe_unused]] KernelTier t) {
+#if defined(SSMA_X86_SIMD)
+    if (t == KernelTier::kAvx512)
+      return detail::apply_packed_avx512(lut, enc, out.data());
+    if (t == KernelTier::kAvx2)
+      return detail::apply_packed_avx2(lut, enc, out.data());
+#endif
+    detail::apply_packed_scalar(lut, enc, out.data());
+  });
+}
+
 void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
                      const FusedEpilogue& ep, KernelTier tier,
                      std::uint8_t* dst) {
-  SSMA_CHECK(enc.ncodebooks == lut.ncodebooks);
-  SSMA_CHECK(enc.codes.size() ==
-             enc.rows * static_cast<std::size_t>(enc.ncodebooks));
-  SSMA_CHECK(lut.q.size() == static_cast<std::size_t>(lut.ncodebooks) *
-                                 lut.nout * lut.nprotos);
   SSMA_CHECK(lut.scales.size() >=
              static_cast<std::size_t>(lut.per_column_scale ? lut.nout : 1));
   SSMA_CHECK_MSG(ep.next_scale > 0.0f,
@@ -400,35 +372,15 @@ void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
   SSMA_CHECK_MSG(ep.mul.size() == nout && ep.add.size() == nout &&
                      ep.exact.size() == (nout + 63) / 64,
                  "fused epilogue was not made for this bank");
-  if (enc.rows == 0 || lut.nout == 0) return;
-  while (!kernel_tier_available(tier))
-    tier = static_cast<KernelTier>(static_cast<int>(tier) - 1);
-  if (lut.nprotos != ppa::kProtosPerCodebook) tier = KernelTier::kScalar;
-#if defined(SSMA_TRACE_ENABLED)
-  const auto t0 = std::chrono::steady_clock::now();
+  dispatch(lut, enc, tier, [&]([[maybe_unused]] KernelTier t) {
+#if defined(SSMA_X86_SIMD)
+    if (t == KernelTier::kAvx512)
+      return detail::apply_fused_avx512(lut, enc, ep, dst);
+    if (t == KernelTier::kAvx2)
+      return detail::apply_fused_avx2(lut, enc, ep, dst);
 #endif
-  switch (tier) {
-    case KernelTier::kAvx512:
-      detail::apply_fused_avx512(lut, enc, ep, dst);
-      break;
-    case KernelTier::kAvx2:
-      detail::apply_fused_avx2(lut, enc, ep, dst);
-      break;
-    case KernelTier::kScalar:
-      detail::apply_fused_scalar(lut, enc, ep, dst);
-      break;
-  }
-#if defined(SSMA_TRACE_ENABLED)
-  telemetry::record_lut_dispatch(
-      static_cast<int>(tier), enc.rows,
-      static_cast<std::uint64_t>(enc.rows) *
-          static_cast<std::uint64_t>(enc.ncodebooks) *
-          static_cast<std::uint64_t>(lut.nout),
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-#endif
+    detail::apply_fused_scalar(lut, enc, ep, dst);
+  });
 }
 
 std::vector<std::int16_t> apply_lut_packed(const LutBankPacked& lut,

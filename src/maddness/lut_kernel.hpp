@@ -12,10 +12,13 @@
 //   * kAvx512 — one vpermb gathers four codebooks' tables (one 64-byte
 //     group of the packed bank) for 16 rows, and one vpdpbusd adds the
 //     four bytes into each row's int32 lane (AVX-512 VBMI + VNNI).
-// The SIMD tiers require the hardware table shape (K == 16, codes < 16);
-// other K values dispatch to the scalar kernel. Tier selection happens at
-// runtime from CPUID (overridable via the SSMA_KERNEL environment
-// variable: scalar | avx2 | avx512).
+// Every tier runs a batch's ragged last row block on its own code: the
+// encode cache pads each codebook's codes to whole 32-row blocks with
+// code 0, so the SIMD tiers read whole blocks and store only the valid
+// rows. The SIMD tiers require the hardware table shape (K == 16, codes
+// < 16); other K values dispatch to the scalar kernel. Tier selection
+// happens at runtime from CPUID (overridable via the SSMA_KERNEL
+// environment variable: scalar | avx2 | avx512).
 #pragma once
 
 #include <cstddef>
@@ -24,6 +27,13 @@
 
 #include "maddness/lut.hpp"
 #include "util/fixed_point.hpp"
+
+/// The SIMD tiers exist only in GCC-compatible x86-64 builds, where their
+/// functions take their ISA from target attributes. This one condition
+/// guards their definitions and every dispatcher call into them.
+#if defined(__GNUC__) && defined(__x86_64__)
+#define SSMA_X86_SIMD 1
+#endif
 
 namespace ssma::maddness {
 
@@ -39,28 +49,53 @@ KernelTier best_kernel_tier();
 /// Read once and cached.
 KernelTier select_kernel_tier();
 
-/// True when `tier` can run on this build + CPU.
+/// True when `tier` can run on this build + CPU (its CPUID probe, which
+/// the encoder dispatcher shares).
 bool kernel_tier_available(KernelTier tier);
 
 /// Every tier that can run on this build + CPU, lowest first.
 std::vector<KernelTier> available_kernel_tiers();
 
 /// Encode cache: one batch's leaf codes, stored codebook-major
-/// (codes[c * rows + n]) so the accumulation kernel streams one codebook's
-/// codes contiguously. Built once per batch; every output block reuses it
-/// instead of re-walking the row-major encode output.
+/// (codes[c * stride() + n]) so the accumulation kernel streams one
+/// codebook's codes contiguously. Each codebook's run covers the batch's
+/// rows rounded up to whole kRowBlock-row blocks; the pad rows past
+/// `rows` hold code 0, a valid prototype, so every tier can run a ragged
+/// last block whole and drop the pad rows' results. Built once per
+/// batch; every output block reuses it instead of re-walking the
+/// row-major encode output. Every encoder tier writes whole padded runs.
 struct EncodedBatch {
+  static constexpr std::size_t kRowBlock = 32;
+
   std::size_t rows = 0;
   int ncodebooks = 0;
   std::vector<std::uint8_t> codes;
 
+  /// `rows` rounded up to whole row blocks.
+  static std::size_t padded(std::size_t rows) {
+    return (rows + kRowBlock - 1) / kRowBlock * kRowBlock;
+  }
+  /// Distance between consecutive codebooks' runs.
+  std::size_t stride() const { return padded(rows); }
+
+  /// Shapes the batch, capacity-reusing. Grown bytes are 0; bytes kept
+  /// from an earlier batch are not cleared.
+  void resize(std::size_t n, int ncb) {
+    rows = n;
+    ncodebooks = ncb;
+    codes.resize(stride() * static_cast<std::size_t>(ncb));
+  }
+
   const std::uint8_t* codebook(int c) const {
-    return codes.data() + static_cast<std::size_t>(c) * rows;
+    return codes.data() + static_cast<std::size_t>(c) * stride();
+  }
+  std::uint8_t* codebook(int c) {
+    return codes.data() + static_cast<std::size_t>(c) * stride();
   }
 };
 
 /// Transposes row-major codes (codes[n * ncodebooks + c], the encode_all
-/// layout) into an EncodedBatch.
+/// layout) into an EncodedBatch, pad rows 0.
 EncodedBatch make_encoded_batch(const std::vector<std::uint8_t>& row_major,
                                 std::size_t rows, int ncodebooks);
 
@@ -141,32 +176,9 @@ void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
 
 namespace detail {
 
-/// CPUID probe for `tier`, shared by the LUT and encoder dispatchers.
-bool cpu_supports_tier(KernelTier tier);
 /// Applies the SSMA_KERNEL env override to `best`: a requested tier
 /// below `best` wins, one above it is clamped down to `best`.
 KernelTier clamp_tier_by_env(KernelTier best);
-
-// Per-tier entry points. Each accumulates into `out` (rows x nout,
-// pre-sized) with identical int32-then-saturate semantics. The SIMD
-// tiers' functions take their ISA from target attributes, so every TU
-// builds with the baseline flags; outside GCC-compatible x86-64 builds
-// their *_compiled_in() probe returns false and the dispatcher never
-// calls them.
-void apply_packed_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
-                         std::int16_t* out);
-bool avx2_compiled_in();
-void apply_packed_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
-                       std::int16_t* out);
-bool avx512_compiled_in();
-void apply_packed_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
-                         std::int16_t* out);
-
-/// Scalar tail of the AVX2 tier (rows past its last 32-row block):
-/// rows [row_lo, rows).
-void apply_packed_scalar_rows(const LutBankPacked& lut,
-                              const EncodedBatch& enc, std::size_t row_lo,
-                              std::int16_t* out);
 
 /// The single saturation of the accumulate contract (int32 total ->
 /// int16), shared by every tier's store and fused paths.
@@ -194,20 +206,24 @@ inline std::uint8_t fused_requantize(std::int16_t acc, float lut_scale,
   return saturate_uint8(round_half_away(v));
 }
 
-// Per-tier fused entry points, mirroring the packed ones: same tile
-// walk, the epilogue applied to each finished tile.
+// Per-tier entry points. The packed ones accumulate into `out` (rows x
+// nout, pre-sized) with identical int32-then-saturate semantics; the
+// fused ones run the same tile walk and apply the epilogue to each
+// finished tile. Each writes the batch's valid rows only.
+void apply_packed_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
+                         std::int16_t* out);
 void apply_fused_scalar(const LutBankPacked& lut, const EncodedBatch& enc,
                         const FusedEpilogue& ep, std::uint8_t* dst);
+#if defined(SSMA_X86_SIMD)
+void apply_packed_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
+                       std::int16_t* out);
 void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
                       const FusedEpilogue& ep, std::uint8_t* dst);
+void apply_packed_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
+                         std::int16_t* out);
 void apply_fused_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
                         const FusedEpilogue& ep, std::uint8_t* dst);
-
-/// Scalar fused tail of the AVX2 tier: rows [row_lo, rows).
-void apply_fused_scalar_rows(const LutBankPacked& lut,
-                             const EncodedBatch& enc,
-                             const FusedEpilogue& ep, std::size_t row_lo,
-                             std::uint8_t* dst);
+#endif
 
 }  // namespace detail
 

@@ -24,24 +24,24 @@
 // accumulators (classic accumulate), the fused sink runs the stage
 // handoff (dequantize -> ReLU -> requantize) on each finished tile and
 // writes the next stage's uint8 activations — the accumulators never
-// reach memory. Rows past the last 32-row block take the scalar tail.
+// reach memory. A ragged last row block runs the same tile code over
+// the encode cache's padded codes; the sinks store only its valid rows.
 #include <algorithm>
 #include <cstring>
 
 #include "maddness/lut_kernel.hpp"
 
-#if defined(__GNUC__) && defined(__x86_64__)
+#if defined(SSMA_X86_SIMD)
+
 #include <immintrin.h>
+
 #define SSMA_AVX2 __attribute__((target("avx2,fma")))
-#endif
 
 namespace ssma::maddness::detail {
 
-#if defined(SSMA_AVX2)
-
 namespace {
 
-constexpr std::size_t kRowBlock = 32;
+constexpr std::size_t kRowBlock = EncodedBatch::kRowBlock;
 constexpr int kOutBlock = 4;
 constexpr int kChunk = 256;
 
@@ -50,20 +50,24 @@ inline int lane_row(int h, int i) {
   return (i & 7) + 8 * (2 * (i >> 3) + h);
 }
 
-/// Classic accumulate: int16 quads / elements land in the int16 output.
+/// Classic accumulate: int16 quads / elements of rows below `rows` land
+/// in the int16 output.
 struct StoreSink {
   std::int16_t* out;
   std::size_t nout;
-  /// `q` holds outputs o0..o0+3 of row `r` in its low 64 bits and of
-  /// row `r+1` in its high 64 bits.
+  std::size_t rows;
+  /// `q` holds outputs o0..o0+3 of row `r` (even) in its low 64 bits
+  /// and of row `r+1` in its high 64 bits.
   SSMA_AVX2 void quad2(std::size_t r, int o0, __m128i q) const {
+    if (r >= rows) return;
     std::int16_t* d = out + r * nout + static_cast<std::size_t>(o0);
     _mm_storel_epi64(reinterpret_cast<__m128i*>(d), q);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(d + nout),
-                     _mm_unpackhi_epi64(q, q));
+    if (r + 1 < rows)
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(d + nout),
+                       _mm_unpackhi_epi64(q, q));
   }
   SSMA_AVX2 void one16(std::size_t r, int o, std::int16_t v) const {
-    out[r * nout + static_cast<std::size_t>(o)] = v;
+    if (r < rows) out[r * nout + static_cast<std::size_t>(o)] = v;
   }
   SSMA_AVX2 void one32(std::size_t r, int o, std::int32_t v) const {
     one16(r, o, saturate_acc16(v));
@@ -75,12 +79,14 @@ struct StoreSink {
 /// widen, convert, one FMA with the columns' (mul, add), truncate — and
 /// the saturating packs clamp to [0, 255], as the table was checked to
 /// do. Columns marked exact, ragged output blocks and banks over 256
-/// codebooks take fused_requantize per element.
+/// codebooks take fused_requantize per element. Only rows below `rows`
+/// are stored.
 struct FusedSink {
   const LutBankPacked* lut;
   const FusedEpilogue* ep;
   std::uint8_t* dst;
   std::size_t nout;
+  std::size_t rows;
 
   /// The exact path: the marked columns' lanes of `v` (rows r and r+1,
   /// as in quad2) through fused_requantize.
@@ -101,6 +107,7 @@ struct FusedSink {
   /// two 64-bit halves) in one shot: the column constants, widening and
   /// pack chain are shared across the row pair.
   SSMA_AVX2 void quad2(std::size_t r, int o0, __m128i q) const {
+    if (r >= rows) return;
     const __m128 mul = _mm_loadu_ps(ep->mul.data() + o0);
     const __m128 add = _mm_loadu_ps(ep->add.data() + o0);
     __m256i v = _mm256_cvttps_epi32(
@@ -115,11 +122,12 @@ struct FusedSink {
     const int b0 = _mm_cvtsi128_si32(p8);
     const int b1 = _mm_extract_epi32(p8, 1);
     std::memcpy(d, &b0, 4);
-    std::memcpy(d + nout, &b1, 4);
+    if (r + 1 < rows) std::memcpy(d + nout, &b1, 4);
   }
   SSMA_AVX2 void one16(std::size_t r, int o, std::int16_t v) const {
-    dst[r * nout + static_cast<std::size_t>(o)] =
-        fused_requantize(v, packed_scale(*lut, o), ep->next_scale);
+    if (r < rows)
+      dst[r * nout + static_cast<std::size_t>(o)] =
+          fused_requantize(v, packed_scale(*lut, o), ep->next_scale);
   }
   SSMA_AVX2 void one32(std::size_t r, int o, std::int32_t v) const {
     one16(r, o, saturate_acc16(v));
@@ -210,11 +218,11 @@ SSMA_AVX2 inline void accumulate_chunk(const LutBankPacked& lut,
 
 template <class Sink>
 SSMA_AVX2 void avx2_impl(const LutBankPacked& lut, const EncodedBatch& enc,
-                         std::size_t full, Sink sink) {
+                         Sink sink) {
   const int nout = lut.nout;
   const int ncb = lut.ncodebooks;
   alignas(32) std::int16_t lanes[kRowBlock];
-  for (std::size_t n0 = 0; n0 < full; n0 += kRowBlock) {
+  for (std::size_t n0 = 0; n0 < enc.rows; n0 += kRowBlock) {
     for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
       const int ob = std::min(kOutBlock, nout - o0);
       if (ncb <= kChunk) {
@@ -292,41 +300,20 @@ SSMA_AVX2 void avx2_impl(const LutBankPacked& lut, const EncodedBatch& enc,
 
 }  // namespace
 
-bool avx2_compiled_in() { return true; }
-
 SSMA_AVX2 void apply_packed_avx2(const LutBankPacked& lut,
                                  const EncodedBatch& enc, std::int16_t* out) {
-  const std::size_t full = enc.rows - enc.rows % kRowBlock;
-  avx2_impl(lut, enc, full,
-            StoreSink{out, static_cast<std::size_t>(lut.nout)});
-  apply_packed_scalar_rows(lut, enc, full, out);
+  avx2_impl(lut, enc,
+            StoreSink{out, static_cast<std::size_t>(lut.nout), enc.rows});
 }
 
 SSMA_AVX2 void apply_fused_avx2(const LutBankPacked& lut,
                                 const EncodedBatch& enc,
                                 const FusedEpilogue& ep, std::uint8_t* dst) {
-  const std::size_t full = enc.rows - enc.rows % kRowBlock;
-  avx2_impl(lut, enc, full,
-            FusedSink{&lut, &ep, dst, static_cast<std::size_t>(lut.nout)});
-  apply_fused_scalar_rows(lut, enc, ep, full, dst);
+  avx2_impl(lut, enc,
+            FusedSink{&lut, &ep, dst, static_cast<std::size_t>(lut.nout),
+                      enc.rows});
 }
-
-#else  // !defined(SSMA_AVX2)
-
-bool avx2_compiled_in() { return false; }
-
-void apply_packed_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
-                       std::int16_t* out) {
-  // Unreachable: the dispatcher never selects a tier whose
-  // *_compiled_in() probe is false. Fall back defensively anyway.
-  apply_packed_scalar(lut, enc, out);
-}
-
-void apply_fused_avx2(const LutBankPacked& lut, const EncodedBatch& enc,
-                      const FusedEpilogue& ep, std::uint8_t* dst) {
-  apply_fused_scalar(lut, enc, ep, dst);
-}
-
-#endif
 
 }  // namespace ssma::maddness::detail
+
+#endif  // SSMA_X86_SIMD

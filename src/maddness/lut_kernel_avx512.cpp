@@ -18,22 +18,21 @@
 // slice of the bank stays L1-resident. A finished tile is packed and
 // transposed in-register (two vpermt2b stages) into row-major int16 rows
 // (store sink) or uint8 rows (fused sink). A ragged last row block runs
-// the same tile code: its codes load under a byte mask, and only its
+// the same tile code over the encode cache's padded codes, and only its
 // valid rows are stored.
 #include <algorithm>
 #include <vector>
 
 #include "maddness/lut_kernel.hpp"
 
-#if defined(__GNUC__) && defined(__x86_64__)
+#if defined(SSMA_X86_SIMD)
+
 #include <immintrin.h>
+
 #define SSMA_AVX512 \
   __attribute__((target("avx512f,avx512bw,avx512vl,avx512vbmi,avx512vnni")))
-#endif
 
 namespace ssma::maddness::detail {
-
-#if defined(SSMA_AVX512)
 
 namespace {
 
@@ -246,20 +245,19 @@ struct FusedSink {
 /// Index vectors of every group for rows n0..n0+15 into idx: lane j of
 /// group g's codes is codebook 4g+j's 16 codes (zero past a ragged last
 /// group, which then reads its table's zeroed bytes). A ragged last row
-/// block loads its `nrows` codes under a byte mask, so it never reads
-/// past a codebook's codes; its missing rows read code 0.
+/// block reads the encode cache's pad rows, whose code is 0.
 SSMA_AVX512 void build_indices(const EncodedBatch& enc, std::size_t n0,
-                               int nrows, std::uint8_t* idx) {
+                               std::uint8_t* idx) {
   const __m512i interleave = load64(kInterleave);
   const __m512i offsets = load64(kOffsets);
-  const __mmask16 row_mask = static_cast<__mmask16>((1u << nrows) - 1);
   const int ngroups = (enc.ncodebooks + kGroup - 1) / kGroup;
   for (int g = 0; g < ngroups; ++g) {
     __m128i lanes[kGroup];
     for (int j = 0; j < kGroup; ++j) {
       const int c = kGroup * g + j;
       lanes[j] = c < enc.ncodebooks
-                     ? _mm_maskz_loadu_epi8(row_mask, enc.codebook(c) + n0)
+                     ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                           enc.codebook(c) + n0))
                      : _mm_setzero_si128();
     }
     __m512i v = _mm512_zextsi128_si512(lanes[0]);
@@ -342,8 +340,7 @@ SSMA_AVX512 void avx512_impl(const LutBankPacked& lut,
   for (std::size_t r0 = 0; r0 < rows; r0 += chunk_blocks * kRowBlock) {
     const std::size_t r1 = std::min(rows, r0 + chunk_blocks * kRowBlock);
     for (std::size_t n0 = r0; n0 < r1; n0 += kRowBlock)
-      build_indices(enc, n0, static_cast<int>(std::min(kRowBlock, r1 - n0)),
-                    idx + (n0 - r0) / kRowBlock * block_bytes);
+      build_indices(enc, n0, idx + (n0 - r0) / kRowBlock * block_bytes);
     for (int o0 = 0; o0 < nout; o0 += kOutBlock) {
       const int ob = std::min(kOutBlock, nout - o0);
       for (std::size_t n0 = r0; n0 < r1; n0 += kRowBlock) {
@@ -365,8 +362,6 @@ SSMA_AVX512 void avx512_impl(const LutBankPacked& lut,
 
 }  // namespace
 
-bool avx512_compiled_in() { return true; }
-
 void apply_packed_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
                          std::int16_t* out) {
   avx512_impl(lut, enc, StoreSink{out, static_cast<std::size_t>(lut.nout)});
@@ -378,22 +373,6 @@ void apply_fused_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
               FusedSink{&lut, &ep, dst, static_cast<std::size_t>(lut.nout)});
 }
 
-#else  // !defined(SSMA_AVX512)
-
-bool avx512_compiled_in() { return false; }
-
-void apply_packed_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
-                         std::int16_t* out) {
-  // Unreachable: the dispatcher never selects a tier whose
-  // *_compiled_in() probe is false.
-  apply_packed_scalar(lut, enc, out);
-}
-
-void apply_fused_avx512(const LutBankPacked& lut, const EncodedBatch& enc,
-                        const FusedEpilogue& ep, std::uint8_t* dst) {
-  apply_fused_scalar(lut, enc, ep, dst);
-}
-
-#endif
-
 }  // namespace ssma::maddness::detail
+
+#endif  // SSMA_X86_SIMD

@@ -1,10 +1,11 @@
 // Correctness hardening of the vectorized batch encoder: every dispatch
 // tier (scalar staging-tile walk, AVX2 staged traversal AND the
 // windowed direct-gather fast path) must produce bit-identical leaf
-// codes to the per-row HashTree::encode reference on randomized
-// configurations — including ragged row tails around the 32-row SIMD
-// block, duplicate split dims inside a codebook, thresholds pinned at
-// the 0/255 rails, and the x == t equality edge at every level. The
+// codes to the per-row HashTree::encode reference, and code 0 in every
+// pad row, on randomized configurations — including every row residue
+// of the 32-row SIMD block, duplicate split dims inside a codebook,
+// thresholds pinned at the 0/255 rails, and the x == t equality edge at
+// every level. The
 // fused quantize+encode path must match quantize-then-encode to the
 // bit, steady-state encoding must not allocate, and serve-side journal
 // replay must stay bit-exact with the new encoder on the hot path.
@@ -13,6 +14,7 @@
 #include <future>
 #include <vector>
 
+#include "kernel_test_util.hpp"
 #include "maddness/amm.hpp"
 #include "maddness/encoder_kernel.hpp"
 #include "maddness/framing.hpp"
@@ -71,22 +73,31 @@ std::vector<std::uint8_t> reference_codes(
       .codes;
 }
 
+/// Every tier on the bank as built (windowed on the AVX2 tier when the
+/// bank allows it) and with windowing off (the staged path).
 void expect_all_tiers_match(const Config& cfg,
                             const std::vector<HashTree>& trees,
                             const QuantizedActivations& q,
                             const char* what) {
-  const EncoderBank bank = build_encoder_bank(cfg, trees);
+  EncoderBank windowed = build_encoder_bank(cfg, trees);
+  EncoderBank staged = windowed;
+  staged.windowed = false;
   const auto ref = reference_codes(cfg, trees, q);
   EncodeScratch scratch;
   EncodedBatch out;
-  for (const KernelTier tier : available_encoder_tiers()) {
-    encode_batch_packed(bank, q, tier, scratch, out);
-    ASSERT_EQ(out.rows, q.rows);
-    ASSERT_EQ(out.ncodebooks, cfg.ncodebooks);
-    ASSERT_EQ(out.codes, ref)
-        << what << ": tier=" << kernel_tier_name(tier)
-        << " ncb=" << cfg.ncodebooks << " rows=" << q.rows;
-  }
+  for (const EncoderBank* bank : {&windowed, &staged})
+    for (const KernelTier tier : available_encoder_tiers()) {
+      encode_batch_packed(*bank, q, tier, scratch, out);
+      ASSERT_EQ(out.rows, q.rows);
+      ASSERT_EQ(out.ncodebooks, cfg.ncodebooks);
+      ASSERT_TRUE(test::pad_codes_are_zero(out))
+          << what << ": tier=" << kernel_tier_name(tier)
+          << " windowed=" << bank->windowed << " rows=" << q.rows;
+      ASSERT_EQ(out.codes, ref)
+          << what << ": tier=" << kernel_tier_name(tier)
+          << " windowed=" << bank->windowed << " ncb=" << cfg.ncodebooks
+          << " rows=" << q.rows;
+    }
 }
 
 }  // namespace
@@ -139,18 +150,16 @@ TEST(EncoderBank, SingleCodebookBankIsNotWindowed) {
 
 TEST(EncoderKernel, AllTiersBitExactOnRandomConfigMatrix) {
   Rng rng(4005);
-  // Row counts bracket the AVX2 tier's 32-row block and its 16-row
-  // window gathers on both sides; ncodebooks = 1 exercises the
-  // non-windowed staged path in every tier.
+  // Every row residue of the AVX2 tier's 32-row block and its 16-row
+  // window gathers; ncodebooks = 1 builds a bank that cannot window.
   const int ncodebooks[] = {1, 2, 3, 5, 16, 32};
-  const std::size_t row_counts[] = {1, 7, 15, 16, 17, 31, 32, 33, 64, 100};
   for (const int ncb : ncodebooks) {
     Config cfg;
     cfg.ncodebooks = ncb;
     std::vector<HashTree> trees;
     for (int c = 0; c < ncb; ++c)
       trees.push_back(random_tree(rng, cfg.subvec_dim, true));
-    for (const std::size_t rows : row_counts) {
+    for (const std::size_t rows : test::ragged_row_counts()) {
       QuantizedActivations q = random_quantized(
           rng, rows, static_cast<std::size_t>(cfg.total_dims()));
       // Plant exact-threshold values so the x == t edge fires inside
@@ -204,7 +213,7 @@ TEST(EncoderKernel, EqualityEdgeGoesRightAtEveryLevel) {
       }
     }
     QuantizedActivations q;
-    q.rows = 40;  // spans SIMD blocks and scalar tail
+    q.rows = 40;  // one whole SIMD block and a ragged one
     q.cols = static_cast<std::size_t>(cfg.total_dims());
     q.codes.assign(q.rows * q.cols, static_cast<std::uint8_t>(v));
     for (std::size_t n = 1; n < q.rows; n += 2)
@@ -359,11 +368,13 @@ TEST(EncoderKernel, SteadyStateEncodingDoesNotAllocate) {
 
   const std::uint8_t* stage_ptr = scratch.stage.data();
   const std::size_t stage_cap = scratch.stage.capacity();
+  const std::uint8_t* tail_ptr = scratch.tail.data();
+  const std::size_t tail_cap = scratch.tail.capacity();
   const std::uint8_t* codes_ptr = out.codes.data();
   const std::size_t codes_cap = out.codes.capacity();
 
-  // Same-size batches, then smaller ones (both SIMD and scalar tiers):
-  // neither buffer may reallocate once capacity is established.
+  // Same-size batches, then smaller, ragged ones (both SIMD and scalar
+  // tiers): no buffer may reallocate once capacity is established.
   for (int iter = 0; iter < 8; ++iter) {
     const std::size_t rows = iter % 2 == 0 ? 96 : 41;
     const QuantizedActivations q = random_quantized(rng, rows, d);
@@ -371,6 +382,8 @@ TEST(EncoderKernel, SteadyStateEncodingDoesNotAllocate) {
     encode_batch_packed(bank, q, KernelTier::kScalar, scratch, out);
     ASSERT_EQ(scratch.stage.data(), stage_ptr) << "iter " << iter;
     ASSERT_EQ(scratch.stage.capacity(), stage_cap) << "iter " << iter;
+    ASSERT_EQ(scratch.tail.data(), tail_ptr) << "iter " << iter;
+    ASSERT_EQ(scratch.tail.capacity(), tail_cap) << "iter " << iter;
     ASSERT_EQ(out.codes.data(), codes_ptr) << "iter " << iter;
     ASSERT_EQ(out.codes.capacity(), codes_cap) << "iter " << iter;
   }

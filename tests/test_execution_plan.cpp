@@ -1,7 +1,8 @@
 // Tests for the compiled ExecutionPlan: compile-time metadata (stage
 // chain, fused-epilogue constants, bytes-avoided accounting), run_plan
 // bit-exactness vs pipeline_reference_apply on every available LUT tier
-// across ragged row counts and a >=3-stage chain, the zero-allocation
+// at every row residue of the 32-row block and a >=3-stage chain, the
+// zero-allocation
 // steady state of PlanScratch, the fused epilogue's table checked on
 // every reachable accumulator of trained chains, and its rounding
 // boundary under adversarial scales (exact half-integer ties, floats
@@ -19,6 +20,7 @@
 
 #include "engine/execution_plan.hpp"
 #include "engine/model_registry.hpp"
+#include "kernel_test_util.hpp"
 #include "engine/pipeline.hpp"
 #include "maddness/lut.hpp"
 #include "maddness/lut_kernel.hpp"
@@ -35,8 +37,8 @@ using maddness::LutBankPacked;
 // Three chained dense stages (36 -> 36 -> 36 -> 12 at the default four
 // codebooks; ncodebooks * 9 wide in general) trained the same way the
 // serve path trains them: each stage calibrated on the previous stage's
-// rectified dequantized output. 48 pool rows cover every ragged
-// row-count prefix the SIMD tile walks care about.
+// rectified dequantized output. 224 pool rows cover every row-count
+// prefix test::ragged_row_counts() names.
 struct ChainFixture {
   ModelRef model;
   maddness::QuantizedActivations pool;
@@ -70,7 +72,7 @@ struct ChainFixture {
     ChainFixture f;
     f.model = ModelHandle::from_stages(
         "mlp", 1, {&stages[0], &stages[1], &stages[2]});
-    Matrix fresh(48, d0);
+    Matrix fresh(224, d0);
     for (std::size_t i = 0; i < fresh.size(); ++i)
       fresh.data()[i] = static_cast<float>(rng.next_double(0, 200));
     f.pool = maddness::quantize_activations(
@@ -136,14 +138,12 @@ TEST(ExecutionPlan, BytesAvoidedCountsInteriorBoundariesOnly) {
 
 TEST(ExecutionPlan, FusedMatchesReferenceEveryTierEveryRaggedRowCount) {
   const ChainFixture f = ChainFixture::make();
-  // Row counts straddling both SIMD row tiles (16 for AVX-512, 32 for
-  // AVX2) and their scalar tails, plus the degenerate single row.
-  const std::size_t kRows[] = {1, 2, 3, 5, 7, 8, 15, 16, 17,
-                               31, 32, 33, 47, 48};
+  // Every row residue of both SIMD row tiles (16 for AVX-512, 32 for
+  // AVX2), whose ragged last blocks run on the tiers' own code.
   for (const KernelTier tier : maddness::available_kernel_tiers()) {
     PlanScratch scratch;
     std::vector<std::int16_t> out;
-    for (const std::size_t rows : kRows) {
+    for (const std::size_t rows : test::ragged_row_counts()) {
       const maddness::QuantizedActivations sub = prefix(f.pool, rows);
       const std::vector<std::int16_t> want =
           pipeline_reference_apply(*f.model, sub);
@@ -270,6 +270,8 @@ TEST(ExecutionPlan, SteadyStateReusesEveryScratchBuffer) {
 
   const std::uint8_t* enc_ptr = scratch.enc.codes.data();
   const std::size_t enc_cap = scratch.enc.codes.capacity();
+  const std::uint8_t* tail_ptr = scratch.encode.tail.data();
+  const std::size_t tail_cap = scratch.encode.tail.capacity();
   const std::uint8_t* inter_ptr = scratch.inter.codes.data();
   const std::size_t inter_cap = scratch.inter.codes.capacity();
   const std::int16_t* out_ptr = out.data();
@@ -277,10 +279,12 @@ TEST(ExecutionPlan, SteadyStateReusesEveryScratchBuffer) {
 
   // Same-shape and smaller batches must not move or grow any buffer:
   // the worker-shard contract is zero allocations at steady state.
-  for (const std::size_t rows : {48u, 17u, 1u, 48u}) {
+  for (const std::size_t rows : {224u, 17u, 1u, 223u}) {
     run_plan(f.model->plan(), prefix(f.pool, rows), scratch, out);
     EXPECT_EQ(scratch.enc.codes.data(), enc_ptr) << "rows=" << rows;
     EXPECT_EQ(scratch.enc.codes.capacity(), enc_cap) << "rows=" << rows;
+    EXPECT_EQ(scratch.encode.tail.data(), tail_ptr) << "rows=" << rows;
+    EXPECT_EQ(scratch.encode.tail.capacity(), tail_cap) << "rows=" << rows;
     EXPECT_EQ(scratch.inter.codes.data(), inter_ptr) << "rows=" << rows;
     EXPECT_EQ(scratch.inter.codes.capacity(), inter_cap)
         << "rows=" << rows;
@@ -320,11 +324,10 @@ struct AdversarialBank {
     } else {
       a.lut.scales = {1.0f};
     }
-    a.enc.rows = a.rows;
-    a.enc.ncodebooks = 4;
-    a.enc.codes.resize(a.rows * 4);
-    for (auto& c : a.enc.codes)
-      c = static_cast<std::uint8_t>(rng.next_double(0, 16));
+    a.enc.resize(a.rows, 4);
+    for (int c = 0; c < 4; ++c)
+      for (std::size_t n = 0; n < a.rows; ++n)
+        a.enc.codebook(c)[n] = static_cast<std::uint8_t>(rng.next_double(0, 16));
     return a;
   }
 
@@ -361,11 +364,10 @@ struct AdversarialBank {
                    : std::nextafter(on, pos == 0 ? -INFINITY : INFINITY));
     }
     Rng rng(404);
-    a.enc.rows = a.rows;
-    a.enc.ncodebooks = kNcb;
-    a.enc.codes.resize(a.rows * kNcb);
-    for (auto& c : a.enc.codes)
-      c = static_cast<std::uint8_t>(rng.next_double(0, 16));
+    a.enc.resize(a.rows, kNcb);
+    for (int c = 0; c < kNcb; ++c)
+      for (std::size_t n = 0; n < a.rows; ++n)
+        a.enc.codebook(c)[n] = static_cast<std::uint8_t>(rng.next_double(0, 16));
     return a;
   }
 
@@ -398,12 +400,10 @@ struct AdversarialBank {
         t[15] = 127;
       }
     }
-    a.enc.rows = a.rows;
-    a.enc.ncodebooks = kNcb;
-    a.enc.codes.resize(a.rows * kNcb);
+    a.enc.resize(a.rows, kNcb);
     for (int c = 0; c < kNcb; ++c)
       for (std::size_t n = 0; n < a.rows; ++n)
-        a.enc.codes[static_cast<std::size_t>(c) * a.rows + n] =
+        a.enc.codebook(c)[n] =
             n % 3 == 0 ? 1 : static_cast<std::uint8_t>(rng.next_double(0, 16));
     return a;
   }

@@ -1,10 +1,13 @@
 // Correctness hardening of the LUT accumulation hot path: every packed
-// kernel tier must be bit-exact vs the reference int32-accumulate /
-// saturate-once decode on randomized configurations (including ragged
-// row counts and non-16-multiple output tails), the packed layout must
-// round-trip, the saturation semantics must hold under adversarial
-// all-±127 banks that overflow int16, and a CRC-valid SSMAAMM2 blob with
-// hostile length fields must fail as a CheckError, not allocate.
+// kernel tier, with the store and the fused sink, must be bit-exact vs
+// the reference int32-accumulate / saturate-once decode on randomized
+// configurations (every row residue of the 32-row block, and
+// non-16-multiple output tails), the fused sink must write no byte past
+// the batch's rows, the encode cache's pad rows must hold code 0, the
+// packed layout must round-trip, the saturation semantics must hold
+// under adversarial all-±127 banks that overflow int16, and a CRC-valid
+// SSMAAMM2 blob with hostile length fields must fail as a CheckError,
+// not allocate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "kernel_test_util.hpp"
 #include "maddness/amm.hpp"
 #include "maddness/framing.hpp"
 #include "maddness/lut.hpp"
@@ -49,6 +53,20 @@ std::vector<std::uint8_t> random_codes(Rng& rng, std::size_t rows,
   for (auto& c : codes)
     c = static_cast<std::uint8_t>(rng.next_int(0, nprotos - 1));
   return codes;
+}
+
+/// The fused sink's reference: each reference accumulator through
+/// fused_requantize with its column's scale.
+std::vector<std::uint8_t> fused_reference(const LutBankPacked& packed,
+                                          const std::vector<std::int16_t>& acc,
+                                          float next_scale) {
+  std::vector<std::uint8_t> want(acc.size());
+  const auto nout = static_cast<std::size_t>(packed.nout);
+  for (std::size_t i = 0; i < acc.size(); ++i)
+    want[i] = maddness::detail::fused_requantize(
+        acc[i], maddness::detail::packed_scale(packed, static_cast<int>(i % nout)),
+        next_scale);
+  return want;
 }
 
 Matrix random_activations(Rng& rng, std::size_t n, std::size_t d) {
@@ -123,29 +141,68 @@ TEST(LutPacked, FourCodebookGroupsAreOneRunPerOutput) {
 TEST(LutKernel, AllTiersBitExactOnRandomConfigMatrix) {
   Rng rng(2027);
   const auto tiers = available_kernel_tiers();
-  // Dimensions chosen to stress tails: rows not multiples of the 16/32
-  // row blocks, nout not multiples of the output block (including < 1
-  // block), codebook counts around the SIMD chunk boundaries and past
-  // the 512 codebooks whose AVX-512 index vectors fit its stack buffer.
-  const int cases[][3] = {
-      // {ncodebooks, nout, rows}
-      {1, 1, 1},    {1, 5, 7},     {3, 16, 31},   {7, 37, 33},
-      {16, 64, 64}, {16, 130, 50}, {32, 128, 96}, {40, 23, 100},
-      {521, 18, 35},
+  // Every row residue of the 16- and 32-row blocks; nout not multiples
+  // of the output blocks (including < 1 block); codebook counts around
+  // the SIMD chunk boundaries and past the 512 codebooks whose AVX-512
+  // index vectors fit its stack buffer. Each tier runs the store and
+  // the fused sink.
+  const int shapes[][2] = {
+      // {ncodebooks, nout}
+      {1, 1},   {1, 5},    {3, 16},   {7, 37},  {16, 64},
+      {16, 130}, {32, 128}, {40, 23}, {521, 18},
   };
-  for (const auto& cs : cases) {
-    const int ncb = cs[0], nout = cs[1];
-    const std::size_t rows = static_cast<std::size_t>(cs[2]);
+  const float next_scale = 3.0f;
+  for (const auto& shape : shapes) {
+    const int ncb = shape[0], nout = shape[1];
     const LutBank bank = random_bank(rng, ncb, 4, nout);
-    const auto codes = random_codes(rng, rows, ncb, 16);
-    const auto ref = apply_lut_reference(bank, codes, rows);
     const LutBankPacked packed = pack_lut(bank);
-    const EncodedBatch enc = make_encoded_batch(codes, rows, ncb);
-    for (const KernelTier tier : tiers) {
-      const auto got = apply_lut_packed(packed, enc, tier);
-      ASSERT_EQ(got, ref) << "tier=" << kernel_tier_name(tier)
-                          << " ncb=" << ncb << " nout=" << nout
-                          << " rows=" << rows;
+    const FusedEpilogue ep = make_fused_epilogue(packed, next_scale);
+    for (const std::size_t rows : test::ragged_row_counts()) {
+      const auto codes = random_codes(rng, rows, ncb, 16);
+      const auto ref = apply_lut_reference(bank, codes, rows);
+      const auto ref_fused = fused_reference(packed, ref, next_scale);
+      const EncodedBatch enc = make_encoded_batch(codes, rows, ncb);
+      ASSERT_TRUE(test::pad_codes_are_zero(enc)) << "rows=" << rows;
+      for (const KernelTier tier : tiers) {
+        ASSERT_EQ(apply_lut_packed(packed, enc, tier), ref)
+            << "store tier=" << kernel_tier_name(tier) << " ncb=" << ncb
+            << " nout=" << nout << " rows=" << rows;
+        std::vector<std::uint8_t> got(ref_fused.size(), 0xAB);
+        apply_lut_fused(packed, enc, ep, tier, got.data());
+        ASSERT_EQ(got, ref_fused)
+            << "fused tier=" << kernel_tier_name(tier) << " ncb=" << ncb
+            << " nout=" << nout << " rows=" << rows;
+      }
+    }
+  }
+}
+
+TEST(LutKernel, FusedSinkWritesNoBytePastTheBatchRows) {
+  // dst leaves room for one whole 32-row block past the batch, filled
+  // with a sentinel: a tier that stored its ragged last block's pad rows
+  // would overwrite it. nout 16 takes the SIMD tiers' full output
+  // blocks, nout 7 their ragged ones, and 300 codebooks the AVX2 tier's
+  // int32 widening path.
+  Rng rng(2049);
+  const int shapes[][2] = {{8, 16}, {5, 7}, {300, 8}};
+  for (const auto& shape : shapes) {
+    const int ncb = shape[0], nout = shape[1];
+    const LutBankPacked packed = pack_lut(random_bank(rng, ncb, 4, nout));
+    const FusedEpilogue ep = make_fused_epilogue(packed, 2.0f);
+    for (const std::size_t rows : test::ragged_row_counts()) {
+      const EncodedBatch enc =
+          make_encoded_batch(random_codes(rng, rows, ncb, 16), rows, ncb);
+      const std::size_t used = rows * static_cast<std::size_t>(nout);
+      for (const KernelTier tier : available_kernel_tiers()) {
+        std::vector<std::uint8_t> dst(
+            used + EncodedBatch::kRowBlock * static_cast<std::size_t>(nout),
+            0xA5);
+        apply_lut_fused(packed, enc, ep, tier, dst.data());
+        for (std::size_t i = used; i < dst.size(); ++i)
+          ASSERT_EQ(dst[i], 0xA5)
+              << "tier=" << kernel_tier_name(tier) << " ncb=" << ncb
+              << " nout=" << nout << " rows=" << rows << " byte " << i;
+      }
     }
   }
 }
