@@ -243,13 +243,15 @@ void encode_batch_packed(const EncoderBank& bank,
     // entirely: per codebook, 16-byte window loads + pshufb pick the
     // split bytes straight out of the rows (see EncoderBank::windowed).
     // The kernel reads whole 32-row blocks, so the rows past the last
-    // whole block are copied once into the tail tile, whose pad rows it
-    // reads instead of the bytes past the activation matrix.
+    // whole block are copied once into a 32-row tile in the otherwise
+    // unused staging buffer, whose pad rows it reads instead of the
+    // bytes past the activation matrix.
     out.resize(q.rows, ncb);
     const std::size_t full = q.rows - q.rows % EncodedBatch::kRowBlock;
     const std::size_t tail = q.rows - full;
-    scratch.tail.resize(EncodedBatch::kRowBlock * cols);
-    std::copy(src + full * cols, src + q.rows * cols, scratch.tail.data());
+    scratch.stage.resize(EncodedBatch::kRowBlock * cols);
+    std::uint8_t* tile = scratch.stage.data();
+    std::copy(src + full * cols, src + q.rows * cols, tile);
     for (int c = 0; c < ncb; ++c) {
       const auto off = static_cast<std::size_t>(bank.window_off[c]);
       detail::encode_codebook_windowed_avx2(
@@ -257,7 +259,7 @@ void encode_batch_packed(const EncoderBank& bank,
           bank.codebook_thresholds(c), out.codebook(c));
       if (tail > 0)
         detail::encode_codebook_windowed_avx2(
-            scratch.tail.data() + off, cols, tail, bank.pick_mask(c),
+            tile + off, cols, tail, bank.pick_mask(c),
             bank.codebook_thresholds(c), out.codebook(c) + full);
     }
     return;

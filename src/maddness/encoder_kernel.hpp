@@ -17,8 +17,8 @@
 //
 // The output is the padded encode cache (EncodedBatch): the AVX2 tier
 // runs a batch's ragged last block on the same vector code — over the
-// staging tile's padding, or over a 32-row tail tile on the windowed
-// path — and writes code 0 to the pad rows, as every tier does.
+// staging tile's padding, or over a 32-row tile of the staging buffer
+// on the windowed path — and writes code 0 to the pad rows, as every tier does.
 //
 // The flattened SoA EncoderBank (per-level absolute split dims and
 // per-codebook padded threshold blocks, each contiguous across
@@ -96,15 +96,14 @@ EncoderBank build_encoder_bank(const Config& cfg,
                                const std::vector<HashTree>& trees);
 
 /// Reusable per-caller encode scratch: the column-major staging tile the
-/// gather pass fills (kLevels * ncodebooks columns of `rows` bytes), and
-/// the windowed path's tail tile (the rows past a batch's last whole
-/// 32-row block, copied into one 32-row tile). Steady-state encoding of
-/// same-shaped batches performs zero allocations once the capacity has
-/// been established — serve worker shards own one of these across their
+/// gather pass fills (kLevels * ncodebooks columns of `rows` bytes), or
+/// on the windowed path the 32-row tile that holds the rows past a
+/// batch's last whole block. Steady-state encoding of same-shaped
+/// batches performs zero allocations once the capacity has been
+/// established — serve worker shards own one of these across their
 /// whole lifetime.
 struct EncodeScratch {
   std::vector<std::uint8_t> stage;
-  std::vector<std::uint8_t> tail;
 };
 
 /// True when `tier` is an encoder tier and can run on this build + CPU.
@@ -160,8 +159,8 @@ void encode_codebook_avx2(const std::uint8_t* stage, std::size_t stride,
 // activation row width, `pick` the codebook's 16-byte pick mask — and
 // runs the same branchless tournament with an in-register transpose, no
 // staging tile. It reads rows up to EncodedBatch::padded(rows), so a
-// batch's ragged tail runs from EncodeScratch::tail. Same output
-// contract, bit-identical to the staged path.
+// batch's ragged tail runs from a tile in EncodeScratch::stage. Same
+// output contract, bit-identical to the staged path.
 void encode_codebook_windowed_avx2(const std::uint8_t* src,
                                    std::size_t row_stride,
                                    std::size_t rows,

@@ -307,18 +307,23 @@ FusedEpilogue make_fused_epilogue(const LutBankPacked& lut,
 
 namespace {
 
-/// The front both kernels share: checks the shapes, clamps `tier` to one
-/// that can run (scalar when the bank is not pshufb-shaped) and runs
-/// `kernel(tier)`, recording it in the kernel profile when tracing is
-/// compiled in.
-template <class Kernel>
-void dispatch(const LutBankPacked& lut, const EncodedBatch& enc,
-              KernelTier tier, Kernel&& kernel) {
+/// The shape checks both kernels run first, before they size or touch
+/// an output.
+void check_shapes(const LutBankPacked& lut, const EncodedBatch& enc) {
   SSMA_CHECK(enc.ncodebooks == lut.ncodebooks);
   SSMA_CHECK(enc.codes.size() ==
              enc.stride() * static_cast<std::size_t>(enc.ncodebooks));
   SSMA_CHECK(lut.q.size() == static_cast<std::size_t>(lut.ncodebooks) *
                                  lut.nout * lut.nprotos);
+}
+
+/// The front both kernels share once their checks passed: clamps `tier`
+/// to one that can run (scalar when the bank is not pshufb-shaped) and
+/// runs `kernel(tier)`, recording it in the kernel profile when tracing
+/// is compiled in.
+template <class Kernel>
+void dispatch(const LutBankPacked& lut, const EncodedBatch& enc,
+              KernelTier tier, Kernel&& kernel) {
   if (enc.rows == 0 || lut.nout == 0) return;
   while (!kernel_tier_available(tier))
     tier = static_cast<KernelTier>(static_cast<int>(tier) - 1);
@@ -349,6 +354,7 @@ void dispatch(const LutBankPacked& lut, const EncodedBatch& enc,
 
 void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
                       KernelTier tier, std::vector<std::int16_t>& out) {
+  check_shapes(lut, enc);
   out.assign(enc.rows * static_cast<std::size_t>(lut.nout), 0);
   dispatch(lut, enc, tier, [&]([[maybe_unused]] KernelTier t) {
 #if defined(SSMA_X86_SIMD)
@@ -364,6 +370,7 @@ void apply_lut_packed(const LutBankPacked& lut, const EncodedBatch& enc,
 void apply_lut_fused(const LutBankPacked& lut, const EncodedBatch& enc,
                      const FusedEpilogue& ep, KernelTier tier,
                      std::uint8_t* dst) {
+  check_shapes(lut, enc);
   SSMA_CHECK(lut.scales.size() >=
              static_cast<std::size_t>(lut.per_column_scale ? lut.nout : 1));
   SSMA_CHECK_MSG(ep.next_scale > 0.0f,

@@ -270,8 +270,8 @@ TEST(ExecutionPlan, SteadyStateReusesEveryScratchBuffer) {
 
   const std::uint8_t* enc_ptr = scratch.enc.codes.data();
   const std::size_t enc_cap = scratch.enc.codes.capacity();
-  const std::uint8_t* tail_ptr = scratch.encode.tail.data();
-  const std::size_t tail_cap = scratch.encode.tail.capacity();
+  const std::uint8_t* stage_ptr = scratch.encode.stage.data();
+  const std::size_t stage_cap = scratch.encode.stage.capacity();
   const std::uint8_t* inter_ptr = scratch.inter.codes.data();
   const std::size_t inter_cap = scratch.inter.codes.capacity();
   const std::int16_t* out_ptr = out.data();
@@ -283,8 +283,9 @@ TEST(ExecutionPlan, SteadyStateReusesEveryScratchBuffer) {
     run_plan(f.model->plan(), prefix(f.pool, rows), scratch, out);
     EXPECT_EQ(scratch.enc.codes.data(), enc_ptr) << "rows=" << rows;
     EXPECT_EQ(scratch.enc.codes.capacity(), enc_cap) << "rows=" << rows;
-    EXPECT_EQ(scratch.encode.tail.data(), tail_ptr) << "rows=" << rows;
-    EXPECT_EQ(scratch.encode.tail.capacity(), tail_cap) << "rows=" << rows;
+    EXPECT_EQ(scratch.encode.stage.data(), stage_ptr) << "rows=" << rows;
+    EXPECT_EQ(scratch.encode.stage.capacity(), stage_cap)
+        << "rows=" << rows;
     EXPECT_EQ(scratch.inter.codes.data(), inter_ptr) << "rows=" << rows;
     EXPECT_EQ(scratch.inter.codes.capacity(), inter_cap)
         << "rows=" << rows;

@@ -6,10 +6,12 @@
 // the batch's rows, the encode cache's pad rows must hold code 0, the
 // packed layout must round-trip, the saturation semantics must hold
 // under adversarial all-±127 banks that overflow int16, and a CRC-valid
-// SSMAAMM2 blob with hostile length fields must fail as a CheckError,
-// not allocate.
+// SSMAAMM2 blob with hostile length fields, like a hand-built batch
+// whose rows disagree with its codes, must fail as a CheckError, not
+// allocate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -64,7 +66,8 @@ std::vector<std::uint8_t> fused_reference(const LutBankPacked& packed,
   const auto nout = static_cast<std::size_t>(packed.nout);
   for (std::size_t i = 0; i < acc.size(); ++i)
     want[i] = maddness::detail::fused_requantize(
-        acc[i], maddness::detail::packed_scale(packed, static_cast<int>(i % nout)),
+        acc[i],
+        maddness::detail::packed_scale(packed, static_cast<int>(i % nout)),
         next_scale);
   return want;
 }
@@ -143,9 +146,12 @@ TEST(LutKernel, AllTiersBitExactOnRandomConfigMatrix) {
   const auto tiers = available_kernel_tiers();
   // Every row residue of the 16- and 32-row blocks; nout not multiples
   // of the output blocks (including < 1 block); codebook counts around
-  // the SIMD chunk boundaries and past the 512 codebooks whose AVX-512
-  // index vectors fit its stack buffer. Each tier runs the store and
-  // the fused sink.
+  // the SIMD chunk boundaries, past the 256 codebooks the AVX2 tier
+  // accumulates in int16 and past the 512 whose AVX-512 index vectors
+  // fit its stack buffer. Each tier runs the store and the fused sink.
+  // The fused dst leaves room for one whole 32-row block past the batch,
+  // filled with a sentinel: a tier that stored its ragged last block's
+  // pad rows would overwrite it.
   const int shapes[][2] = {
       // {ncodebooks, nout}
       {1, 1},   {1, 5},    {3, 16},   {7, 37},  {16, 64},
@@ -167,41 +173,19 @@ TEST(LutKernel, AllTiersBitExactOnRandomConfigMatrix) {
         ASSERT_EQ(apply_lut_packed(packed, enc, tier), ref)
             << "store tier=" << kernel_tier_name(tier) << " ncb=" << ncb
             << " nout=" << nout << " rows=" << rows;
-        std::vector<std::uint8_t> got(ref_fused.size(), 0xAB);
+        std::vector<std::uint8_t> got(
+            ref_fused.size() +
+                EncodedBatch::kRowBlock * static_cast<std::size_t>(nout),
+            0xAB);
         apply_lut_fused(packed, enc, ep, tier, got.data());
-        ASSERT_EQ(got, ref_fused)
+        ASSERT_TRUE(std::equal(ref_fused.begin(), ref_fused.end(),
+                               got.begin()))
             << "fused tier=" << kernel_tier_name(tier) << " ncb=" << ncb
             << " nout=" << nout << " rows=" << rows;
-      }
-    }
-  }
-}
-
-TEST(LutKernel, FusedSinkWritesNoBytePastTheBatchRows) {
-  // dst leaves room for one whole 32-row block past the batch, filled
-  // with a sentinel: a tier that stored its ragged last block's pad rows
-  // would overwrite it. nout 16 takes the SIMD tiers' full output
-  // blocks, nout 7 their ragged ones, and 300 codebooks the AVX2 tier's
-  // int32 widening path.
-  Rng rng(2049);
-  const int shapes[][2] = {{8, 16}, {5, 7}, {300, 8}};
-  for (const auto& shape : shapes) {
-    const int ncb = shape[0], nout = shape[1];
-    const LutBankPacked packed = pack_lut(random_bank(rng, ncb, 4, nout));
-    const FusedEpilogue ep = make_fused_epilogue(packed, 2.0f);
-    for (const std::size_t rows : test::ragged_row_counts()) {
-      const EncodedBatch enc =
-          make_encoded_batch(random_codes(rng, rows, ncb, 16), rows, ncb);
-      const std::size_t used = rows * static_cast<std::size_t>(nout);
-      for (const KernelTier tier : available_kernel_tiers()) {
-        std::vector<std::uint8_t> dst(
-            used + EncodedBatch::kRowBlock * static_cast<std::size_t>(nout),
-            0xA5);
-        apply_lut_fused(packed, enc, ep, tier, dst.data());
-        for (std::size_t i = used; i < dst.size(); ++i)
-          ASSERT_EQ(dst[i], 0xA5)
-              << "tier=" << kernel_tier_name(tier) << " ncb=" << ncb
-              << " nout=" << nout << " rows=" << rows << " byte " << i;
+        for (std::size_t i = ref_fused.size(); i < got.size(); ++i)
+          ASSERT_EQ(got[i], 0xAB)
+              << "fused tier=" << kernel_tier_name(tier) << " ncb=" << ncb
+              << " nout=" << nout << " rows=" << rows << " wrote byte " << i;
       }
     }
   }
@@ -236,6 +220,20 @@ TEST(LutKernel, EmptyBatchAndEmptyBank) {
                                make_encoded_batch(codes, 9, 2))
                   .empty());
   EXPECT_TRUE(apply_lut_reference(nooutputs, codes, 9).empty());
+}
+
+TEST(LutKernel, MismatchedBatchFailsItsCheckBeforeTheOutputIsSized) {
+  // A hand-built batch whose rows disagree with its codes must fail as a
+  // CheckError, not first size a rows x nout output of 2^60 rows.
+  Rng rng(2035);
+  const LutBankPacked packed = pack_lut(random_bank(rng, 2, 4, 6));
+  EncodedBatch enc;
+  enc.ncodebooks = 2;
+  enc.rows = std::size_t{1} << 60;
+  std::vector<std::int16_t> out;
+  for (const KernelTier tier : available_kernel_tiers())
+    EXPECT_THROW(apply_lut_packed(packed, enc, tier, out), CheckError)
+        << kernel_tier_name(tier);
 }
 
 // --------------------------------------------- accumulator saturation
